@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DepthExceeded, NotAUnit, NotCoprime, NotInQ, \
-    NonInvertibleVariable
+from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime, \
+    NotInQ, NonInvertibleVariable
 from .laurent import GF, ModPoly, cyclotomic, pochhammer, reduce_mod
 
 
@@ -52,6 +52,29 @@ class ResidueValue:
                 "value": value}
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Miller-Rabin with the first 13 primes as bases: exact for
+    n < 3.3 * 10^24, a strong probable-prime test above."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def _eval_poly_mod(c, s, m):
     """A Laurent polynomial in q at q = s modulo m (s a unit mod m)."""
     acc = 0
@@ -88,12 +111,12 @@ def eval_rational(x, a, b, m):
     order = 1
     t = s
     while t != 1:
+        if order >= x.depth:
+            raise DepthExceeded(
+                f"depth {x.depth} < multiplicative order of {a}/{b} "
+                f"mod {m}")
         t = t * s % m
         order += 1
-    if x.depth < order:
-        raise DepthExceeded(
-            f"depth {x.depth} < multiplicative order {order} of {a}/{b} "
-            f"mod {m}")
     acc = 0
     poch = 1
     spow = 1
@@ -115,6 +138,8 @@ def eval_padic(x, s, p, e):
     """
     if e < 1:
         raise ValueError("precision must be positive")
+    if not is_prime(p):
+        raise InputError(f"{p} is not a prime")
     if s % p == 0:
         raise NotAUnit(f"{s} is not a unit modulo {p}")
     pe = p ** e
@@ -146,6 +171,8 @@ def _valuation(n, p):
 def modp_value(x, p, r):
     """The element evaluated over F_p[q]/(Phi_r mod p): the mod-p WRT
     value at every primitive r-th root of unity simultaneously."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not a prime")
     if math.gcd(p, r) != 1:
         raise NotCoprime(f"gcd({p}, {r}) != 1")
     if x.depth < r:

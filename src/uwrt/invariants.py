@@ -19,13 +19,14 @@ from itertools import product
 
 from .errors import (DepthExceeded, NotAdmissible, NotAKnot, NotInQSubring,
                      UnknownName, ZeroDenominator)
-from .laurent import (LaurentU, ModPoly, ONE, QQ, ZERO, cyclotomic,
-                      falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
-                      qnum, reduce_mod, u_pow)
+from .laurent import (ModPoly, ONE, QQ, ZERO, cyclotomic, falling_bal,
+                      pochhammer, q_pow, qfact_bal, qint_bal, qnum,
+                      reduce_mod, u_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import _p_in_v, omega_coeff
 from .reps import twist_eigen
-from .tangles import Diagram, builtin, colored_jones, linking_data
+from .tangles import (PACKED_ZERO, Diagram, _padd, _pmul, builtin,
+                      colored_jones, linking_data, pack, unpack)
 
 # -- surgery presentations ---------------------------------------------------
 
@@ -140,97 +141,28 @@ def _diagram_form(pres):
     return builtin("borromean"), tuple(-p for p in pres.params)
 
 
-# -- packed accumulation for the multilinear surgery sum ---------------------
-#
-# The inner sums over V-colors reuse the Kronecker packing idea from the
-# contraction engine, but with wider digits: coefficients here are sums
-# of products of a basis-change coefficient per component and a colored
-# Jones value, which can far exceed the engine's per-entry sizes.
-
-_JBITS = 128
-_JBASE = 1 << _JBITS
-_JHALF = 1 << (_JBITS - 1)
-_JMASK = _JBASE - 1
-_JGUARD = 1 << (_JBITS - 16)
-
-
-def _jpack(x):
-    if x.is_zero():
-        return (0, 0)
-    mag = 0
-    for k, c in enumerate(x.coeffs):
-        mag += c << (_JBITS * k)
-    return (x.min, mag)
-
-
-def _junpack(value):
-    offset, mag = value
-    coeffs = []
-    while mag:
-        d = mag & _JMASK
-        if d >= _JHALF:
-            d -= _JBASE
-        if abs(d) > _JHALF - _JGUARD:
-            raise OverflowError("packed coefficient near digit boundary")
-        coeffs.append(d)
-        mag = (mag - d) >> _JBITS
-    return LaurentU(offset, coeffs)
-
-
-def _jadd(a, b):
-    oa, ma = a
-    ob, mb = b
-    if ma == 0:
-        return b
-    if mb == 0:
-        return a
-    if oa <= ob:
-        return (oa, ma + (mb << (_JBITS * (ob - oa))))
-    return (ob, mb + (ma << (_JBITS * (oa - ob))))
-
-
-@lru_cache(maxsize=None)
-def _packed_p(k):
-    """V-coefficients of P_k, packed."""
-    return tuple((a, _jpack(c)) for a, c in sorted(_p_in_v(k).items()))
-
-
-_packed_jones_cache = {}
-_pprime_cache = {}
-
-
-def _packed_jones(d, colors):
-    key = (d.key(), colors)
-    hit = _packed_jones_cache.get(key)
-    if hit is None:
-        hit = _jpack(colored_jones(d, colors))
-        _packed_jones_cache[key] = hit
-    return hit
-
-
-def _jones_pprime(d, ks):
-    """J of the 0-framed diagram with colors P'_{k_1}, ..., P'_{k_m}."""
-    key = (d.key(), ks)
-    hit = _pprime_cache.get(key)
-    if hit is not None:
-        return hit
-    num = (0, 0)
-    for picks in product(*[_packed_p(k) for k in ks]):
-        off = 0
-        mag = 1
-        for _, (o, m) in picks:
-            off += o
-            mag *= m
-        jo, jm = _packed_jones(d, tuple(a for a, _ in picks))
-        num = _jadd(num, (off + jo, mag * jm))
-    val = _junpack(num)
-    for k in ks:
-        val = val.exact_div(qfact_bal(k))
-    _pprime_cache[key] = val
-    return val
-
-
 # -- the unified invariant ----------------------------------------------------
+
+
+def _pprime_table(d, N):
+    """Packed J of the 0-framed diagram with colors P_{k_1}, ..., P_{k_m},
+    keyed by (k_1, ..., k_m) in range(N)^m: the packed V-colored table
+    changed to the P basis one axis at a time (mode-n products with the
+    P_k -> V_a matrix), O(m N^(m+1)) packed products in all."""
+    to_p = [[] for _ in range(N)]        # a -> [(k, V_a-coefficient of P_k)]
+    for k in range(N):
+        for a, c in _p_in_v(k).items():
+            to_p[a].append((k, pack(c)))
+    table = {a: pack(colored_jones(d, a))
+             for a in product(range(N), repeat=d.component_count)}
+    for axis in range(d.component_count):
+        new = {}
+        for key, val in table.items():
+            for k, c in to_p[key[axis]]:
+                nk = key[:axis] + (k,) + key[axis + 1:]
+                new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
+        table = new
+    return table
 
 
 def jm_from_surgery(pres, N=DEFAULT_DEPTH):
@@ -248,20 +180,19 @@ def jm_from_surgery(pres, N=DEFAULT_DEPTH):
     if d is None:
         out[0] = ONE
         return HabiroElem(N, out)
-    m = d.component_count
-    for ks in product(range(N), repeat=m):
-        base = _jones_pprime(d, ks)
-        if base.is_zero():
+    for ks, val in _pprime_table(d, N).items():
+        term = unpack(val)
+        if term.is_zero():
             continue
         exp = 0
         sign = 1
         for k, f in zip(ks, fr):
+            term = term.exact_div(qfact_bal(k))      # P_k -> P'_k
             exp -= f * k * (k + 3)
             if f == 1 and k % 2:
                 sign = -sign
-        term = base * u_pow(exp, sign)
         K = max(ks)
-        out[K] = out[K] + term.exact_div(pochhammer(K))
+        out[K] = out[K] + (term * u_pow(exp, sign)).exact_div(pochhammer(K))
     return HabiroElem(N, out)
 
 

@@ -17,9 +17,13 @@ used here is presented as a nested closure of a braid, which needs no
 other crossing type.
 
 The contraction engine keeps a sparse state vector over the current
-interface.  Coefficients are Laurent polynomials in u packed into
-single big integers (fixed 128-bit balanced digits per exponent), so
-that polynomial multiplication rides on native bigint multiplication.
+interface.  Coefficients are Laurent polynomials in u packed into big
+integers with one balanced 64-bit digit per q-step, q = u^4 (Kronecker
+substitution), so that polynomial multiplication rides on native bigint
+multiplication.  A value whose u-exponents span several residues mod 4
+keeps one q-step part per residue.  Decoding is exact whenever the
+decoded coefficients fit in a digit; the decoder raises OverflowError
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .errors import (ColorCountMismatch, DiagramSyntaxError,
-                     InterfaceMismatch, OpenDiagram, UnknownName,
+from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
+                     InputError, InterfaceMismatch, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
 from .laurent import LaurentFrac, LaurentU, ONE, qnum, v_pow
 from .repring import BasisCombo, to_V
@@ -36,10 +40,17 @@ from .reps import braiding, twist_eigen
 
 # -- packed Laurent coefficients ------------------------------------------
 #
-# A packed value is a pair (offset, mag): the coefficient of u^(offset+k)
-# is the k-th balanced base-2^128 digit of mag.  128 bits leaves ample
-# headroom over any coefficient reachable at the color ranges used here;
-# the decoder asserts that every digit stays far from the boundary.
+# A packed value is a pair (offset, mag) with one balanced base-2^64 digit
+# of mag per q-step: digit k is the coefficient of u^(offset + 4k).  Every
+# engine and surgery-sum value checked is u^s times a polynomial in q, but
+# nothing relies on it: a value spanning several residues mod 4 gets a
+# _Lanes mag, whose lane r packs the q-steps of u^(offset + r).  _Lanes
+# multiplies and tests for zero like an int, so the engine's inline
+# products need no branch.  Packing is a ring map, so decoding is exact
+# whenever the decoded coefficients fit in a digit, however large the
+# intermediate digits grow; sums spanning several residues are formed on
+# decoded values, so they too must fit.  unpack raises OverflowError near
+# the digit boundary.
 
 _BITS = 64
 _BASE = 1 << _BITS
@@ -51,39 +62,66 @@ PACKED_ZERO = (0, 0)
 PACKED_ONE = (0, 1)
 
 
+class _Lanes:
+    """Mixed-residue magnitude: lanes[r] packs u^(offset + r + 4k)."""
+
+    __slots__ = ("lanes",)
+
+    def __init__(self, lanes):
+        self.lanes = tuple(lanes)
+
+    def __bool__(self):
+        return any(self.lanes)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Lanes):
+            return _Lanes(m * other for m in self.lanes)
+        out = [0] * 4
+        for r, a in enumerate(self.lanes):
+            for s, b in enumerate(other.lanes):
+                # u^(r + s) with r + s >= 4 carries a q: one digit up
+                out[(r + s) % 4] += (a * b) << (_BITS * ((r + s) // 4))
+        return _Lanes(out)
+
+    __rmul__ = __mul__
+
+
 def pack(x):
-    if x.is_zero():
-        return PACKED_ZERO
-    mag = 0
-    for k, c in enumerate(x.coeffs):
-        mag += c << (_BITS * k)
-    return (x.min, mag)
+    lanes = [sum(c << (_BITS * k) for k, c in enumerate(x.coeffs[r::4]))
+             for r in range(4)]
+    # lane 0 holds the lowest coefficient, which is nonzero unless x = 0
+    return (x.min, _Lanes(lanes) if any(lanes[1:]) else lanes[0])
 
 
 def unpack(value):
     offset, mag = value
-    coeffs = []
-    while mag:
-        d = mag & _MASK
-        if d >= _HALF:
-            d -= _BASE
-        if abs(d) > _HALF - _GUARD:
-            raise OverflowError("packed coefficient near digit boundary")
-        coeffs.append(d)
-        mag = (mag - d) >> _BITS
-    return LaurentU(offset, coeffs)
+    coeffs = {}
+    for r, m in enumerate(mag.lanes if isinstance(mag, _Lanes) else (mag,)):
+        e = offset + r
+        while m:
+            d = m & _MASK
+            if d >= _HALF:
+                d -= _BASE
+            if abs(d) > _HALF - _GUARD:
+                raise OverflowError("packed coefficient near digit boundary")
+            coeffs[e] = d
+            e += 4
+            m = (m - d) >> _BITS
+    return LaurentU.from_dict(coeffs)
 
 
 def _padd(a, b):
     oa, ma = a
     ob, mb = b
-    if ma == 0:
+    if not ma:
         return b
-    if mb == 0:
+    if not mb:
         return a
+    if (ob - oa) % 4 or type(ma) is not int or type(mb) is not int:
+        return pack(unpack(a) + unpack(b))
     if oa <= ob:
-        return (oa, ma + (mb << (_BITS * (ob - oa))))
-    return (ob, mb + (ma << (_BITS * (oa - ob))))
+        return (oa, ma + (mb << (_BITS * ((ob - oa) // 4))))
+    return (ob, mb + (ma << (_BITS * ((oa - ob) // 4))))
 
 
 def _pmul(a, b):
@@ -448,6 +486,8 @@ def colored_jones(d, colors):
     if len(colors) != d.component_count:
         raise ColorCountMismatch(
             f"{d.component_count} components, {len(colors)} colors")
+    if any(c < 0 for c in colors):
+        raise InputError(f"colors must be >= 0, got {colors}")
     cache_key = (d.slices, colors)
     hit = _jones_cache.get(cache_key)
     if hit is not None:
@@ -463,9 +503,9 @@ def colored_jones(d, colors):
         value = element * v_pow(a) * qnum(a + 1)
     else:
         value = _contract(d, colors)
-    framings = [linking_data(d)[i][i] for i in range(d.component_count)]
-    if all(f % 2 == 0 for f in framings):
-        assert value.is_in_v(), "even-framed value left Z[v, 1/v]"
+    framings = [row[i] for i, row in enumerate(linking_data(d))]
+    if all(f % 2 == 0 for f in framings) and not value.is_in_v():
+        raise DomainError("even-framed value left Z[v, 1/v]")
     _jones_cache[cache_key] = value
     return value
 

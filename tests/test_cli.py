@@ -131,6 +131,13 @@ def test_input_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, ["check", "bogus-suite"])
     assert code == 2
+    code, _, err = run(capsys, ["jones", "--builtin", "hopf", "--",
+                                "-1", "1"])
+    assert code == 2 and "input error" in err
+    for mode in (["modp", "4", "3"], ["modp", "6", "5"],
+                 ["padic", "2", "4", "3"]):
+        code, _, err = run(capsys, ["eval", "--surgery", BORR] + mode)
+        assert code == 2 and "input error" in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, NotAUnit, NotCoprime
 from uwrt.evaluate import (ResidueValue, eval_padic, eval_rational,
-                           modp_nonvanishing, modp_value)
+                           is_prime, modp_nonvanishing, modp_value)
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import ONE, q_pow
 from uwrt.qhat import HabiroElem, eval_root
@@ -75,11 +75,26 @@ def test_errors():
     with pytest.raises(DepthExceeded):
         eval_rational(HabiroElem(2), 2, 1, 5)   # order of 2 mod 5 is 4
     with pytest.raises(DepthExceeded):
+        # the order of 2 mod 10^9 + 7 is (10^9 + 6) / 2: stop at the depth
+        eval_rational(jm_borromean(1, 1, 1, 4), 2, 1, 1000000007)
+    with pytest.raises(DepthExceeded):
         modp_value(HabiroElem(2), 5, 3)
     with pytest.raises(ValueError):
         eval_rational(M111, 2, 1, 0)
     with pytest.raises(ValueError):
         eval_padic(M111, 2, 3, 0)
+
+
+def test_is_prime():
+    trial = [n for n in range(2000)
+             if n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(2000) if is_prime(n)] == trial
+    assert is_prime(1000000007) and is_prime(2 ** 61 - 1)
+    # strong pseudoprimes to the prime bases 2..23 and 2..37, and a
+    # Carmichael number
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(561)
 
 
 def test_trivial_moduli():

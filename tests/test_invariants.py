@@ -2,6 +2,7 @@
 values."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,9 @@ from uwrt.invariants import (SurgeryPresentation, TwoVarKnot,
                              wrt)
 from uwrt.laurent import ONE, q_pow
 from uwrt.qhat import HabiroElem, equals_at_depth
-from uwrt.tangles import builtin
+from uwrt.tangles import builtin, closure_of_braid
+
+BORROMEAN_WORD = [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)]
 
 M111 = jm_borromean(1, 1, 1, 10)
 
@@ -37,6 +40,15 @@ def test_borromean_family_matches_surgery():
     x = jm_from_surgery(borromean_presentation((-1, 1, -1)), 6)
     y = jm_borromean(1, -1, 1, 6)
     assert equals_at_depth(x, y, 6)
+    # every cyclic rotation of the builtin braid word is the same link
+    # with another contraction order and state size
+    for shift in range(len(BORROMEAN_WORD)):
+        d = closure_of_braid(3, BORROMEAN_WORD[shift:]
+                             + BORROMEAN_WORD[:shift])
+        for fr in product((1, -1), repeat=3):
+            x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=fr),
+                                4)
+            assert equals_at_depth(x, jm_borromean(*(-f for f in fr), 4), 4)
 
 
 def test_jm_borromean_degenerate_and_symmetric():

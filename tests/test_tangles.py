@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError,
+import uwrt.tangles
+from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                          InterfaceMismatch, OpenDiagram, UnknownName,
                          UnsupportedCrossing)
 from uwrt.laurent import LaurentFrac, LaurentU, ONE, q_pow, qnum, u_pow
@@ -20,6 +21,14 @@ small_laurents = st.builds(LaurentU,
                            st.integers(min_value=-6, max_value=6),
                            st.lists(st.integers(min_value=-99, max_value=99),
                                     max_size=5))
+
+# u^s * Z[q, 1/q] with s in 0..3: the values the engine and the surgery sum
+# pack; sums of two of them span two residues mod 4 whenever the s differ
+q_graded = st.builds(lambda s, lo, cs: LaurentU.from_q_coeffs(lo, cs).shift(s),
+                     st.integers(min_value=0, max_value=3),
+                     st.integers(min_value=-3, max_value=3),
+                     st.lists(st.integers(min_value=-999, max_value=999),
+                              max_size=5))
 
 
 def test_parse_and_print_round_trip():
@@ -103,6 +112,15 @@ def test_color_count_mismatch():
         jones_multilinear(builtin("unknot"), (1, 1))
 
 
+def test_integrality_check_survives_optimize(monkeypatch):
+    # an odd power of u on an even-framed diagram must raise, not assert
+    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    monkeypatch.setattr(uwrt.tangles, "_contract",
+                        lambda d, colors, cut=False: u_pow(1))
+    with pytest.raises(DomainError):
+        colored_jones(builtin("hopf"), (1, 1))
+
+
 def test_unsupported_crossing():
     d = parse_diagram("U'(1)\nX+(1,1)\nA(1)\n")
     with pytest.raises(UnsupportedCrossing):
@@ -157,3 +175,21 @@ def test_pack_round_trip(a):
 def test_packed_arithmetic(a, b):
     assert unpack(_padd(pack(a), pack(b))) == a + b
     assert unpack(_pmul(pack(a), pack(b))) == a * b
+
+
+def test_pack_q_step_layout():
+    # one digit per q-step: u^5 (1 + q) packs to the digits 1, 1
+    assert pack(u_pow(5) * (1 + q_pow(1))) == (5, 1 + (1 << 64))
+
+
+@settings(deadline=None, max_examples=60)
+@given(q_graded, q_graded, q_graded)
+def test_packed_q_graded_arithmetic(a, b, c):
+    pa, pb, pc = pack(a), pack(b), pack(c)
+    mixed = _padd(pa, pb)
+    assert unpack(mixed) == a + b
+    assert unpack(_padd(mixed, pc)) == a + b + c
+    assert unpack(_pmul(mixed, pc)) == (a + b) * c
+    assert unpack(_pmul(pc, mixed)) == (a + b) * c
+    assert unpack(_pmul(mixed, mixed)) == (a + b) * (a + b)
+    assert unpack(_padd(_pmul(pa, pc), _pmul(pb, pc))) == (a + b) * c
