@@ -18,9 +18,9 @@ from .invariants import (borromean_presentation, eval_root_q,
                          ohtsuki, poincare_series, reduced_jones,
                          s3_presentations, theta, theta0, tilde_tau8_check,
                          congruence_report, wrt, SurgeryPresentation)
-from .laurent import (GF, LaurentFrac, LaurentU, ModPoly, ONE, cyclotomic,
-                      falling_bal, q_pow, qbinom_q, qfact_bal, qint_bal,
-                      qnum, reduce_mod, v_pow, ZZ)
+from .laurent import (GF, LaurentFrac, LaurentU, ModPoly, ONE,
+                      cyclotomic_coeffs, falling_bal, q_pow, qbinom_q,
+                      qfact_bal, qint_bal, qnum, reduce_mod, ZZ)
 from .qhat import HabiroElem, equals_at_depth, eval_root, phi_order, taylor
 from .repring import (BasisCombo, omega_truncated, pairing, pprime_mul,
                       to_P, to_V)
@@ -204,7 +204,7 @@ def criterion_10():
             return False, f"theta at i = {i}"
     kash = theta0(rj)
     for r in range(1, 7):
-        want = reduce_mod(theta(rj, r), cyclotomic(r), ZZ, "q")
+        want = reduce_mod(theta(rj, r), cyclotomic_coeffs(r), ZZ, "q")
         got = eval_root(kash, r)
         if r == 1:
             want = want.as_integer()

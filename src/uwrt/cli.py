@@ -135,13 +135,12 @@ def cmd_eval(args):
         rv = eval_padic(x, *params)
     elif mode == "modp":
         rv = modp_value(x, *params)
-        lines = [_modpoly_str(rv.value),
-                 f"nonvanishing: {modp_nonvanishing(x, *params)}"]
+        flag = modp_nonvanishing(rv.value)
+        lines = [_modpoly_str(rv.value), f"nonvanishing: {flag}"]
         return _emit(args, lines, {"command": "eval", "mode": mode,
                                    "params": params,
                                    "value": rv.to_json(),
-                                   "nonvanishing":
-                                   modp_nonvanishing(x, *params)})
+                                   "nonvanishing": flag})
     else:
         p, rmax = params
         lines = ["modulus-type,p,r,value-encoding,nonvanishing-flag"]
@@ -150,7 +149,7 @@ def cmd_eval(args):
             if r % p == 0:
                 continue
             rv = modp_value(x, p, r)
-            flag = modp_nonvanishing(x, p, r)
+            flag = modp_nonvanishing(rv.value)
             enc = ";".join(str(int(c)) for c in rv.value.coeffs)
             lines.append(f"modp,{p},{r},{enc},{int(flag)}")
             rows.append({"p": p, "r": r, "value": enc,

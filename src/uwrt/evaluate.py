@@ -14,7 +14,7 @@ import math
 
 from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime, \
     NotInQ, NonInvertibleVariable
-from .laurent import GF, ModPoly, cyclotomic, pochhammer, reduce_mod
+from .laurent import GF, ModPoly, cyclotomic_coeffs, pochhammer, reduce_mod
 
 
 class ResidueValue:
@@ -178,9 +178,8 @@ def modp_value(x, p, r):
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
     base = GF(p)
-    phi = cyclotomic(r)
-    acc = ModPoly(base, [phi.q_coeff(k) for k in range(phi.max // 4 + 1)],
-                  [0])
+    phi = cyclotomic_coeffs(r)
+    acc = ModPoly(base, phi, [0])
     for n in range(r):
         c = x.terms[n]
         if c.is_zero():
@@ -189,10 +188,9 @@ def modp_value(x, p, r):
     return ResidueValue("modp-poly", (p, r), acc)
 
 
-def modp_nonvanishing(x, p, r):
-    """True iff the mod-p value is nonzero at every primitive r-th root,
-    i.e. the representative is invertible mod (p, Phi_r)."""
-    value = modp_value(x, p, r).value
+def modp_nonvanishing(value):
+    """True iff a mod-p value (the ModPoly of modp_value) is nonzero at
+    every primitive r-th root, i.e. invertible mod (p, Phi_r)."""
     try:
         value.inverse()
         return True

@@ -19,9 +19,9 @@ from itertools import product
 
 from .errors import (DepthExceeded, NotAdmissible, NotAKnot, NotInQSubring,
                      UnknownName, ZeroDenominator)
-from .laurent import (ModPoly, ONE, QQ, ZERO, cyclotomic, falling_bal,
-                      pochhammer, q_pow, qfact_bal, qint_bal, qnum,
-                      reduce_mod, u_pow)
+from .laurent import (ModPoly, ONE, QQ, ZERO, cyclotomic_coeffs,
+                      falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
+                      qnum, reduce_mod, u_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import _p_in_v, omega_coeff
 from .reps import twist_eigen
@@ -224,15 +224,6 @@ def poincare_series(N=DEFAULT_DEPTH):
     return HabiroElem(N, out)
 
 
-def mirror(x):
-    """J of the orientation-reversed manifold: the bar involution."""
-    return x.conj()
-
-
-def connected_sum(x, y):
-    return x * y
-
-
 # -- the two-variable knot invariant ------------------------------------------
 
 
@@ -248,9 +239,6 @@ class TwoVarKnot:
             raise ValueError("coefficient count does not match depth")
         self.depth = depth
         self.coeffs = tuple(coeffs)
-
-    def coeff(self, n):
-        return self.coeffs[n]
 
     def __eq__(self, other):
         return (isinstance(other, TwoVarKnot) and self.depth == other.depth
@@ -325,18 +313,13 @@ def theta0(x):
 # -- WRT invariants at roots of unity -----------------------------------------
 
 
-def _phi_poly_coeffs(r):
-    phi = cyclotomic(r)
-    return tuple(phi.q_coeff(k) for k in range(phi.max // 4 + 1))
-
-
 @lru_cache(maxsize=None)
 def _unknot_I(r, sign):
     """sum_c [c+1]^2 * (twist on V_c)^sign, reduced mod Phi_4r over Q."""
     acc = ZERO
     for c in range(r - 1):
         acc = acc + qnum(c + 1) * qnum(c + 1) * twist_eigen(c, sign)
-    return reduce_mod(acc, _phi_poly_coeffs(4 * r), QQ, "u")
+    return reduce_mod(acc, cyclotomic_coeffs(4 * r), QQ, "u")
 
 
 def _solve_rational(cols, target, rows, nvars):
@@ -382,7 +365,7 @@ def wrt(pres, r):
         return 1
     d, fr = _diagram_form(pres)
     _check_admissible(d, fr)
-    mod4 = list(_phi_poly_coeffs(4 * r))
+    mod4 = cyclotomic_coeffs(4 * r)
     if d is None:
         tau = ModPoly.constant(QQ, mod4, 1)
     else:
@@ -410,7 +393,7 @@ def _to_q_subring(tau, r):
     """Rewrite an element of Q[x]/(Phi_4r) as a polynomial in q = x^4."""
     mod4 = tau.modulus
     rows = len(mod4) - 1
-    phir = _phi_poly_coeffs(r)
+    phir = cyclotomic_coeffs(r)
     nvars = len(phir) - 1
     x4 = ModPoly.variable(QQ, mod4) ** 4
     cols = []
@@ -428,8 +411,8 @@ def eval_root_q(x, r):
     """eval_root lifted to the same ring wrt returns, for comparisons."""
     val = eval_root(x, r)
     if r == 1:
-        return ModPoly(QQ, _phi_poly_coeffs(1), [val])
-    return ModPoly(QQ, _phi_poly_coeffs(r), list(val.coeffs))
+        return ModPoly(QQ, cyclotomic_coeffs(1), [val])
+    return ModPoly(QQ, cyclotomic_coeffs(r), list(val.coeffs))
 
 
 # -- Ohtsuki series and congruences -------------------------------------------

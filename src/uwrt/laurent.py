@@ -23,6 +23,9 @@ class LaurentU:
     """
 
     __slots__ = ("min", "coeffs")
+    # __getitem__ reads 0 past the run, so the sequence protocol would
+    # iterate forever (say, a LaurentU passed where coefficients belong)
+    __iter__ = None
 
     def __init__(self, min_exponent=0, coeffs=()):
         coeffs = list(coeffs)
@@ -214,24 +217,6 @@ class LaurentU:
         if any(rem):
             raise NonExactDivision("nonzero remainder")
         return LaurentU(self.min - other.min, quot)
-
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except NonExactDivision:
-            return False
-
-    def derivative_q(self):
-        """d/dq, defined only for polynomials in q."""
-        if not self.is_in_q():
-            raise NotInQ(str(self))
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            e = self.min + i
-            if c and e != 0:
-                out[e - 4] = out.get(e - 4, 0) + c * (e // 4)
-        return LaurentU.from_dict(out)
 
     @staticmethod
     def from_dict(d):
@@ -452,6 +437,14 @@ def cyclotomic(n):
     return acc
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(n):
+    """q-coefficients of the n-th cyclotomic polynomial, constant term
+    first."""
+    phi = cyclotomic(n)
+    return tuple(phi.q_coeff(k) for k in range(phi.max // 4 + 1))
+
+
 # -- q-combinatorics ------------------------------------------------------
 #
 # Two systems: the q-version {i}_q = q^i - 1 and the balanced version
@@ -549,14 +542,14 @@ def qmultinom_q(n, parts):
 
 
 class BaseRing:
-    """Coefficient domain tag for ModPoly: Z, Z/m, F_p or Q."""
+    """Coefficient domain tag for ModPoly: Z, F_p or Q."""
 
     def __init__(self, kind, modulus=None):
-        if kind not in ("Z", "Zmod", "Fp", "Q"):
+        if kind not in ("Z", "Fp", "Q"):
             raise ValueError(kind)
         if kind == "Fp" and modulus is not None:
-            # primality is the caller's responsibility for large p;
-            # cheap check for small moduli
+            # callers check primality (evaluate.is_prime); this only
+            # rejects moduli below 2
             if modulus < 2:
                 raise ValueError("not a prime")
         self.kind = kind
@@ -566,24 +559,24 @@ class BaseRing:
         if self.kind == "Q":
             return Fraction(x)
         x = int(x)
-        if self.kind in ("Zmod", "Fp"):
+        if self.kind == "Fp":
             return x % self.modulus
         return x
 
     def add(self, a, b):
         c = a + b
-        if self.kind in ("Zmod", "Fp"):
+        if self.kind == "Fp":
             c %= self.modulus
         return c
 
     def mul(self, a, b):
         c = a * b
-        if self.kind in ("Zmod", "Fp"):
+        if self.kind == "Fp":
             c %= self.modulus
         return c
 
     def neg(self, a):
-        if self.kind in ("Zmod", "Fp"):
+        if self.kind == "Fp":
             return (-a) % self.modulus
         return -a
 
@@ -626,10 +619,6 @@ class BaseRing:
 
 ZZ = BaseRing("Z")
 QQ = BaseRing("Q")
-
-
-def Zmod(m):
-    return BaseRing("Zmod", m)
 
 
 def GF(p):
@@ -754,7 +743,7 @@ class ModPoly:
 
     def inverse(self):
         """Multiplicative inverse; requires a field base (extended
-        Euclid against the modulus) or a unit constant over Z/Z_m."""
+        Euclid against the modulus) or a unit constant."""
         if self.base.is_field():
             g, s = _poly_ext_gcd(self.base, list(self.coeffs),
                                  list(self.modulus))
@@ -849,23 +838,12 @@ def _zip_pad(base, a, b):
 def reduce_mod(a, f, base=ZZ, var="q"):
     """Reduce a LaurentU modulo a polynomial f in the named power of u.
 
-    f may be a LaurentU (a polynomial in the same variable) or a raw
-    coefficient sequence.  Negative exponents use the inverse of the
-    variable, which exists whenever f(0) is a unit (always true for
-    cyclotomic moduli).
+    f is the coefficient sequence of the modulus, constant term first
+    (cyclotomic_coeffs gives it for Phi_n).  Negative exponents use the
+    inverse of the variable, which exists whenever f(0) is a unit
+    (always true for cyclotomic moduli).
     """
     step = {"q": 4, "v": 2, "u": 1}[var]
-    if isinstance(f, LaurentU):
-        if f.min < 0 or f.min % step:
-            raise NotInQ("modulus is not a polynomial in the variable")
-        fc = [0] * (f.max // step + 1)
-        for i, c in enumerate(f.coeffs):
-            e = f.min + i
-            if c:
-                if e % step:
-                    raise NotInQ("modulus mixes variables")
-                fc[e // step] = c
-        f = fc
     x = ModPoly.variable(base, f)
     acc = ModPoly.constant(base, f, 0)
     if a.is_zero():

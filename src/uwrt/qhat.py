@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DepthExceeded, NotInQ
-from .laurent import (LaurentU, ONE, ZERO, ZZ, ModPoly, cyclotomic,
+from .laurent import (LaurentU, ONE, ZERO, ZZ, ModPoly, cyclotomic_coeffs,
                       pochhammer, q_pow, reduce_mod)
 
 DEFAULT_DEPTH = 10
@@ -52,11 +52,6 @@ class HabiroElem:
     @staticmethod
     def one(depth=DEFAULT_DEPTH):
         return HabiroElem(depth, {0: ONE})
-
-    def is_polynomial_zero(self):
-        """True if every stored term is zero (sufficient, not necessary,
-        for being zero at depth)."""
-        return all(c.is_zero() for c in self.terms)
 
     def __add__(self, other):
         other = _as_elem(other, self.depth)
@@ -194,11 +189,6 @@ def equals_at_depth(x, y, d):
 # -- evaluation at roots of unity --------------------------------------------
 
 
-def _phi_coeffs(r):
-    phi = cyclotomic(r)
-    return tuple(phi.q_coeff(k) for k in range(phi.max // 4 + 1))
-
-
 def eval_root(x, r):
     """s_zeta at a primitive r-th root of unity, as an element of
     Z[q]/(Phi_r); returns a plain integer when r = 1."""
@@ -206,13 +196,13 @@ def eval_root(x, r):
         raise ValueError("r must be >= 1")
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    modulus = _phi_coeffs(r)
+    modulus = cyclotomic_coeffs(r)
     acc = ModPoly(ZZ, modulus, [0])
     for n in range(r):
         c = x.terms[n]
         if c.is_zero():
             continue
-        term = reduce_mod(c * pochhammer(n), cyclotomic(r), ZZ, "q")
+        term = reduce_mod(c * pochhammer(n), modulus, ZZ, "q")
         acc = acc + term
     if r == 1:
         return acc.as_integer()
@@ -235,13 +225,13 @@ class JetPoly:
 
     @staticmethod
     def constant(r, d, value):
-        zero = ModPoly(ZZ, _phi_coeffs(r), [0])
+        zero = ModPoly(ZZ, cyclotomic_coeffs(r), [0])
         return JetPoly(r, d, [value] + [zero] * (d - 1))
 
     @staticmethod
     def variable_q(r, d):
         """The image of q: x + h."""
-        mod = _phi_coeffs(r)
+        mod = cyclotomic_coeffs(r)
         coeffs = [ModPoly.variable(ZZ, mod)]
         if d > 1:
             coeffs.append(ModPoly.constant(ZZ, mod, 1))
@@ -259,7 +249,7 @@ class JetPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        zero = ModPoly(ZZ, _phi_coeffs(self.r), [0])
+        zero = ModPoly(ZZ, cyclotomic_coeffs(self.r), [0])
         out = [zero] * self.d
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -272,7 +262,7 @@ class JetPoly:
 
     def q_inverse_times(self, k):
         """Multiply by q^(-k) = (x + h)^(-k)."""
-        mod = _phi_coeffs(self.r)
+        mod = cyclotomic_coeffs(self.r)
         xinv = ModPoly.variable(ZZ, mod).invert_variable()
         zero = ModPoly(ZZ, mod, [0])
         # (x+h)^(-1) = x^(-1) sum_j (-x^(-1) h)^j
@@ -291,10 +281,10 @@ def _jet_of(poly, r, d):
     lo = poly.min // 4 if not poly.is_zero() else 0
     shift = max(0, -lo)
     shifted = poly * q_pow(shift)
-    acc = JetPoly.constant(r, d, ModPoly(ZZ, _phi_coeffs(r), [0]))
+    mod = cyclotomic_coeffs(r)
+    acc = JetPoly.constant(r, d, ModPoly(ZZ, mod, [0]))
     # Horner from the top q-degree down
     hi = shifted.max // 4 if not shifted.is_zero() else 0
-    mod = _phi_coeffs(r)
     for k in range(hi, -1, -1):
         acc = acc * qvar
         c = shifted.q_coeff(k)
@@ -310,10 +300,11 @@ def taylor(x, r, d):
     unity, each an element of Z[x]/(Phi_r)."""
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
-    acc = JetPoly.constant(r, d, ModPoly(ZZ, _phi_coeffs(r), [0]))
-    pochs = [JetPoly.constant(r, d, ModPoly.constant(ZZ, _phi_coeffs(r), 1))]
+    mod = cyclotomic_coeffs(r)
+    acc = JetPoly.constant(r, d, ModPoly(ZZ, mod, [0]))
+    one = JetPoly.constant(r, d, ModPoly.constant(ZZ, mod, 1))
+    pochs = [one]
     qvar = JetPoly.variable_q(r, d)
-    one = JetPoly.constant(r, d, ModPoly.constant(ZZ, _phi_coeffs(r), 1))
     qpow = one
     for n in range(1, x.depth):
         qpow = qpow * qvar
@@ -324,30 +315,6 @@ def taylor(x, r, d):
             continue
         acc = acc + _jet_of(c, r, d) * pochs[n]
     return list(acc.coeffs)
-
-
-def derivative(x):
-    """Termwise d/dq; the result is well defined at half the depth."""
-    half = x.depth // 2
-    if half < 1:
-        raise DepthExceeded("depth too small to differentiate")
-    out = [ZERO] * half
-    for n, c in enumerate(x.terms):
-        if c.is_zero():
-            continue
-        m = n // 2
-        if m >= half:
-            continue
-        term = c.derivative_q() * pochhammer(n) + c * _poch_derivative(n)
-        if term.is_zero():
-            continue
-        out[m] = out[m] + term.exact_div(pochhammer(m))
-    return HabiroElem(half, out)
-
-
-@lru_cache(maxsize=None)
-def _poch_derivative(n):
-    return pochhammer(n).derivative_q()
 
 
 def phi_order(x, n, kmax):

@@ -9,16 +9,13 @@ Supported basis families, indexed by n >= 0:
     t~P'_n    v^(-n(n-1)/2) P'_n
     S_n       prod_{i=1}^{n} (V_1^2 - (v^i + v^(-i))^2)
 
-plus the twist element omega (through its P'-basis coefficients) and
-the root-of-unity color Omega_r.
+plus the twist element omega (through its P'-basis coefficients).
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
-from .errors import NonExactDivision
 from .laurent import (LaurentFrac, LaurentU, ONE, falling_bal, q_pow,
                       qbinom_bal, qfact_bal, qmultinom_q, qnum, v_pow)
 
@@ -51,9 +48,6 @@ class BasisCombo:
 
     def is_zero(self):
         return not self.terms
-
-    def max_index(self):
-        return max(self.terms) if self.terms else -1
 
     def __add__(self, other):
         if self.basis != other.basis:
@@ -270,14 +264,6 @@ def omega_truncated(p, N):
     """omega^p in the P'-basis, keeping indices < N."""
     return BasisCombo("P'", {n: LaurentFrac(omega_coeff(p, n))
                              for n in range(N)})
-
-
-def Omega_r(r):
-    """The root-of-unity color sum_{i=0}^{r-2} [i+1] V_i."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    return BasisCombo("V", {i: LaurentFrac(qnum(i + 1))
-                            for i in range(r - 1)})
 
 
 @lru_cache(maxsize=None)

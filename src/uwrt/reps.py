@@ -6,45 +6,15 @@ K v~_i = v^(n-2i) v~_i, and the divided powers act by
     e^m v~_i      = {n-i+m}_{q,m} v~_{i-m}
     F~^(m) v~_i   = q^(-mi) binom_q(i+m, m) v~_{i+m}
 
-All matrices here are sparse maps {(row, col): LaurentU}; a missing key
-is a zero entry.
+The braiding blocks built from these actions are sparse: an input pair
+with no output term maps to zero.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ShapeMismatch
-from .laurent import (LaurentU, ONE, falling_q, q_pow, qbinom_q, qnum,
-                      u_pow, v_pow)
-
-
-class IrrepAction:
-    """Structure matrices for V_n."""
-
-    def __init__(self, n):
-        self.n = n
-        self.K = {(i, i): v_pow(n - 2 * i) for i in range(n + 1)}
-        self.Kinv = {(i, i): v_pow(2 * i - n) for i in range(n + 1)}
-
-    def e_pow(self, m):
-        """Matrix of e^m."""
-        n = self.n
-        return {(i - m, i): falling_q(n - i + m, m)
-                for i in range(m, n + 1)}
-
-    def f_pow(self, m):
-        """Matrix of the divided power F~^(m)."""
-        n = self.n
-        return {(i + m, i): q_pow(-m * i) * qbinom_q(i + m, m)
-                for i in range(n - m + 1)}
-
-
-@lru_cache(maxsize=None)
-def irrep(n):
-    if n < 0:
-        raise ValueError("highest weight must be >= 0")
-    return IrrepAction(n)
+from .laurent import falling_q, qbinom_q, u_pow
 
 
 class RMatrixBlock:
@@ -81,47 +51,27 @@ def braiding(m, n, sign):
             terms = []
             if sign == 1:
                 for t in range(0, min(j, m - i) + 1):
-                    c = (u_pow((m - 2 * i - 2 * t) * (n - 2 * j + 2 * t))
-                         * q_pow(t * (t - 1) // 2)
-                         * v_pow(-t * (m - 2 * i))
-                         * q_pow(-t * i)
-                         * qbinom_q(i + t, t)
+                    # u^a q^(t(t-1)/2) v^(-t(m-2i)) q^(-ti) as one monomial
+                    e = ((m - 2 * i - 2 * t) * (n - 2 * j + 2 * t)
+                         + 2 * t * (t - 1) - 2 * t * (m - 2 * i) - 4 * t * i)
+                    c = (u_pow(e) * qbinom_q(i + t, t)
                          * falling_q(n - j + t, t))
                     if not c.is_zero():
                         terms.append((j - t, i + t, c))
             else:
                 for t in range(0, min(i, n - j) + 1):
-                    c = (u_pow(-(n - 2 * j - 2 * t) * (m - 2 * i + 2 * t))
-                         * v_pow(-t * (m - 2 * i + 2 * t))
-                         * q_pow(-t * j)
-                         * qbinom_q(j + t, t)
+                    # (-1)^t u^a v^(-t(m-2i+2t)) q^(-tj) as one monomial
+                    e = (-(n - 2 * j - 2 * t) * (m - 2 * i + 2 * t)
+                         - 2 * t * (m - 2 * i + 2 * t) - 4 * t * j)
+                    c = (u_pow(e, -1 if t % 2 else 1) * qbinom_q(j + t, t)
                          * falling_q(m - i + t, t))
-                    if t % 2:
-                        c = -c
                     if not c.is_zero():
                         terms.append((j + t, i - t, c))
             entries[(i, j)] = tuple(terms)
     return RMatrixBlock(m, n, sign, entries)
 
 
-def qtrace(n, matrix):
-    """Quantum trace of a matrix on V_n: sum_i v^(-(n-2i)) M_ii."""
-    for (r, c) in matrix:
-        if not (0 <= r <= n and 0 <= c <= n):
-            raise ShapeMismatch(f"index ({r},{c}) outside V_{n}")
-    acc = LaurentU.zero()
-    for i in range(n + 1):
-        entry = matrix.get((i, i))
-        if entry is not None:
-            acc = acc + v_pow(2 * i - n) * entry
-    return acc
-
-
 def twist_eigen(n, f):
     """Eigenvalue of the f-th power of the twist on V_n: q^(f n(n+2)/4)."""
     return u_pow(f * n * (n + 2))
 
-
-def unknot_value(n):
-    """J of the 0-framed unknot colored V_n: the balanced integer [n+1]."""
-    return qnum(n + 1)

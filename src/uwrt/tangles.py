@@ -34,9 +34,9 @@ from functools import lru_cache
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
-from .laurent import LaurentFrac, LaurentU, ONE, qnum, v_pow
+from .laurent import LaurentFrac, LaurentU, qnum, v_pow
 from .repring import BasisCombo, to_V
-from .reps import braiding, twist_eigen
+from .reps import braiding
 
 # -- packed Laurent coefficients ------------------------------------------
 #
@@ -140,18 +140,12 @@ class Diagram:
     ("x", sign, a, b) with 0-based component ids and o in "du".
     """
 
-    __slots__ = ("slices", "component_count", "name", "intrinsic_framing")
+    __slots__ = ("slices", "component_count", "name")
 
-    def __init__(self, slices, name=None, intrinsic_framing=None):
+    def __init__(self, slices, name=None):
         self.slices = tuple(tuple(s) for s in slices)
         self.name = name
         self.component_count = _validate(self.slices)
-        if intrinsic_framing is None:
-            intrinsic_framing = [0] * self.component_count
-        self.intrinsic_framing = tuple(intrinsic_framing)
-
-    def key(self):
-        return self.slices
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -290,29 +284,7 @@ def parse_diagram(text):
         slices.append(events)
     if not slices:
         raise DiagramSyntaxError("no slices in input")
-    try:
-        return Diagram(slices)
-    except (InterfaceMismatch, OpenDiagram):
-        raise
-
-
-def print_diagram(d):
-    lines = []
-    for events in d.slices:
-        bits = []
-        for ev in events:
-            if ev[0] == "id":
-                bits.append(f"|{ev[1] + 1}{'^' if ev[2] == 'u' else '_'}")
-            elif ev[0] == "cup":
-                tick = "'" if ev[2] else ""
-                bits.append(f"U{tick}({ev[1] + 1})")
-            elif ev[0] == "cap":
-                bits.append(f"A({ev[1] + 1})")
-            else:
-                bits.append(f"X{'+' if ev[1] == 1 else '-'}"
-                            f"({ev[2] + 1},{ev[3] + 1})")
-        lines.append(" ".join(bits))
-    return "\n".join(lines) + "\n"
+    return Diagram(slices)
 
 
 # -- linking data -----------------------------------------------------------
@@ -370,11 +342,6 @@ def _packed_block(m, n, sign):
             for key, terms in block.entries.items()}
 
 
-@lru_cache(maxsize=None)
-def _packed_monomial(exp):
-    return (exp, 1)
-
-
 def _contract(d, colors, cut=False):
     """Contract the diagram bottom-up over the slice word.
 
@@ -408,7 +375,7 @@ def _contract(d, colors, cut=False):
                 _, c, flipped = ev
                 n = colors[c]
                 if flipped:
-                    weights = tuple(_packed_monomial(2 * (n - 2 * i))
+                    weights = tuple((2 * (n - 2 * i), 1)
                                     for i in range(n + 1))
                     out.extend([(c, "u"), (c, "d")])
                 else:
@@ -422,7 +389,7 @@ def _contract(d, colors, cut=False):
                 if (o1, o2) == ("u", "d"):
                     weights = (PACKED_ONE,) * (n + 1)
                 else:
-                    weights = tuple(_packed_monomial(-2 * (n - 2 * i))
+                    weights = tuple((-2 * (n - 2 * i), 1)
                                     for i in range(n + 1))
                 plan.append(("cap", pos, weights))
             else:
@@ -532,20 +499,10 @@ def jones_multilinear(d, colors):
     return acc
 
 
-def framing_adjust(table, deltas):
-    """Multiply each V-colored value by the matching twist eigenvalues."""
-    out = {}
-    for colors, value in table.items():
-        for n, delta in zip(colors, deltas):
-            value = value * twist_eigen(n, delta)
-        out[colors] = value
-    return out
-
-
 # -- builtin diagrams -------------------------------------------------------
 
 
-def closure_of_braid(strands, word, name=None, intrinsic_framing=None):
+def closure_of_braid(strands, word, name=None):
     """Nested closure of a braid on the given number of strands.
 
     word is a sequence of (position, sign) pairs, position 1-based as
@@ -588,25 +545,22 @@ def closure_of_braid(strands, word, name=None, intrinsic_framing=None):
         row.append(("cap", comp_of[current[k]]))
         row += [("id", comp_of[i], "u") for i in range(k - 1, -1, -1)]
         slices.append(row)
-    return Diagram(slices, name=name, intrinsic_framing=intrinsic_framing)
+    return Diagram(slices, name=name)
 
 
 def builtin(name):
     if name == "unknot":
         return closure_of_braid(1, [], name=name)
     if name == "unknot+1":
-        return closure_of_braid(2, [(1, 1)], name=name,
-                                intrinsic_framing=[1])
+        return closure_of_braid(2, [(1, 1)], name=name)
     if name == "unknot-1":
-        return closure_of_braid(2, [(1, -1)], name=name,
-                                intrinsic_framing=[-1])
+        return closure_of_braid(2, [(1, -1)], name=name)
     if name == "hopf":
         return closure_of_braid(2, [(1, -1), (1, -1)], name=name)
     if name == "trefoil":
         # the left-handed trefoil: the one arising from the Borromean
         # rings by -1-framed surgery on two components
-        return closure_of_braid(2, [(1, -1), (1, -1), (1, -1)], name=name,
-                                intrinsic_framing=[-3])
+        return closure_of_braid(2, [(1, -1), (1, -1), (1, -1)], name=name)
     if name == "borromean":
         return closure_of_braid(
             3, [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)],

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from uwrt import cli
+from uwrt import cli, evaluate
+from uwrt.invariants import jm_borromean
 from uwrt.laurent import LaurentU
 from uwrt.tangles import builtin, colored_jones
 
@@ -73,6 +74,31 @@ def test_eval_modp_scan(capsys):
     assert lines[0] == "modulus-type,p,r,value-encoding,nonvanishing-flag"
     rs = [int(line.split(",")[2]) for line in lines[1:]]
     assert rs == [1, 2, 3, 4, 6]        # r = 5 skipped, shares a factor
+
+
+def test_eval_modp_value_computed_once(capsys, monkeypatch):
+    original = evaluate.modp_value
+    calls = []
+
+    def counted(x, p, r):
+        calls.append((p, r))
+        return original(x, p, r)
+
+    monkeypatch.setattr(evaluate, "modp_value", counted)
+    monkeypatch.setattr(cli, "modp_value", counted)
+    for fmt in ("human", "json"):
+        calls.clear()
+        code, _, _ = run(capsys, ["eval", "--format", fmt, "--surgery",
+                                  BORR, "modp", "7", "3"])
+        assert code == 0 and calls == [(7, 3)]
+        calls.clear()
+        code, _, _ = run(capsys, ["eval", "--format", fmt, "--surgery",
+                                  BORR, "modp-scan", "3", "10"])
+        assert code == 0 and len(calls) == 10 - 10 // 3
+    code, out, _ = run(capsys, ["eval", "--surgery", BORR, "modp", "7", "3"])
+    value = original(jm_borromean(1, 1, 1, 10), 7, 3).value
+    assert out.splitlines()[1] == \
+        f"nonvanishing: {evaluate.modp_nonvanishing(value)}"
 
 
 def test_ohtsuki(capsys):

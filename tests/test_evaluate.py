@@ -32,8 +32,8 @@ def test_goldens():
         "kind": "modp-poly", "modulus": [5, 3], "value": [1, 0]}
     assert modp_value(M111, 3, 4).to_json() == {
         "kind": "modp-poly", "modulus": [3, 4], "value": [2, 0]}
-    assert modp_nonvanishing(M111, 5, 3)
-    assert modp_nonvanishing(M111, 3, 4)
+    assert modp_nonvanishing(modp_value(M111, 5, 3).value)
+    assert modp_nonvanishing(modp_value(M111, 3, 4).value)
 
 
 def test_crt_coherence():
@@ -60,7 +60,7 @@ def test_pochhammer_slots_vanish():
         for p, r in ((5, 2), (3, 2), (7, 3)):
             if r <= n:
                 assert modp_value(x, p, r).value.is_zero()
-                assert not modp_nonvanishing(x, p, r)
+                assert not modp_nonvanishing(modp_value(x, p, r).value)
 
 
 def test_errors():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, NotInQ
 from uwrt.laurent import ONE, ZERO, ModPoly, ZZ, pochhammer, q_pow
-from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, derivative, equals_at_depth,
-                       eval_root, phi_order, reduce, taylor)
+from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
+                       phi_order, reduce, taylor)
 
 qpolys = st.lists(st.integers(min_value=-5, max_value=5), max_size=4).map(
     lambda cs: sum((q_pow(k - 1, c) for k, c in enumerate(cs)), ZERO))
@@ -19,8 +19,6 @@ def elems(depth=6):
 
 
 def test_constructors():
-    assert HabiroElem.zero().is_polynomial_zero()
-    assert not HabiroElem.one().is_polynomial_zero()
     assert HabiroElem.one().depth == DEFAULT_DEPTH
     assert HabiroElem(4, {2: ONE}).terms[2] == ONE
     with pytest.raises(ValueError):
@@ -78,15 +76,6 @@ def test_taylor_golden():
     assert c0 == 0 and c1 == 0 and c2 == 2
     with pytest.raises(DepthExceeded):
         taylor(x, 3, 3)
-
-
-def test_derivative():
-    x = HabiroElem.from_polynomial(q_pow(3), 8)
-    d = derivative(x)
-    assert reduce(d, 4) == reduce(
-        HabiroElem.from_polynomial(q_pow(2, 3), 4), 4)
-    with pytest.raises(DepthExceeded):
-        derivative(HabiroElem(1))
 
 
 def test_phi_order():

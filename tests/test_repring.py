@@ -5,14 +5,13 @@ from math import comb
 import pytest
 
 from uwrt.laurent import LaurentFrac, ONE, qnum, v_pow
-from uwrt.repring import (BasisCombo, Omega_r, _compositions, omega_coeff,
+from uwrt.repring import (BasisCombo, _compositions, omega_coeff,
                           omega_truncated, pairing, pprime_mul,
                           pprime_mul_unit, to_P, to_V, v_mul)
 
 
 def test_combo_basics():
     x = BasisCombo("V", {0: LaurentFrac(1), 2: LaurentFrac(qnum(2))})
-    assert x.max_index() == 2
     assert (x - x).is_zero()
     assert x.truncate(2).terms == {0: LaurentFrac(1)}
     with pytest.raises(ValueError):
@@ -91,13 +90,6 @@ def test_pprime_mul_unit_matches_v_basis():
             via_v = v_mul(to_V(BasisCombo.unit("P'", m)),
                           to_V(BasisCombo.unit("P'", n)))
             assert direct == via_v
-
-
-def test_omega_r():
-    om = Omega_r(4)
-    assert om.terms == {i: LaurentFrac(qnum(i + 1)) for i in range(3)}
-    with pytest.raises(ValueError):
-        Omega_r(1)
 
 
 def test_compositions():

@@ -1,10 +1,7 @@
-"""Quantum sl2 structure data and the braiding blocks."""
+"""The braiding blocks and twist eigenvalues of quantum sl2."""
 
-import pytest
-
-from uwrt.errors import ShapeMismatch
-from uwrt.laurent import ONE, falling_q, qnum, u_pow, v_pow
-from uwrt.reps import braiding, irrep, qtrace, twist_eigen, unknot_value
+from uwrt.laurent import ONE, u_pow
+from uwrt.reps import braiding, twist_eigen
 
 
 def _compose(b2, b1):
@@ -18,16 +15,6 @@ def _compose(b2, b1):
                 acc[key] = acc.get(key, ONE * 0) + c * c2
         out[(i, j)] = {k: v for k, v in acc.items() if not v.is_zero()}
     return out
-
-
-def test_irrep_matrices():
-    rho = irrep(2)
-    assert rho.K[(0, 0)] == v_pow(2)
-    assert rho.Kinv[(2, 2)] == v_pow(2)
-    assert rho.e_pow(1)[(0, 1)] == falling_q(2, 1)
-    assert rho.e_pow(0) == {(i, i): ONE for i in range(3)}
-    with pytest.raises(ValueError):
-        irrep(-1)
 
 
 def test_braiding_weight_conservation():
@@ -50,23 +37,9 @@ def test_braiding_inverse():
                 assert acc == {(i, j): ONE}
 
 
-def test_qtrace():
-    for n in range(5):
-        ident = {(i, i): ONE for i in range(n + 1)}
-        assert qtrace(n, ident) == unknot_value(n)
-    assert qtrace(1, {(0, 0): u_pow(2)}) == u_pow(0) * v_pow(-1) * u_pow(2)
-    with pytest.raises(ShapeMismatch):
-        qtrace(1, {(2, 0): ONE})
-
-
 def test_twist_eigen():
     assert twist_eigen(1, 1) == u_pow(3)
     assert twist_eigen(2, -1) == u_pow(-8)
     for n in range(4):
         assert twist_eigen(n, 2) * twist_eigen(n, -2) == ONE
 
-
-def test_unknot_value():
-    assert unknot_value(0) == ONE
-    assert unknot_value(1) == qnum(2)
-    assert unknot_value(3) == qnum(4)

@@ -9,13 +9,12 @@ import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                          InterfaceMismatch, OpenDiagram, UnknownName,
                          UnsupportedCrossing)
-from uwrt.laurent import LaurentFrac, LaurentU, ONE, q_pow, qnum, u_pow
+from uwrt.laurent import LaurentFrac, LaurentU, q_pow, qnum, u_pow
 from uwrt.repring import BasisCombo
 from uwrt.reps import twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
-                          framing_adjust, jones_multilinear, linking_data,
-                          pack, parse_diagram, print_diagram, unpack, _padd,
-                          _pmul)
+                          jones_multilinear, linking_data, pack, parse_diagram,
+                          unpack, _padd, _pmul)
 
 small_laurents = st.builds(LaurentU,
                            st.integers(min_value=-6, max_value=6),
@@ -31,10 +30,28 @@ q_graded = st.builds(lambda s, lo, cs: LaurentU.from_q_coeffs(lo, cs).shift(s),
                               max_size=5))
 
 
+BUILTIN_TEXT = {
+    "hopf": """U(1)
+|1_ U(2) |1^
+X-(1,2) |2^ |1^
+X-(2,1) |2^ |1^
+|1_ A(2) |1^
+A(1)
+""",
+    "trefoil": """U(1)
+|1_ U(1) |1^
+X-(1,1) |1^ |1^
+X-(1,1) |1^ |1^
+X-(1,1) |1^ |1^
+|1_ A(1) |1^
+A(1)
+""",
+}
+
+
 def test_parse_and_print_round_trip():
-    for name in ("unknot", "unknot+1", "hopf", "trefoil", "borromean"):
-        d = builtin(name)
-        assert parse_diagram(print_diagram(d)) == d
+    for name, text in BUILTIN_TEXT.items():
+        assert parse_diagram(text) == builtin(name)
 
 
 def test_parse_comments_and_blanks():
@@ -93,7 +110,7 @@ def test_hopf_values():
 
 def test_trefoil_value():
     t = builtin("trefoil")
-    assert t.intrinsic_framing == (-3,)
+    assert linking_data(t) == [[-3]]
     assert colored_jones(t, (1,)) == \
         -u_pow(9) + u_pow(1) + u_pow(-3) + u_pow(-7)
 
@@ -141,13 +158,6 @@ def test_jones_multilinear():
     assert direct == expected
     assert jones_multilinear(h, (1, 1)) == \
         LaurentFrac(colored_jones(h, (1, 1)))
-
-
-def test_framing_adjust():
-    table = {(1, 2): ONE, (0, 1): qnum(2)}
-    out = framing_adjust(table, (1, -1))
-    assert out[(1, 2)] == twist_eigen(1, 1) * twist_eigen(2, -1)
-    assert out[(0, 1)] == qnum(2) * twist_eigen(1, -1)
 
 
 def test_closure_components():
