@@ -14,7 +14,7 @@ import math
 
 from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime, \
     NotInQ, NonInvertibleVariable
-from .laurent import GF, ModPoly, cyclotomic_coeffs, pochhammer, reduce_mod
+from .laurent import GF, cyclotomic_coeffs, reduce_mod
 
 
 class ResidueValue:
@@ -177,14 +177,7 @@ def modp_value(x, p, r):
         raise NotCoprime(f"gcd({p}, {r}) != 1")
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    base = GF(p)
-    phi = cyclotomic_coeffs(r)
-    acc = ModPoly(base, phi, [0])
-    for n in range(r):
-        c = x.terms[n]
-        if c.is_zero():
-            continue
-        acc = acc + reduce_mod(c * pochhammer(n), phi, base, "q")
+    acc = reduce_mod(x.expand(r), cyclotomic_coeffs(r), GF(p), "q")
     return ResidueValue("modp-poly", (p, r), acc)
 
 

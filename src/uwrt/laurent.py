@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonExactDivision, NonInvertibleVariable, NotInQ, ShapeMismatch
+from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
+                     ShapeMismatch)
 
 
 class LaurentU:
@@ -153,9 +154,10 @@ class LaurentU:
         if len(a) < len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
+        a = [(i, ca) for i, ca in enumerate(a) if ca]
         for j, cb in enumerate(b):
             if cb:
-                for i, ca in enumerate(a):
+                for i, ca in a:
                     out[i + j] += ca * cb
         return LaurentU(self.min + other.min, out)
 
@@ -650,7 +652,8 @@ class ModPoly:
     @staticmethod
     def _reduce(base, modulus, coeffs):
         deg = len(modulus) - 1
-        lead_inv = base.inv(modulus[-1])
+        if len(coeffs) > deg:
+            lead_inv = base.inv(modulus[-1])
         for k in range(len(coeffs) - 1, deg - 1, -1):
             c = coeffs[k]
             if c:
@@ -672,7 +675,13 @@ class ModPoly:
         return cls(base, modulus, [0, 1])
 
     def _like(self, coeffs):
-        return ModPoly(self.base, self.modulus, coeffs)
+        """Result with this base and modulus; coeffs are already in the
+        base, so nothing is coerced or checked again."""
+        out = object.__new__(ModPoly)
+        out.base = self.base
+        out.modulus = self.modulus
+        out.coeffs = tuple(self._reduce(self.base, self.modulus, coeffs))
+        return out
 
     def _check(self, other):
         if not isinstance(other, ModPoly):
@@ -835,31 +844,57 @@ def _zip_pad(base, a, b):
     return zip(a, b)
 
 
+def remainder(lo, run, f):
+    """Remainder over Z of x^lo * sum_i run[i] x^i modulo f.
+
+    f is a coefficient sequence, constant term first, with leading
+    coefficient +-1 (else NotAUnit), so one long division over Z gives
+    the remainder of the polynomial part.  A negative lo then takes
+    |lo| exact divisions by x, r <- (r - r(0) f(0) f) / x, each O(deg f);
+    they need f(0) = +-1 (else NonInvertibleVariable).  Returns the
+    deg f coefficients of the remainder, constant term first.
+    """
+    f = tuple(f)
+    deg = len(f) - 1
+    lead = f[-1] if f else 0
+    if lead not in (1, -1):
+        raise NotAUnit(f"modulus leading coefficient {lead} is not +-1")
+    nonzero = [(i, c) for i, c in enumerate(f) if c]
+    r = [0] * max(lo, 0) + list(run)
+    for k in range(len(r) - 1, deg - 1, -1):
+        c = r[k] * lead
+        if c:
+            for i, fi in nonzero:
+                r[k - deg + i] -= c * fi
+    del r[deg:]
+    r += [0] * (deg - len(r))
+    if lo < 0:
+        if f[0] not in (1, -1):
+            raise NonInvertibleVariable("modulus constant term not +-1")
+        for _ in range(-lo):
+            r.append(0)
+            c = r[0] * f[0]
+            if c:
+                for i, fi in nonzero:
+                    r[i] -= c * fi
+            del r[0]
+    return r
+
+
 def reduce_mod(a, f, base=ZZ, var="q"):
     """Reduce a LaurentU modulo a polynomial f in the named power of u.
 
     f is the coefficient sequence of the modulus, constant term first
-    (cyclotomic_coeffs gives it for Phi_n).  Negative exponents use the
-    inverse of the variable, which exists whenever f(0) is a unit
-    (always true for cyclotomic moduli).
+    (cyclotomic_coeffs gives it for Phi_n).  The remainder is taken over
+    Z in one pass (remainder), so f must have leading coefficient +-1,
+    and also f(0) = +-1 when a has negative exponents; cyclotomic moduli
+    have both.  Z -> base is a ring map, so the result is the reduction
+    over base.
     """
     step = {"q": 4, "v": 2, "u": 1}[var]
-    x = ModPoly.variable(base, f)
-    acc = ModPoly.constant(base, f, 0)
-    if a.is_zero():
-        return acc
-    xinv = None
+    start = -a.min % step
     for i, c in enumerate(a.coeffs):
-        if not c:
-            continue
-        e = a.min + i
-        if e % step:
-            raise NotInQ(f"exponent {e} not a multiple of {step}")
-        k = e // step
-        if k >= 0:
-            acc = acc + (x ** k) * c
-        else:
-            if xinv is None:
-                xinv = x.invert_variable()
-            acc = acc + (xinv ** (-k)) * c
-    return acc
+        if c and (i - start) % step:
+            raise NotInQ(f"exponent {a.min + i} not a multiple of {step}")
+    rem = remainder((a.min + start) // step, a.coeffs[start::step], f)
+    return ModPoly(base, f, rem)

@@ -5,17 +5,17 @@ in q, standing for sum_n c_n (q)_n known modulo ((q)_N).  The
 representation is not unique; equality always goes through canonical
 reduction mod (q)_d.  The canonical representative of Z[q]/((q)_d) used
 here is the polynomial with nonnegative exponents and degree less than
-d(d+1)/2 (negative powers are removed with q^(-1) = -g(q), where
-(q)_d = 1 + q g(q)).
+d(d+1)/2: the remainder of sum_n c_n (q)_n by (q)_d, taken in one pass by
+laurent.remainder (a long division for the polynomial part, then one
+exact division by q per negative power; (q)_d has leading coefficient
+and constant term +-1, so both stay in Z).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import DepthExceeded, NotInQ
 from .laurent import (LaurentU, ONE, ZERO, ZZ, ModPoly, cyclotomic_coeffs,
-                      pochhammer, q_pow, reduce_mod)
+                      pochhammer, q_pow, reduce_mod, remainder)
 
 DEFAULT_DEPTH = 10
 
@@ -107,6 +107,10 @@ class HabiroElem:
             out.append(c)
         return HabiroElem(self.depth, out)
 
+    def expand(self, d):
+        """The Laurent polynomial sum_{n<d} c_n (q)_n."""
+        return sum((self.terms[n] * pochhammer(n) for n in range(d)), ZERO)
+
     def at_depth(self, d):
         """Restrict to a smaller depth."""
         if d > self.depth:
@@ -140,46 +144,13 @@ def _as_elem(x, depth):
 # -- canonical reduction -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _neg_q_inverse(d):
-    """-g(q) with (q)_d = 1 + q g(q); a representative of q^(-1)."""
-    g = (pochhammer(d) - 1).exact_div(q_pow(1))
-    return -g
-
-
-def _q_remainder(a, m):
-    """Remainder of a by m, both polynomials in q with unit leading
-    coefficient of m; computed over Z."""
-    ac = [a.q_coeff(k) for k in range(a.max // 4 + 1)] if not a.is_zero() \
-        else []
-    mc = [m.q_coeff(k) for k in range(m.max // 4 + 1)]
-    lead = mc[-1]
-    for k in range(len(ac) - len(mc), -1, -1):
-        f = ac[k + len(mc) - 1]
-        if f % lead:
-            raise ArithmeticError("modulus leading coefficient not a unit")
-        f //= lead
-        if f:
-            for i, c in enumerate(mc):
-                ac[k + i] -= f * c
-    return LaurentU.from_q_coeffs(0, ac[:len(mc) - 1] if len(ac) >= len(mc)
-                                  else ac)
-
-
 def reduce(x, d):
     """Canonical representative of x in Z[q]/((q)_d)."""
     if d > x.depth:
         raise DepthExceeded(f"requested depth {d} > element depth {x.depth}")
-    acc = ZERO
-    for n in range(d):
-        acc = acc + x.terms[n] * pochhammer(n)
-    if acc.is_zero():
-        return ZERO
-    if acc.min < 0:
-        qinv = _neg_q_inverse(d)
-        shifted = acc.shift(-acc.min)   # q^k * acc, polynomial in q
-        acc = shifted * (qinv ** (-acc.min // 4))
-    return _q_remainder(acc, pochhammer(d))
+    acc = x.expand(d)
+    rem = remainder(acc.min // 4, acc.coeffs[::4], pochhammer(d).coeffs[::4])
+    return LaurentU.from_q_coeffs(0, rem)
 
 
 def equals_at_depth(x, y, d):
@@ -196,17 +167,8 @@ def eval_root(x, r):
         raise ValueError("r must be >= 1")
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    modulus = cyclotomic_coeffs(r)
-    acc = ModPoly(ZZ, modulus, [0])
-    for n in range(r):
-        c = x.terms[n]
-        if c.is_zero():
-            continue
-        term = reduce_mod(c * pochhammer(n), modulus, ZZ, "q")
-        acc = acc + term
-    if r == 1:
-        return acc.as_integer()
-    return acc
+    val = reduce_mod(x.expand(r), cyclotomic_coeffs(r), ZZ, "q")
+    return val.as_integer() if r == 1 else val
 
 
 # -- Taylor expansion at roots of unity ---------------------------------------

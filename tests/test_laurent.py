@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotInQ,
-                         ShapeMismatch)
+from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotAUnit,
+                         NotInQ, ShapeMismatch)
 from uwrt.laurent import (GF, LaurentFrac, LaurentU, ModPoly, ONE, QQ, ZERO,
                           ZZ, cyclotomic, cyclotomic_coeffs, falling_bal,
                           falling_q, pochhammer, q_pow, qbinom_bal, qbinom_q,
@@ -156,6 +156,37 @@ def test_reduce_mod():
         reduce_mod(u_pow(1), cyclotomic_coeffs(3), ZZ, "q")
     with pytest.raises(TypeError):      # not iterable, so it cannot hang
         reduce_mod(q_pow(5), cyclotomic(3), ZZ, "q")
+    with pytest.raises(NotAUnit):       # the remainder is taken over Z
+        reduce_mod(q_pow(5), [1, 1, 2], QQ, "q")
+    with pytest.raises(NonInvertibleVariable):
+        reduce_mod(q_pow(-1), [2, 1, 1], ZZ, "q")
+    assert reduce_mod(q_pow(5), [2, 1, 1], ZZ, "q") == \
+        ModPoly.variable(ZZ, [2, 1, 1]) ** 5
+
+
+_STEPS = {"q": 4, "v": 2, "u": 1}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([ZZ, QQ, GF(7), GF(13)]), st.sampled_from("qvu"),
+       st.integers(min_value=1, max_value=40),
+       st.dictionaries(st.integers(min_value=-150, max_value=150),
+                       st.integers(min_value=-10**6, max_value=10**6),
+                       max_size=5))
+def test_reduce_mod_matches_definition(base, var, n, terms):
+    # sum c x^k, with x^k a ModPoly power (of x^(-1) when k < 0)
+    f = cyclotomic_coeffs(n)
+    x = ModPoly.variable(base, f)
+    want = ModPoly.constant(base, f, 0)
+    for k, c in terms.items():
+        want = want + (x ** k if k >= 0 else x.invert_variable() ** -k) * c
+    step = _STEPS[var]
+    a = LaurentU.from_dict({step * k: c for k, c in terms.items()})
+    assert reduce_mod(a, f, base, var) == want
+    if var != "u":
+        with pytest.raises(NotInQ):
+            reduce_mod(a + u_pow(step * min(terms, default=0) + 1), f,
+                       base, var)
 
 
 def test_base_rings():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, NotInQ
+from uwrt.invariants import jm_borromean
 from uwrt.laurent import ONE, ZERO, ModPoly, ZZ, pochhammer, q_pow
 from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
                        phi_order, reduce, taylor)
@@ -35,6 +36,22 @@ def test_reduce_goldens():
     assert reduce(poch1, 2) == pochhammer(1)
     with pytest.raises(DepthExceeded):
         reduce(q, DEFAULT_DEPTH + 1)
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-1, 1, -1), (-2, -1, 1),
+                                    (1, 1, 1)])
+def test_reduce_by_characterisation(params):
+    # r is the reduction of x mod (q)_d exactly when r is a polynomial in q
+    # of degree < d(d+1)/2 and (q)_d divides sum_n c_n (q)_n - r
+    x = jm_borromean(*params, 8)
+    for y in (x, x.conj()):
+        full = sum((c * pochhammer(n) for n, c in enumerate(y.terms)), ZERO)
+        for d in range(1, 9):
+            r = reduce(y, d)
+            assert r.is_in_q()
+            assert r.is_zero() or (r.min >= 0
+                                   and r.max // 4 < d * (d + 1) // 2)
+            (full - r).exact_div(pochhammer(d))
 
 
 def test_mul_absorbs_pochhammer():
