@@ -13,7 +13,7 @@ and constant term +-1, so both stay in Z).
 
 from __future__ import annotations
 
-from .errors import DepthExceeded, NotInQ
+from .errors import DepthExceeded, InputError, NotInQ
 from .laurent import (LaurentU, ONE, ZERO, ZZ, ModPoly, cyclotomic_coeffs,
                       pochhammer, q_pow, reduce_mod, remainder)
 
@@ -260,6 +260,8 @@ def _jet_of(poly, r, d):
 def taylor(x, r, d):
     """The first d Taylor coefficients of x at a primitive r-th root of
     unity, each an element of Z[x]/(Phi_r)."""
+    if d < 1:
+        raise InputError(f"coefficient count must be >= 1, got {d}")
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
     mod = cyclotomic_coeffs(r)

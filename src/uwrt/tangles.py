@@ -17,9 +17,15 @@ used here is presented as a nested closure of a braid, which needs no
 other crossing type.
 
 The contraction engine keeps a sparse state vector over the current
-interface.  Coefficients are Laurent polynomials in u packed into big
-integers with one balanced 64-bit digit per q-step, q = u^4 (Kronecker
-substitution), so that polynomial multiplication rides on native bigint
+interface, keyed by one weight index per strand, and applies the
+non-identity events one at a time.  Each rewrites only the indices at
+its own position: its position in the slice, shifted by the strands
+that the cups and caps to its left in the same slice have added or
+removed.  Identity strands cost nothing.
+
+Coefficients are Laurent polynomials in u packed into big integers with
+one balanced 64-bit digit per q-step, q = u^4 (Kronecker substitution),
+so that polynomial multiplication rides on native bigint
 multiplication.  A value whose u-exponents span several residues mod 4
 keeps one q-step part per residue.  Decoding is exact whenever the
 decoded coefficients fit in a digit; the decoder raises OverflowError
@@ -138,14 +144,17 @@ class Diagram:
 
     Events are tuples: ("id", c, o), ("cup", c, flipped), ("cap", c),
     ("x", sign, a, b) with 0-based component ids and o in "du".
+    crossing_sums[a][b] is the signed number of crossings between
+    components a and b: twice their linking number for a != b, the
+    self-writhe of a on the diagonal.
     """
 
-    __slots__ = ("slices", "component_count", "name")
+    __slots__ = ("slices", "component_count", "crossing_sums", "name")
 
     def __init__(self, slices, name=None):
         self.slices = tuple(tuple(s) for s in slices)
         self.name = name
-        self.component_count = _validate(self.slices)
+        self.component_count, self.crossing_sums = _validate(self.slices)
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -171,6 +180,7 @@ def _validate(slices):
 
     comps = set()
     loops = {}
+    signed = {}
     for row, events in enumerate(slices):
         pos = 0
         out = []
@@ -225,6 +235,10 @@ def _validate(slices):
                     raise InterfaceMismatch(
                         f"slice {row + 1}: crossing labels ({a + 1},{b + 1}) "
                         f"do not match strands ({c1 + 1},{c2 + 1})")
+                s = sign if o1 == o2 else -sign
+                signed[a, b] = signed.get((a, b), 0) + s
+                if a != b:
+                    signed[b, a] = signed.get((b, a), 0) + s
                 out.append((c2, o2, sg2))
                 out.append((c1, o1, sg1))
         if pos != len(interface):
@@ -244,7 +258,8 @@ def _validate(slices):
             raise InterfaceMismatch(
                 f"component {c + 1} forms {loops.get(c, 0)} loops, "
                 "expected a single closed loop")
-    return m
+    return m, tuple(tuple(signed.get((a, b), 0) for b in range(m))
+                    for a in range(m))
 
 
 # -- parser -----------------------------------------------------------------
@@ -292,43 +307,15 @@ def parse_diagram(text):
 
 def linking_data(d):
     """Linking matrix with self-writhes on the diagonal."""
-    m = d.component_count
-    matrix = [[0] * m for _ in range(m)]
-    interface = []
-    for events in d.slices:
-        pos = 0
-        out = []
-        for ev in events:
-            below = interface[pos:pos + _ARITY[ev[0]]]
-            pos += _ARITY[ev[0]]
-            if ev[0] == "id":
-                out.append(below[0])
-            elif ev[0] == "cup":
-                _, c, flipped = ev
-                pair = [(c, "u"), (c, "d")] if flipped else [(c, "d"),
-                                                             (c, "u")]
-                out.extend(pair)
-            elif ev[0] == "cap":
-                pass
-            else:
-                _, sign, a, b = ev
-                (c1, o1), (c2, o2) = below
-                s = sign if o1 == o2 else -sign
-                matrix[c1][c2] += s
-                if c1 != c2:
-                    matrix[c2][c1] += s
-                out.append(below[1])
-                out.append(below[0])
-        interface = out
-    for i in range(m):
-        for j in range(m):
+    matrix = [list(row) for row in d.crossing_sums]
+    for i, row in enumerate(matrix):
+        for j, s in enumerate(row):
             if i != j:
-                half, rem = divmod(matrix[i][j], 2)
+                row[j], rem = divmod(s, 2)
                 if rem:
                     raise InterfaceMismatch(
                         "odd mixed crossing count between components "
                         f"{i + 1} and {j + 1}")
-                matrix[i][j] = half
     return matrix
 
 
@@ -338,12 +325,24 @@ def linking_data(d):
 @lru_cache(maxsize=None)
 def _packed_block(m, n, sign):
     block = braiding(m, n, sign)
-    return {key: tuple((j2, i2) + pack(c) for (j2, i2, c) in terms)
+    return {key: tuple(((j2, i2),) + pack(c) for (j2, i2, c) in terms)
             for key, terms in block.entries.items()}
 
 
 def _contract(d, colors, cut=False):
-    """Contract the diagram bottom-up over the slice word.
+    """Contract the diagram bottom-up, one non-identity event at a time.
+
+    The slice word is compiled into steps (p, width, block): the step
+    replaces the width indices at position p of each state key by each
+    (pair, offset, mag) term that block lists for them.  A crossing maps
+    (i, j) to its output pairs (j2, i2), a cup maps () to every (i, i),
+    and a cap maps (i, i) to () and drops the other keys.  Cup and cap
+    weights are pure u-shifts.  The events of a slice act on disjoint
+    strands, so they apply one after another, left to right; p is the
+    event's position in the interface of that moment: its position in
+    the slice plus the net strands that the cups (+2) and caps (-2) to
+    its left in the same slice have added.  Identity strands cost
+    nothing.
 
     With cut=True the first slice must be a single plain cup; that cup
     is removed, the two strands it created become a fixed (v~_0, v~^0)
@@ -362,81 +361,58 @@ def _contract(d, colors, cut=False):
     else:
         state = {(): PACKED_ONE}
         interface = []
+    steps = []
     for events in slices:
-        plan = []
-        pos = 0
+        pos = shift = 0
         out = []
         for ev in events:
-            below = interface[pos:pos + _ARITY[ev[0]]]
-            if ev[0] == "id":
-                plan.append(("id", pos))
+            kind = ev[0]
+            below = interface[pos:pos + _ARITY[kind]]
+            p = pos + shift
+            pos += _ARITY[kind]
+            if kind == "id":
                 out.append(below[0])
-            elif ev[0] == "cup":
-                _, c, flipped = ev
-                n = colors[c]
-                if flipped:
-                    weights = tuple((2 * (n - 2 * i), 1)
-                                    for i in range(n + 1))
-                    out.extend([(c, "u"), (c, "d")])
-                else:
-                    weights = (PACKED_ONE,) * (n + 1)
-                    out.extend([(c, "d"), (c, "u")])
-                plan.append(("cup", n, weights))
-            elif ev[0] == "cap":
-                _, c = ev
-                n = colors[c]
-                (c1, o1), (c2, o2) = below
-                if (o1, o2) == ("u", "d"):
-                    weights = (PACKED_ONE,) * (n + 1)
-                else:
-                    weights = tuple((-2 * (n - 2 * i), 1)
-                                    for i in range(n + 1))
-                plan.append(("cap", pos, weights))
-            else:
+            elif kind == "x":
                 _, sign, a, b = ev
-                (c1, o1), (c2, o2) = below
-                if (o1, o2) != ("d", "d"):
+                if below != [(a, "d"), (b, "d")]:
                     raise UnsupportedCrossing(
                         "crossings are evaluated only between two "
                         "downward strands")
-                plan.append(("x", pos, _packed_block(colors[a], colors[b],
-                                                     sign)))
-                out.append((b, "d"))
-                out.append((a, "d"))
-            pos += _ARITY[ev[0]]
+                steps.append((p, 2, _packed_block(colors[a], colors[b],
+                                                  sign)))
+                out += [(b, "d"), (a, "d")]
+            else:
+                # index i carries u^(s(n - 2i)): kappa on a flipped cup,
+                # its inverse on a cap closing (d, u), 1 otherwise
+                c = ev[1]
+                n = colors[c]
+                if kind == "cup":
+                    s = 2 if ev[2] else 0
+                    terms = tuple(((i, i), s * (n - 2 * i), 1)
+                                  for i in range(n + 1))
+                    steps.append((p, 0, {(): terms}))
+                    pair = [(c, "d"), (c, "u")]
+                    out += pair[::-1] if ev[2] else pair
+                    shift += 2
+                else:
+                    s = -2 if below[0][1] == "d" else 0
+                    steps.append((p, 2, {(i, i): (((), s * (n - 2 * i), 1),)
+                                         for i in range(n + 1)}))
+                    shift -= 2
         interface = out
 
+    for p, width, block in steps:
+        q = p + width
         new = {}
-        for key, val in state.items():
-            partial = [((), val)]
-            for step in plan:
-                if step[0] == "id":
-                    i = key[step[1]]
-                    partial = [(parts + (i,), v) for parts, v in partial]
-                elif step[0] == "cup":
-                    _, n, weights = step
-                    partial = [(parts + (i, i), _pmul(v, weights[i]))
-                               for parts, v in partial
-                               for i in range(n + 1)]
-                elif step[0] == "cap":
-                    _, p, weights = step
-                    i, j = key[p], key[p + 1]
-                    if i != j:
-                        partial = []
-                        break
-                    partial = [(parts, _pmul(v, weights[i]))
-                               for parts, v in partial]
-                else:
-                    _, p, block = step
-                    terms = block[(key[p], key[p + 1])]
-                    partial = [(parts + (j2, i2),
-                                (v[0] + off, v[1] * mag))
-                               for parts, v in partial
-                               for (j2, i2, off, mag) in terms]
-            for parts, v in partial:
-                old = new.get(parts)
-                new[parts] = v if old is None else _padd(old, v)
-        state = {k: v for k, v in new.items() if v[1]}
+        for key, (o, mag) in state.items():
+            head, tail = key[:p], key[q:]
+            for pair, off, m in block.get(key[p:q], ()):
+                k = head + pair + tail
+                v = (o + off, mag * m)
+                old = new.get(k)
+                new[k] = v if old is None else _padd(old, v)
+        # only merges can cancel: a cup's terms land on distinct keys
+        state = {k: v for k, v in new.items() if v[1]} if width else new
     return unpack(state.get((), PACKED_ZERO))
 
 
@@ -470,8 +446,8 @@ def colored_jones(d, colors):
         value = element * v_pow(a) * qnum(a + 1)
     else:
         value = _contract(d, colors)
-    framings = [row[i] for i, row in enumerate(linking_data(d))]
-    if all(f % 2 == 0 for f in framings) and not value.is_in_v():
+    writhes = [row[i] for i, row in enumerate(d.crossing_sums)]
+    if all(w % 2 == 0 for w in writhes) and not value.is_in_v():
         raise DomainError("even-framed value left Z[v, 1/v]")
     _jones_cache[cache_key] = value
     return value

@@ -164,6 +164,11 @@ def test_input_errors(capsys):
                  ["padic", "2", "4", "3"]):
         code, _, err = run(capsys, ["eval", "--surgery", BORR] + mode)
         assert code == 2 and "input error" in err
+    for argv in (["ohtsuki", "--surgery", BORR, "0"],
+                 ["ohtsuki", "--surgery", BORR, "-2"],
+                 ["taylor", "--surgery", BORR, "1", "0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "input error" in err and not out
 
 
 def test_domain_error_exit_code(capsys):

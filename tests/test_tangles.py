@@ -174,6 +174,62 @@ def test_distant_unlink_multiplicative():
             assert colored_jones(d, (m, n)) == qnum(m + 1) * qnum(n + 1)
 
 
+# Slices with several non-identity events: each event's position in the
+# state key is its slice position shifted by the cups and caps to its left.
+HOPF_BESIDE_TREFOIL = """U(1) U(3)
+|1_ U(2) |1^ |3_ U(3) |3^
+X-(1,2) |2^ |1^ X-(3,3) |3^ |3^
+X-(2,1) |2^ |1^ X-(3,3) |3^ |3^
+|1_ A(2) |1^ X-(3,3) |3^ |3^
+A(1) |3_ A(3) |3^
+A(3)
+"""
+
+
+def test_multi_event_slices_multiplicative():
+    unknot = builtin("unknot")
+    for text in ("U(1)\nA(1) U(2)\nA(2)\n",    # a cap, then a cup
+                 "U(1) U(2)\nA(1) A(2)\n"):     # two cups, then two caps
+        d = parse_diagram(text)
+        for m in range(3):
+            for n in range(3):
+                assert colored_jones(d, (m, n)) == \
+                    colored_jones(unknot, (m,)) * colored_jones(unknot, (n,))
+    d = parse_diagram(HOPF_BESIDE_TREFOIL)
+    hopf, trefoil = builtin("hopf"), builtin("trefoil")
+    for a, b, c in ((1, 1, 1), (0, 2, 1), (2, 1, 2), (1, 2, 0)):
+        assert colored_jones(d, (a, b, c)) == \
+            colored_jones(hopf, (a, b)) * colored_jones(trefoil, (c,))
+
+
+braid_words = st.integers(min_value=2, max_value=3).flatmap(
+    lambda strands: st.tuples(
+        st.just(strands),
+        st.lists(st.tuples(st.integers(min_value=1, max_value=strands - 1),
+                           st.sampled_from((1, -1))), max_size=5)))
+
+
+def _closure_value(strands, word, color):
+    d = closure_of_braid(strands, word)
+    return colored_jones(d, (color,) * d.component_count)
+
+
+@settings(deadline=None, max_examples=60)
+@given(braid_words, st.integers(min_value=0, max_value=2), st.data())
+def test_braid_closure_invariance(braid, color, data):
+    # every component has the same color, so renumbering them is harmless
+    strands, word = braid
+    value = _closure_value(strands, word, color)
+    mirror = [(p, -s) for p, s in word]
+    assert _closure_value(strands, mirror, color) == value.conj()
+    g = (data.draw(st.integers(min_value=1, max_value=strands - 1)),
+         data.draw(st.sampled_from((1, -1))))
+    conjugate = [g] + word + [(g[0], -g[1])]
+    assert _closure_value(strands, conjugate, color) == value
+    k = data.draw(st.integers(min_value=0, max_value=max(len(word) - 1, 0)))
+    assert _closure_value(strands, word[k:] + word[:k], color) == value
+
+
 @settings(deadline=None, max_examples=60)
 @given(small_laurents)
 def test_pack_round_trip(a):
