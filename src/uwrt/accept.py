@@ -18,14 +18,14 @@ from .invariants import (borromean_presentation, eval_root_q,
                          ohtsuki, poincare_series, reduced_jones,
                          s3_presentations, theta, theta0, tilde_tau8_check,
                          congruence_report, wrt, SurgeryPresentation)
-from .laurent import (GF, LaurentFrac, LaurentU, ModPoly, ONE,
-                      cyclotomic_coeffs, falling_bal, q_pow, qbinom_q,
-                      qfact_bal, qint_bal, qnum, reduce_mod, ZZ)
+from .laurent import (GF, LaurentU, ModPoly, ONE, ZERO, cyclotomic_coeffs,
+                      falling_bal, q_pow, qbinom_q, qfact_bal, qint_bal,
+                      qnum, reduce_mod, ZZ)
 from .qhat import HabiroElem, equals_at_depth, eval_root, phi_order, taylor
-from .repring import (BasisCombo, omega_truncated, pairing, pprime_mul,
-                      to_P, to_V)
+from .repring import (BasisCombo, _p_in_v, omega_truncated, pairing,
+                      pprime_mul, to_P, to_V)
 from .reps import braiding, twist_eigen
-from .tangles import builtin, colored_jones, jones_multilinear, parse_diagram
+from .tangles import builtin, colored_jones, parse_diagram
 
 TEST_PARAMS = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (2, 1, 1))
 
@@ -60,16 +60,20 @@ def criterion_2():
     for i, j, k in product(range(4), repeat=3):
         if colored_jones(d, (i, j, k)) != _borromean_closed(i, j, k):
             return False, f"V-colors ({i},{j},{k})"
+    # J(P'_i, P'_j, P'_k) = J(P_i, P_j, P_k) / ({i}!{j}!{k}!), compared
+    # after multiplying both sides by {i}!{j}!{k}!: Z[u^+-1] is a domain
     for i, j, k in product(range(4), repeat=3):
-        got = jones_multilinear(d, [BasisCombo.unit("P'", n)
-                                    for n in (i, j, k)])
+        got = ZERO
+        for (a, x), (b, y), (c, z) in product(
+                *(_p_in_v(n).items() for n in (i, j, k))):
+            got = got + x * y * z * colored_jones(d, (a, b, c))
         if i == j == k:
             want = falling_bal(2 * i + 1, i + 1).exact_div(qint_bal(1))
             if i % 2:
                 want = -want
         else:
-            want = LaurentU.zero()
-        if got != LaurentFrac(want):
+            want = ZERO
+        if got != want * qfact_bal(i) * qfact_bal(j) * qfact_bal(k):
             return False, f"P'-colors ({i},{j},{k})"
     return True, "V-colored and P'-colored values for all colors <= 3"
 
@@ -88,12 +92,16 @@ def criterion_3():
             acc = pprime_mul(acc, step).truncate(8)
         if omega_truncated(p, 8) != acc:
             return False, f"omega^{p} vs iterated product"
+    # <omega^p, V'_2k> with V'_2k = V_2k / [2k+1]: each term
+    # <P'_m, V'_2k> = <P_m, V_2k> / ([2k+1] {m}!) is a Laurent polynomial
     for p in range(-3, 4):
         for k in range(6):
-            vprime = BasisCombo.unit("V", 2 * k,
-                                     LaurentFrac(ONE, qnum(2 * k + 1)))
-            got = pairing(omega_truncated(p, 2 * k + 2), vprime)
-            if got != LaurentFrac(q_pow(p * k * (k + 1))):
+            v = BasisCombo.unit("V", 2 * k)
+            got = ZERO
+            for m, c in omega_truncated(p, 2 * k + 2).terms.items():
+                pm = pairing(BasisCombo.unit("P", m), v)
+                got = got + c * pm.exact_div(qnum(2 * k + 1) * qfact_bal(m))
+            if got != q_pow(p * k * (k + 1)):
                 return False, f"<omega^{p}, V'_{2 * k}>"
     return True, "inverse, power and pairing identities for omega"
 

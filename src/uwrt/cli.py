@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import accept
@@ -19,48 +18,36 @@ from .errors import DomainError, InputError, UnknownName
 from .evaluate import eval_padic, eval_rational, modp_nonvanishing, \
     modp_value
 from .invariants import (SurgeryPresentation, jm_from_surgery,
-                         knot_borromean, ohtsuki, theta0, wrt)
+                         knot_borromean, ohtsuki, read_text, theta0, wrt)
 from .qhat import eval_root, reduce, taylor
-from .tangles import builtin, colored_jones, parse_diagram
+from .tangles import BUILTIN_NAMES, builtin, colored_jones, parse_diagram
 
-BUILTIN_NAMES = ("unknot", "unknot+1", "unknot-1", "hopf", "trefoil",
-                 "borromean")
 
 
 def _load_diagram(args):
     if getattr(args, "builtin", None):
         return builtin(args.builtin)
     if getattr(args, "diagram", None):
-        return parse_diagram(_read_file(args.diagram))
+        return parse_diagram(read_text(args.diagram))
     raise UnknownName("no diagram given; use --builtin or --diagram")
-
-
-def _read_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UnknownName(f"cannot read {path}: {exc.strerror}")
 
 
 def _load_presentation(args):
     raw = args.surgery
     if raw is None:
         raise UnknownName("no presentation given; use --surgery")
-    text = raw if raw.lstrip().startswith("{") else _read_file(raw)
+    text = raw if raw.lstrip().startswith("{") else read_text(raw)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UnknownName(f"bad surgery file: {exc}")
-    d = obj.get("diagram")
-    if isinstance(d, str):
-        if d in BUILTIN_NAMES:
-            obj["diagram"] = builtin(d)
-        elif os.path.exists(d):
-            obj["diagram"] = parse_diagram(_read_file(d))
-        else:
-            obj["diagram"] = parse_diagram(d)
     return SurgeryPresentation.from_json(obj)
+
+
+def _check_positive(name, value):
+    """Reject a bad count or order before any surgery sum is paid for."""
+    if value < 1:
+        raise InputError(f"{name} must be >= 1, got {value}")
 
 
 def _emit(args, human_lines, payload):
@@ -162,6 +149,7 @@ def cmd_eval(args):
 
 
 def cmd_ohtsuki(args):
+    _check_positive("coefficient count", args.count)
     pres = _load_presentation(args)
     x = jm_from_surgery(pres, max(args.depth, args.count))
     lams = ohtsuki(x, args.count)
@@ -170,6 +158,8 @@ def cmd_ohtsuki(args):
 
 
 def cmd_taylor(args):
+    _check_positive("r", args.r)
+    _check_positive("coefficient count", args.count)
     pres = _load_presentation(args)
     x = jm_from_surgery(pres, max(args.depth, args.r * args.count))
     coeffs = taylor(x, args.r, args.count)

@@ -13,22 +13,33 @@ its theta-specializations.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import (DepthExceeded, NotAdmissible, NotAKnot, NotInQSubring,
-                     UnknownName, ZeroDenominator)
+from .errors import (DepthExceeded, InputError, NotAdmissible, NotAKnot,
+                     NotInQSubring, UnknownName, ZeroDenominator)
 from .laurent import (ModPoly, ONE, QQ, ZERO, cyclotomic_coeffs,
                       falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
                       qnum, reduce_mod, u_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import _p_in_v, omega_coeff
 from .reps import twist_eigen
-from .tangles import (PACKED_ZERO, Diagram, _padd, _pmul, builtin,
-                      colored_jones, linking_data, pack, unpack)
+from .tangles import (BUILTIN_NAMES, PACKED_ZERO, Diagram, _padd, _pmul,
+                      builtin, colored_jones, linking_data, pack,
+                      parse_diagram, unpack)
 
 # -- surgery presentations ---------------------------------------------------
+
+
+def read_text(path):
+    """The text of a file; UnknownName if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnknownName(f"cannot read {path}: {exc.strerror}")
 
 
 class SurgeryPresentation:
@@ -65,15 +76,32 @@ class SurgeryPresentation:
 
     @staticmethod
     def from_json(obj):
+        """Presentation from a JSON object, {"family": "borromean",
+        "params": [i, j, k]} or {"diagram": d, "framings": [...]} with d
+        a builtin name, a diagram file or the diagram text.  The schema
+        is checked first (InputError): an object, lists of integers
+        (booleans rejected) and a string diagram; null is read as an
+        absent key."""
+        if not isinstance(obj, dict):
+            raise InputError("a surgery presentation is a JSON object")
+        for key in ("params", "framings"):
+            value = obj.get(key)
+            if value is not None and (
+                    not isinstance(value, list)
+                    or any(type(v) is not int for v in value)):
+                raise InputError(f'"{key}" must be a list of integers')
         if "family" in obj:
             return SurgeryPresentation(family=obj["family"],
-                                       params=obj.get("params", ()))
+                                       params=obj.get("params"))
         d = obj.get("diagram")
-        if isinstance(d, str):
-            from .tangles import parse_diagram
-            d = parse_diagram(d)
-        return SurgeryPresentation(diagram=d,
-                                   framings=obj.get("framings", ()))
+        if d is not None and not isinstance(d, str):
+            raise InputError('"diagram" must be a string')
+        if d in BUILTIN_NAMES:
+            d = builtin(d)
+        elif d is not None:
+            d = parse_diagram(read_text(d) if os.path.exists(d) else d)
+        return SurgeryPresentation(diagram=d, framings=obj.get("framings"))
+
 
     def __repr__(self):
         if self.family:
@@ -229,7 +257,8 @@ def poincare_series(N=DEFAULT_DEPTH):
 
 class TwoVarKnot:
     """Truncation of the two-variable knot invariant in the sigma basis:
-    coefficient n is the knot's value on P''_n, a Laurent polynomial."""
+    coefficient n is the knot's value on P''_n = P_n / {2n+1}_{2n}, a
+    Laurent polynomial."""
 
     __slots__ = ("depth", "coeffs")
 

@@ -96,15 +96,6 @@ class LaurentU:
         """Coefficient of q^k."""
         return self[4 * k]
 
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
     def is_monomial(self):
         return len(self.coeffs) == 1
 
@@ -307,123 +298,6 @@ ONE = _ONE
 ZERO = _ZERO
 
 
-# -- fractions ----------------------------------------------------------
-
-
-class LaurentFrac:
-    """Fraction of Laurent polynomials in u, with a deterministic
-    normal form: denominator has min exponent 0 and positive leading
-    coefficient, and the integer contents of numerator and denominator
-    are coprime.  No polynomial gcd is taken; equality goes through
-    cross multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, LaurentFrac):
-            if den is not None:
-                raise ValueError("fraction numerator with explicit denominator")
-            num, den = num.num, num.den
-        if isinstance(num, int):
-            num = LaurentU.integer(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, int):
-            den = LaurentU.integer(den)
-        if den.is_zero():
-            raise NonExactDivision("zero denominator")
-        if num.is_zero():
-            self.num = _ZERO
-            self.den = _ONE
-            return
-        num = num.shift(-den.min)
-        den = den.shift(-den.min)
-        if den.leading() < 0:
-            num, den = -num, -den
-        g = math.gcd(num.content(), den.content())
-        if g > 1:
-            num = LaurentU(num.min, tuple(c // g for c in num.coeffs))
-            den = LaurentU(den.min, tuple(c // g for c in den.coeffs))
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def zero():
-        return LaurentFrac(_ZERO)
-
-    @staticmethod
-    def one():
-        return LaurentFrac(_ONE)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentFrac(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise NonExactDivision("division by zero fraction")
-        return LaurentFrac(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash(self.as_laurent()) if self.den == _ONE else hash(
-            (self.num, self.den))
-
-    def as_laurent(self):
-        """Exact Laurent value; NonExactDivision if not polynomial."""
-        return self.num.exact_div(self.den)
-
-    def __repr__(self):
-        if self.den == _ONE:
-            return f"LaurentFrac({self.num.to_str()!r})"
-        return f"LaurentFrac({self.num.to_str()!r} / {self.den.to_str()!r})"
-
-
-def _as_frac(x):
-    if isinstance(x, LaurentFrac):
-        return x
-    if isinstance(x, (int, LaurentU)):
-        return LaurentFrac(x)
-    return NotImplemented
-
-
 # -- cyclotomic polynomials ----------------------------------------------
 
 
@@ -488,6 +362,7 @@ def qfact_q(n):
     return falling_q(n, n)
 
 
+@lru_cache(maxsize=None)
 def qfact_bal(n):
     """{n}! = {n}{n-1}...{1}."""
     return falling_bal(n, n)
@@ -523,6 +398,7 @@ def qnum_q(i):
     return qint_q(i).exact_div(qint_q(1))
 
 
+@lru_cache(maxsize=None)
 def qnum_fact_q(n):
     """[n]_q!."""
     acc = _ONE

@@ -111,12 +111,6 @@ class HabiroElem:
         """The Laurent polynomial sum_{n<d} c_n (q)_n."""
         return sum((self.terms[n] * pochhammer(n) for n in range(d)), ZERO)
 
-    def at_depth(self, d):
-        """Restrict to a smaller depth."""
-        if d > self.depth:
-            raise DepthExceeded(f"depth {d} > {self.depth}")
-        return HabiroElem(d, self.terms[:d])
-
     def __repr__(self):
         bits = [f"({c.to_str()})*(q)_{n}" for n, c in enumerate(self.terms)
                 if not c.is_zero()]

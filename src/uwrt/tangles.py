@@ -40,8 +40,7 @@ from functools import lru_cache
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
-from .laurent import LaurentFrac, LaurentU, qnum, v_pow
-from .repring import BasisCombo, to_V
+from .laurent import LaurentU, qnum, v_pow
 from .reps import braiding
 
 # -- packed Laurent coefficients ------------------------------------------
@@ -453,28 +452,6 @@ def colored_jones(d, colors):
     return value
 
 
-def jones_multilinear(d, colors):
-    """Multilinear extension of colored_jones to BasisCombo colors."""
-    if len(colors) != d.component_count:
-        raise ColorCountMismatch(
-            f"{d.component_count} components, {len(colors)} colors")
-    expanded = []
-    for c in colors:
-        if isinstance(c, int):
-            c = BasisCombo.unit("V", c)
-        expanded.append(sorted(to_V(c).terms.items()))
-    acc = LaurentFrac.zero()
-    stack = [(0, (), LaurentFrac.one())]
-    while stack:
-        slot, picked, coeff = stack.pop()
-        if slot == len(expanded):
-            acc = acc + coeff * LaurentFrac(colored_jones(d, picked))
-            continue
-        for n, c in expanded[slot]:
-            stack.append((slot + 1, picked + (n,), coeff * c))
-    return acc
-
-
 # -- builtin diagrams -------------------------------------------------------
 
 
@@ -522,6 +499,10 @@ def closure_of_braid(strands, word, name=None):
         row += [("id", comp_of[i], "u") for i in range(k - 1, -1, -1)]
         slices.append(row)
     return Diagram(slices, name=name)
+
+
+BUILTIN_NAMES = ("unknot", "unknot+1", "unknot-1", "hopf", "trefoil",
+                 "borromean")
 
 
 def builtin(name):

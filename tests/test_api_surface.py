@@ -2,8 +2,10 @@
 
 A public (no leading underscore) module-level function or class must be
 referenced, as a name or an attribute, by some other top-level statement
-of a module in src/uwrt.  Imports do not count, and neither do
-docstrings, so a definition that only tests call fails here.
+of a module in src/uwrt.  A public method's name must be referenced
+somewhere in src/uwrt other than by a call on self in its own body.
+Imports do not count, and neither do docstrings, so a definition that
+only tests call fails here.
 """
 
 import ast
@@ -11,36 +13,63 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uwrt"
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _referenced(node):
+
+def _referenced(nodes, method=None):
+    """Names and attributes under nodes, except self.method."""
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and not (
+                    sub.attr == method and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"):
+                names.add(sub.attr)
     return names
 
 
 def unreferenced_public_definitions(src=SRC):
     """Sorted "module.name" of every public module-level def or class
-    that no other top-level statement under src references."""
-    definitions = []            # (statement id, module, name)
-    references = []             # (statement id, referenced names)
+    that no other top-level statement under src references, and
+    "module.Class.name" of every public method whose name nothing under
+    src references but a call on self in its own body."""
+    definitions = []            # (units the definition owns, name)
+    references = []             # (unit, referenced names)
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for i, node in enumerate(tree.body):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            sid = (path.stem, i)
-            references.append((sid, _referenced(node)))
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                definitions.append((sid, path.stem, node.name))
-    return sorted(f"{module}.{name}" for sid, module, name in definitions
-                  if not any(name in names for other, names in references
-                             if other != sid))
+            if not isinstance(node, ast.ClassDef):
+                sid = (path.stem, i)
+                references.append((sid, _referenced([node])))
+                if (isinstance(node, _DEFS)
+                        and not node.name.startswith("_")):
+                    definitions.append(({sid}, f"{path.stem}.{node.name}"))
+                continue
+            # each method is a unit of its own and the rest of the class
+            # one more; the class owns them all, a method owns none
+            rest = (path.stem, i, None)
+            units = {rest}
+            references.append((rest, _referenced(
+                node.bases + node.keywords + node.decorator_list
+                + [s for s in node.body if not isinstance(s, _DEFS)])))
+            for j, sub in enumerate(node.body):
+                if isinstance(sub, _DEFS):
+                    mid = (path.stem, i, j)
+                    units.add(mid)
+                    references.append((mid, _referenced([sub], sub.name)))
+                    if not sub.name.startswith("_"):
+                        definitions.append(
+                            (set(), f"{path.stem}.{node.name}.{sub.name}"))
+            if not node.name.startswith("_"):
+                definitions.append((units, f"{path.stem}.{node.name}"))
+    return sorted(qualified for own, qualified in definitions
+                  if not any(qualified.rsplit(".", 1)[1] in names
+                             for unit, names in references
+                             if unit not in own))
 
 
 def test_every_public_definition_is_used_in_src():
@@ -64,3 +93,19 @@ def test_detector_flags_a_test_only_function(tmp_path):
         encoding="utf-8")
     assert unreferenced_public_definitions(tmp_path) == \
         ["a.unused", "b.orphan"]
+
+
+def test_detector_flags_a_test_only_method(tmp_path):
+    (tmp_path / "c.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = self.inner()\n\n"
+        "    def inner(self):\n        return 1\n\n"
+        "    def used(self):\n        return 2\n\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n\n"
+        "    @staticmethod\n"
+        "    def make():\n        return Box()\n\n\n"
+        "VALUE = Box().used()\n",
+        encoding="utf-8")
+    assert unreferenced_public_definitions(tmp_path) == \
+        ["c.Box.make", "c.Box.recursive"]

@@ -166,7 +166,30 @@ def test_input_errors(capsys):
         assert code == 2 and "input error" in err
     for argv in (["ohtsuki", "--surgery", BORR, "0"],
                  ["ohtsuki", "--surgery", BORR, "-2"],
-                 ["taylor", "--surgery", BORR, "1", "0"]):
+                 ["taylor", "--surgery", BORR, "1", "0"],
+                 ["taylor", "--surgery", BORR, "0", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "input error" in err and not out
+    for surgery in ('{"diagram": "unknot", "framings": [1.0]}',
+                    '{"diagram": "unknot", "framings": 1}',
+                    '{"diagram": 5, "framings": [1]}',
+                    '{"diagram": "unknot", "framings": [true]}',
+                    '{"family": "borromean", "params": [1.7, 1, 1]}',
+                    '{"family": "borromean", "params": [true, 1, 1]}'):
+        code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
+        assert code == 2 and "input error" in err and not out
+        assert "Traceback" not in err
+
+
+def test_counts_checked_before_the_surgery_sum(capsys, monkeypatch):
+    def fail(pres, depth):
+        raise AssertionError("surgery sum started")
+
+    monkeypatch.setattr(cli, "jm_from_surgery", fail)
+    surgery = '{"diagram": "borromean", "framings": [-1, -1, -1]}'
+    for argv in (["ohtsuki", "--surgery", surgery, "0"],
+                 ["taylor", "--surgery", surgery, "1", "0"],
+                 ["taylor", "--surgery", surgery, "0", "2"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and "input error" in err and not out
 

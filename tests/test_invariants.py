@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from uwrt.errors import DepthExceeded, NotAdmissible, NotAKnot, UnknownName
+from uwrt.errors import (DepthExceeded, InputError, NotAdmissible, NotAKnot,
+                         UnknownName)
 from uwrt.invariants import (SurgeryPresentation, TwoVarKnot,
                              borromean_presentation, congruence_report,
                              eval_root_q, jm_borromean, jm_from_surgery,
@@ -60,7 +61,7 @@ def test_jm_borromean_degenerate_and_symmetric():
 
 
 def test_mirror_and_connected_sum():
-    assert equals_at_depth(M111.at_depth(8).conj(),
+    assert equals_at_depth(M111.conj(),
                            jm_borromean(-1, -1, -1, 8), 8)
     cs = M111 * M111.conj()
     lams = ohtsuki(cs, 3)
@@ -135,6 +136,14 @@ def test_from_json():
     assert pres.family == "borromean" and pres.params == (1, 1, 1)
     with pytest.raises(UnknownName):
         SurgeryPresentation.from_json({"family": "whitehead"})
+    with pytest.raises(InputError):
+        SurgeryPresentation.from_json([{"family": "borromean"}])
+    for obj in ({}, {"diagram": None, "framings": None}):
+        pres = SurgeryPresentation.from_json(obj)
+        assert pres.diagram is None and pres.framings == ()
+    pres = SurgeryPresentation.from_json(
+        {"diagram": "trefoil", "framings": [-1]})
+    assert pres.diagram.name == "trefoil" and pres.framings == (-1,)
 
 
 def test_knot_borromean_goldens():

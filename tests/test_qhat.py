@@ -103,11 +103,8 @@ def test_phi_order():
     assert phi_order(HabiroElem.one(8), 1, 3) == 0
 
 
-def test_at_depth_and_json():
+def test_json_round_trip():
     x = HabiroElem(6, {0: q_pow(2), 3: ONE})
-    assert x.at_depth(4).depth == 4
-    with pytest.raises(DepthExceeded):
-        x.at_depth(7)
     y = HabiroElem.from_json(x.to_json())
     assert y.depth == x.depth and y.terms == x.terms
 

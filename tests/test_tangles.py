@@ -9,12 +9,11 @@ import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                          InterfaceMismatch, OpenDiagram, UnknownName,
                          UnsupportedCrossing)
-from uwrt.laurent import LaurentFrac, LaurentU, q_pow, qnum, u_pow
-from uwrt.repring import BasisCombo
+from uwrt.laurent import LaurentU, q_pow, qnum, u_pow
 from uwrt.reps import twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
-                          jones_multilinear, linking_data, pack, parse_diagram,
-                          unpack, _padd, _pmul)
+                          linking_data, pack, parse_diagram, unpack, _padd,
+                          _pmul)
 
 small_laurents = st.builds(LaurentU,
                            st.integers(min_value=-6, max_value=6),
@@ -125,8 +124,6 @@ def test_linking_data():
 def test_color_count_mismatch():
     with pytest.raises(ColorCountMismatch):
         colored_jones(builtin("hopf"), (1,))
-    with pytest.raises(ColorCountMismatch):
-        jones_multilinear(builtin("unknot"), (1, 1))
 
 
 def test_integrality_check_survives_optimize(monkeypatch):
@@ -147,17 +144,6 @@ def test_unsupported_crossing():
 def test_unknown_builtin():
     with pytest.raises(UnknownName):
         builtin("figure-eight")
-
-
-def test_jones_multilinear():
-    h = builtin("hopf")
-    combo = BasisCombo("V", {0: LaurentFrac(2), 2: LaurentFrac(1)})
-    direct = jones_multilinear(h, (combo, 1))
-    expected = LaurentFrac(colored_jones(h, (0, 1)) * 2
-                           + colored_jones(h, (2, 1)))
-    assert direct == expected
-    assert jones_multilinear(h, (1, 1)) == \
-        LaurentFrac(colored_jones(h, (1, 1)))
 
 
 def test_closure_components():
