@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import accept
@@ -36,12 +37,26 @@ def _load_presentation(args):
     raw = args.surgery
     if raw is None:
         raise UnknownName("no presentation given; use --surgery")
-    text = raw if raw.lstrip().startswith("{") else read_text(raw)
+    text = raw if _is_inline_json(raw) else read_text(raw)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UnknownName(f"bad surgery file: {exc}")
     return SurgeryPresentation.from_json(obj)
+
+
+def _is_inline_json(raw):
+    """An object, or any JSON text that names no existing file, is inline
+    (so that from_json, not the file reader, reports a non-object)."""
+    if raw.lstrip().startswith("{"):
+        return True
+    if os.path.exists(raw):
+        return False
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError:
+        return False
+    return True
 
 
 def _check_positive(name, value):
@@ -151,7 +166,7 @@ def cmd_eval(args):
 def cmd_ohtsuki(args):
     _check_positive("coefficient count", args.count)
     pres = _load_presentation(args)
-    x = jm_from_surgery(pres, max(args.depth, args.count))
+    x = jm_from_surgery(pres, args.count)
     lams = ohtsuki(x, args.count)
     return _emit(args, [" ".join(str(v) for v in lams)],
                  {"command": "ohtsuki", "coefficients": lams})
@@ -161,7 +176,7 @@ def cmd_taylor(args):
     _check_positive("r", args.r)
     _check_positive("coefficient count", args.count)
     pres = _load_presentation(args)
-    x = jm_from_surgery(pres, max(args.depth, args.r * args.count))
+    x = jm_from_surgery(pres, args.r * args.count)
     coeffs = taylor(x, args.r, args.count)
     lines = [f"h^{k}: {_modpoly_str(c)}" for k, c in enumerate(coeffs)]
     return _emit(args, lines,

@@ -50,10 +50,6 @@ class LaurentU:
         return _ZERO
 
     @staticmethod
-    def one():
-        return _ONE
-
-    @staticmethod
     def monomial(exponent, coefficient=1):
         return LaurentU(exponent, (coefficient,))
 
@@ -197,6 +193,8 @@ class LaurentU:
         n = len(rem) - len(div)
         if n < 0:
             raise NonExactDivision("degree too small")
+        # q-valued divisors have three zero u-coefficients in every four
+        nonzero = [(i, d) for i, d in enumerate(div) if d]
         quot = [0] * (n + 1)
         for k in range(n, -1, -1):
             c = rem[k + len(div) - 1]
@@ -205,7 +203,7 @@ class LaurentU:
             f = c // dlead
             quot[k] = f
             if f:
-                for i, d in enumerate(div):
+                for i, d in nonzero:
                     rem[k + i] -= f * d
         if any(rem):
             raise NonExactDivision("nonzero remainder")
@@ -641,17 +639,6 @@ class ModPoly:
                                     self.base.inv(self.coeffs[0]))
         raise NonInvertibleVariable(
             "inverse over a non-field base needs a constant unit")
-
-    def invert_variable(self):
-        """Inverse of x mod f when f(0) is a unit (cyclotomic moduli)."""
-        c0 = self.modulus[0]
-        if not self.base.is_unit(c0):
-            raise NonInvertibleVariable("modulus constant term not a unit")
-        inv_c0 = self.base.inv(c0)
-        # x * (-(f - f(0))/x) * c0^{-1} = 1 - f * c0^{-1} == 1 (mod f)
-        coeffs = [self.base.neg(self.base.mul(c, inv_c0))
-                  for c in self.modulus[1:]]
-        return self._like(coeffs)
 
     def as_integer(self):
         """Value for a degree-1 modulus x - a: the residue f(a)."""

@@ -9,13 +9,24 @@ d(d+1)/2: the remainder of sum_n c_n (q)_n by (q)_d, taken in one pass by
 laurent.remainder (a long division for the polynomial part, then one
 exact division by q per negative power; (q)_d has leading coefficient
 and constant term +-1, so both stay in Z).
+
+The Taylor expansion at a primitive r-th root of unity x is taken in
+Z[q]/(Phi_r^d), which the jets h^0 .. h^(d-1) of q = x + h determine:
+Phi_r(x + h)^d vanishes modulo (Phi_r(x), h^d).  Phi_r^d divides (q)_n
+for n >= r*d, so only the first r*d terms of an element matter, and one
+remainder of their sum by Phi_r^d (monic, constant term +-1, so negative
+powers of q cost nothing extra) is a polynomial of degree < d*phi(r)
+whose binomial shift q^j = sum_k C(j, k) x^(j-k) h^k gives the jets.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import DepthExceeded, InputError, NotInQ
-from .laurent import (LaurentU, ONE, ZERO, ZZ, ModPoly, cyclotomic_coeffs,
-                      pochhammer, q_pow, reduce_mod, remainder)
+from .laurent import (LaurentU, ZERO, ZZ, ModPoly, cyclotomic,
+                      cyclotomic_coeffs, pochhammer, q_pow, reduce_mod,
+                      remainder)
 
 DEFAULT_DEPTH = 10
 
@@ -48,10 +59,6 @@ class HabiroElem:
     @staticmethod
     def zero(depth=DEFAULT_DEPTH):
         return HabiroElem(depth)
-
-    @staticmethod
-    def one(depth=DEFAULT_DEPTH):
-        return HabiroElem(depth, {0: ONE})
 
     def __add__(self, other):
         other = _as_elem(other, self.depth)
@@ -168,111 +175,27 @@ def eval_root(x, r):
 # -- Taylor expansion at roots of unity ---------------------------------------
 
 
-class JetPoly:
-    """Element of Z[x][q] / (Phi_r(x), (q - x)^d): a truncated Taylor
-    series in h = q - x with ModPoly coefficients."""
-
-    __slots__ = ("r", "d", "coeffs")
-
-    def __init__(self, r, d, coeffs):
-        self.r = r
-        self.d = d
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def constant(r, d, value):
-        zero = ModPoly(ZZ, cyclotomic_coeffs(r), [0])
-        return JetPoly(r, d, [value] + [zero] * (d - 1))
-
-    @staticmethod
-    def variable_q(r, d):
-        """The image of q: x + h."""
-        mod = cyclotomic_coeffs(r)
-        coeffs = [ModPoly.variable(ZZ, mod)]
-        if d > 1:
-            coeffs.append(ModPoly.constant(ZZ, mod, 1))
-        coeffs += [ModPoly(ZZ, mod, [0])] * (d - len(coeffs))
-        return JetPoly(r, d, coeffs)
-
-    def __add__(self, other):
-        return JetPoly(self.r, self.d,
-                       [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return JetPoly(self.r, self.d, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        zero = ModPoly(ZZ, cyclotomic_coeffs(self.r), [0])
-        out = [zero] * self.d
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.d - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return JetPoly(self.r, self.d, out)
-
-    def q_inverse_times(self, k):
-        """Multiply by q^(-k) = (x + h)^(-k)."""
-        mod = cyclotomic_coeffs(self.r)
-        xinv = ModPoly.variable(ZZ, mod).invert_variable()
-        zero = ModPoly(ZZ, mod, [0])
-        # (x+h)^(-1) = x^(-1) sum_j (-x^(-1) h)^j
-        inv = JetPoly(self.r, self.d,
-                      [xinv * ((-xinv) ** j if j else 1)
-                       for j in range(self.d)])
-        result = self
-        for _ in range(k):
-            result = result * inv
-        return result
-
-
-def _jet_of(poly, r, d):
-    """Image of a Laurent polynomial in q in the jet ring."""
-    qvar = JetPoly.variable_q(r, d)
-    lo = poly.min // 4 if not poly.is_zero() else 0
-    shift = max(0, -lo)
-    shifted = poly * q_pow(shift)
-    mod = cyclotomic_coeffs(r)
-    acc = JetPoly.constant(r, d, ModPoly(ZZ, mod, [0]))
-    # Horner from the top q-degree down
-    hi = shifted.max // 4 if not shifted.is_zero() else 0
-    for k in range(hi, -1, -1):
-        acc = acc * qvar
-        c = shifted.q_coeff(k)
-        if c:
-            acc = acc + JetPoly.constant(r, d, ModPoly.constant(ZZ, mod, c))
-    if shift:
-        acc = acc.q_inverse_times(shift)
-    return acc
-
-
 def taylor(x, r, d):
     """The first d Taylor coefficients of x at a primitive r-th root of
-    unity, each an element of Z[x]/(Phi_r)."""
+    unity, each an element of Z[x]/(Phi_r).
+
+    Jet k is the coefficient of h^k in the expansion at q = x + h.  The
+    expansion is exact on the r*d terms read: Phi_r^d divides (q)_n for
+    n >= r*d.  One remainder modulo Phi_r^d, the monic generator of that
+    ideal, gives rem with P = sum_j rem_j q^j mod Phi_r^d, and jet k is
+    sum_j C(j, k) rem_j x^(j-k) mod Phi_r.
+    """
     if d < 1:
         raise InputError(f"coefficient count must be >= 1, got {d}")
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
+    p = x.expand(r * d)
+    rem = remainder(p.min // 4, p.coeffs[::4],
+                    (cyclotomic(r) ** d).coeffs[::4])
     mod = cyclotomic_coeffs(r)
-    acc = JetPoly.constant(r, d, ModPoly(ZZ, mod, [0]))
-    one = JetPoly.constant(r, d, ModPoly.constant(ZZ, mod, 1))
-    pochs = [one]
-    qvar = JetPoly.variable_q(r, d)
-    qpow = one
-    for n in range(1, x.depth):
-        qpow = qpow * qvar
-        pochs.append(pochs[-1] * (one - qpow))
-    for n in range(x.depth):
-        c = x.terms[n]
-        if c.is_zero():
-            continue
-        acc = acc + _jet_of(c, r, d) * pochs[n]
-    return list(acc.coeffs)
+    return [ModPoly(ZZ, mod, [comb(j, k) * rem[j]
+                              for j in range(k, len(rem))])
+            for k in range(d)]
 
 
 def phi_order(x, n, kmax):

@@ -179,6 +179,10 @@ def test_input_errors(capsys):
         code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
         assert code == 2 and "input error" in err and not out
         assert "Traceback" not in err
+    for surgery in ('[1]', '"x"', '1'):        # JSON naming no file
+        code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
+        assert code == 2 and not out and "Traceback" not in err
+        assert "a surgery presentation is a JSON object" in err
 
 
 def test_counts_checked_before_the_surgery_sum(capsys, monkeypatch):
@@ -192,6 +196,25 @@ def test_counts_checked_before_the_surgery_sum(capsys, monkeypatch):
                  ["taylor", "--surgery", surgery, "0", "2"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and "input error" in err and not out
+
+
+def test_taylor_depth_is_what_it_reads(capsys, monkeypatch):
+    # ohtsuki and taylor read r*count terms, whatever --depth says
+    depths = []
+
+    def record(pres, depth):
+        depths.append(depth)
+        return jm_borromean(*pres.params, depth)
+
+    monkeypatch.setattr(cli, "jm_from_surgery", record)
+    for argv, depth in ((["ohtsuki", "--surgery", BORR, "3"], 3),
+                        (["ohtsuki", "--depth", "2", "--surgery", BORR,
+                          "4"], 4),
+                        (["taylor", "--surgery", BORR, "3", "2"], 6),
+                        (["taylor", "--depth", "20", "--surgery", BORR,
+                          "2", "3"], 6)):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out and depths[-1] == depth
 
 
 def test_domain_error_exit_code(capsys):

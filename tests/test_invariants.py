@@ -92,7 +92,7 @@ def test_congruence_report():
 
 
 def test_tilde_tau8():
-    trivial = tilde_tau8_check(HabiroElem.one(8), 0)
+    trivial = tilde_tau8_check(HabiroElem.from_polynomial(1, 8), 0)
     assert trivial["difference"] == [0, 0, 0, 0]
     assert trivial["in_lattice"] and trivial["conjectured_span"]
     rep = tilde_tau8_check(M111, ohtsuki(M111, 2)[1])

@@ -1,12 +1,15 @@
 """Cyclotomic completion elements: reduction, involution, evaluation."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, NotInQ
 from uwrt.invariants import jm_borromean
-from uwrt.laurent import ONE, ZERO, ModPoly, ZZ, pochhammer, q_pow
+from uwrt.laurent import (ONE, ZERO, ModPoly, ZZ, cyclotomic_coeffs,
+                          pochhammer, q_pow)
 from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
                        phi_order, reduce, taylor)
 
@@ -20,7 +23,7 @@ def elems(depth=6):
 
 
 def test_constructors():
-    assert HabiroElem.one().depth == DEFAULT_DEPTH
+    assert HabiroElem.from_polynomial(1).depth == DEFAULT_DEPTH
     assert HabiroElem(4, {2: ONE}).terms[2] == ONE
     with pytest.raises(ValueError):
         HabiroElem(0)
@@ -95,12 +98,35 @@ def test_taylor_golden():
         taylor(x, 3, 3)
 
 
+def _binom(k, j):
+    """The generalized binomial C(k, j) = k(k-1)...(k-j+1)/j!, any k."""
+    return prod(range(k - j + 1, k + 1)) // prod(range(1, j + 1))
+
+
+def test_taylor_of_q_powers():
+    # q^k = (x + h)^k: jet j is C(k, j) x^(k-j), and x = 1 at r = 1, x = -1
+    # at r = 2; negative k takes the negative-power path
+    for k in range(-6, 7):
+        x = HabiroElem.from_polynomial(q_pow(k), 8)
+        assert taylor(x, 1, 8) == [_binom(k, j) for j in range(8)]
+        assert taylor(x, 2, 4) == [_binom(k, j) * (-1) ** abs(k - j)
+                                   for j in range(4)]
+
+
+@pytest.mark.parametrize("r, d", [(1, 4), (2, 3), (3, 2), (5, 2), (6, 1)])
+def test_taylor_drops_pochhammers_past_r_d(r, d):
+    # Phi_r^d divides (q)_n for n >= r*d, so such terms have no jets
+    n = r * d
+    x = HabiroElem(n + 3, {n: q_pow(-2) + 3, n + 1: q_pow(4), n + 2: ONE})
+    assert all(c.is_zero() for c in taylor(x, r, d))
+
+
 def test_phi_order():
     x = HabiroElem(8, {3: ONE})       # (q)_3
     assert phi_order(x, 1, 2) == 2    # capped by kmax
     assert phi_order(x, 2, 3) == 1
     assert phi_order(x, 3, 2) == 1
-    assert phi_order(HabiroElem.one(8), 1, 3) == 0
+    assert phi_order(HabiroElem.from_polynomial(1, 8), 1, 3) == 0
 
 
 def test_json_round_trip():
@@ -147,3 +173,18 @@ def test_eval_root_is_ring_map(x, y, r):
 def test_taylor_head_matches_eval_root(x, r):
     head = taylor(x, r, 1)[0]
     assert head == eval_root(x, r)
+
+
+@settings(deadline=None, max_examples=30)
+@given(elems(), elems(), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=3), st.booleans())
+def test_taylor_is_ring_map(x, y, r, d, conj):
+    # the jets of x*y are the truncated convolution of those of x and y
+    if conj:
+        x, y = x.conj(), y.conj()
+    x, y = HabiroElem(r * d, x.terms), HabiroElem(r * d, y.terms)
+    tx, ty, txy = taylor(x, r, d), taylor(y, r, d), taylor(x * y, r, d)
+    zero = ModPoly(ZZ, cyclotomic_coeffs(r), [0])
+    for k in range(d):
+        assert txy[k] == sum((tx[i] * ty[k - i] for i in range(k + 1)),
+                             zero)
