@@ -226,7 +226,7 @@ def _apply_braiding(state, colors, pos, sign):
     block = braiding(colors[pos], colors[pos + 1], sign)
     out = {}
     for key, coeff in state.items():
-        for (j2, i2, c) in block.entries[(key[pos], key[pos + 1])]:
+        for (j2, i2, c) in block[(key[pos], key[pos + 1])]:
             new = list(key)
             new[pos], new[pos + 1] = j2, i2
             new = tuple(new)

@@ -176,7 +176,17 @@ def _pprime_table(d, N):
     """Packed J of the 0-framed diagram with colors P_{k_1}, ..., P_{k_m},
     keyed by (k_1, ..., k_m) in range(N)^m: the packed V-colored table
     changed to the P basis one axis at a time (mode-n products with the
-    P_k -> V_a matrix), O(m N^(m+1)) packed products in all."""
+    P_k -> V_a matrix), O(m N^(m+1)) packed products in all.
+
+    Every sum here stays in one residue of u-exponents mod 4, as packed
+    values must.  _p_in_v(k)[a] lies in u^(2(a+k)) Z[q, 1/q].  A V-colored
+    value of a 0-framed, algebraically split diagram lies in
+    u^(2 sum_X N_X a_X) Z[q, 1/q], N_X the number of cup and cap events
+    with nonzero weight shift on component X (the tangles invariant with
+    P = 0 at the empty key).  N_X has the parity of the rotation number
+    of X, which by Whitney's formula is self-crossings + 1 = 1 mod 2, as
+    writhe 0 makes the self-crossings even.  So the product for V_a and
+    P_k on axis X has residue 2k plus the other axes' part, whatever a."""
     to_p = [[] for _ in range(N)]        # a -> [(k, V_a-coefficient of P_k)]
     for k in range(N):
         for a, c in _p_in_v(k).items():

@@ -165,12 +165,6 @@ class LaurentU:
             n >>= 1
         return result
 
-    def shift(self, k):
-        """Multiply by u^k."""
-        if self.is_zero():
-            return self
-        return LaurentU(self.min + k, self.coeffs)
-
     def conj(self):
         """The bar involution u -> u^(-1) (hence q -> q^(-1))."""
         return LaurentU(-self.max, tuple(reversed(self.coeffs)))
@@ -321,38 +315,32 @@ def cyclotomic_coeffs(n):
 
 # -- q-combinatorics ------------------------------------------------------
 #
-# Two systems: the q-version {i}_q = q^i - 1 and the balanced version
-# {i} = v^i - v^{-i}.  Falling products, factorials and binomials follow
-# the same split; binomials are produced by exact division and a failure
-# there is an internal fault, not a caller error.
+# One family, built on the q-integers {i}_q = q^i - 1.  The balanced
+# integers {i} = v^i - v^(-i) = v^(-i) {i}_q differ from them by a
+# v-monomial, so each balanced product is the q-product times one power
+# of v, and [i] = {i}/{1} = v^(1-i)(1 + q + ... + q^(i-1)).  Only the
+# falling product is multiplied out (once per argument pair, cached);
+# binomials are exact divisions, and a failure there is an internal
+# fault, not a caller error.
 
 
-def qint_q(i):
-    """{i}_q = q^i - 1."""
-    return q_pow(i) - 1
-
-
-def qint_bal(i):
-    """{i} = v^i - v^{-i}."""
-    if i == 0:
-        return _ZERO
-    return v_pow(i) - v_pow(-i)
-
-
+@lru_cache(maxsize=None)
 def falling_q(i, n):
     """{i}_{q,n} = {i}_q {i-1}_q ... {i-n+1}_q."""
     acc = _ONE
     for k in range(n):
-        acc = acc * qint_q(i - k)
+        acc = acc * (q_pow(i - k) - 1)
     return acc
+
+
+def qint_bal(i):
+    """{i} = v^i - v^(-i)."""
+    return v_pow(i) - v_pow(-i)
 
 
 def falling_bal(i, n):
-    """{i}_n = {i}{i-1}...{i-n+1}."""
-    acc = _ONE
-    for k in range(n):
-        acc = acc * qint_bal(i - k)
-    return acc
+    """{i}_n = {i}{i-1}...{i-n+1} = v^(n(n-1)/2 - ni) {i}_{q,n}."""
+    return v_pow(n * (n - 1) // 2 - n * i) * falling_q(i, n)
 
 
 def qfact_q(n):
@@ -360,10 +348,14 @@ def qfact_q(n):
     return falling_q(n, n)
 
 
-@lru_cache(maxsize=None)
 def qfact_bal(n):
-    """{n}! = {n}{n-1}...{1}."""
-    return falling_bal(n, n)
+    """{n}! = {n}{n-1}...{1} = v^(-n(n+1)/2) {n}_q!."""
+    return v_pow(-n * (n + 1) // 2) * qfact_q(n)
+
+
+def pochhammer(n):
+    """(q)_n = (1-q)(1-q^2)...(1-q^n) = (-1)^n {n}_q!."""
+    return qfact_q(n) * (-1) ** n
 
 
 def qbinom_q(i, n):
@@ -371,47 +363,22 @@ def qbinom_q(i, n):
 
 
 def qbinom_bal(i, n):
-    return falling_bal(i, n).exact_div(qfact_bal(n))
-
-
-def pochhammer(n):
-    """(q)_n = (1-q)(1-q^2)...(1-q^n)."""
-    acc = _ONE
-    for k in range(1, n + 1):
-        acc = acc * (1 - q_pow(k))
-    return acc
+    """{i}_n / {n}! = v^(n(n-i)) qbinom_q(i, n)."""
+    return v_pow(n * (n - i)) * qbinom_q(i, n)
 
 
 def qnum(i):
-    """Balanced quantum integer [i] = {i}/{1}."""
-    if i == 0:
-        return _ZERO
-    return qint_bal(i).exact_div(qint_bal(1))
-
-
-def qnum_q(i):
-    """[i]_q = {i}_q/{1}_q."""
-    if i == 0:
-        return _ZERO
-    return qint_q(i).exact_div(qint_q(1))
-
-
-@lru_cache(maxsize=None)
-def qnum_fact_q(n):
-    """[n]_q!."""
-    acc = _ONE
-    for k in range(1, n + 1):
-        acc = acc * qnum_q(k)
-    return acc
+    """Balanced quantum integer [i] = {i}/{1}; [-i] = -[i]."""
+    if i < 0:
+        return -qnum(-i)
+    return LaurentU(2 * (1 - i), (1, 0, 0, 0) * i)
 
 
 def qmultinom_q(n, parts):
-    """[n]_q! / prod [p]_q! over the given composition of n."""
+    """[n]_q! / prod [p]_q! = {n}_q! / prod {p}_q! over the given
+    composition of n."""
     assert sum(parts) == n
-    acc = qnum_fact_q(n)
-    for p in parts:
-        acc = acc.exact_div(qnum_fact_q(p))
-    return acc
+    return qfact_q(n).exact_div(math.prod(map(qfact_q, parts), start=_ONE))
 
 
 # -- quotient-ring elements -----------------------------------------------

@@ -17,23 +17,6 @@ from functools import lru_cache
 from .laurent import falling_q, qbinom_q, u_pow
 
 
-class RMatrixBlock:
-    """Braiding psi: V_m (x) V_n -> V_n (x) V_m as a sparse block.
-
-    entries maps an input pair (i, j) to a tuple of output terms
-    (j2, i2, coefficient), meaning the image contains
-    coefficient * v~_{j2} (x) v~_{i2} with v~_{j2} in V_n, v~_{i2} in V_m.
-    """
-
-    __slots__ = ("m", "n", "sign", "entries")
-
-    def __init__(self, m, n, sign, entries):
-        self.m = m
-        self.n = n
-        self.sign = sign
-        self.entries = entries
-
-
 @lru_cache(maxsize=None)
 def braiding(m, n, sign):
     """The braiding block (sign +1) or its inverse (sign -1).
@@ -42,6 +25,10 @@ def braiding(m, n, sign):
     from R composed with the flip, the negative one from the flip
     composed with R^(-1); they are mutually inverse as crossings of
     opposite sign stacked on the same pair of strands.
+
+    The block is a dict mapping an input pair (i, j) to a tuple of output
+    terms (j2, i2, coefficient), meaning the image contains
+    coefficient * v~_{j2} (x) v~_{i2} with v~_{j2} in V_n, v~_{i2} in V_m.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -68,7 +55,7 @@ def braiding(m, n, sign):
                     if not c.is_zero():
                         terms.append((j + t, i - t, c))
             entries[(i, j)] = tuple(terms)
-    return RMatrixBlock(m, n, sign, entries)
+    return entries
 
 
 def twist_eigen(n, f):

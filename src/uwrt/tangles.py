@@ -25,11 +25,25 @@ removed.  Identity strands cost nothing.
 
 Coefficients are Laurent polynomials in u packed into big integers with
 one balanced 64-bit digit per q-step, q = u^4 (Kronecker substitution),
-so that polynomial multiplication rides on native bigint
-multiplication.  A value whose u-exponents span several residues mod 4
-keeps one q-step part per residue.  Decoding is exact whenever the
-decoded coefficients fit in a digit; the decoder raises OverflowError
-otherwise.
+so that polynomial multiplication rides on native bigint multiplication.
+A packed value is one pair (offset, int): it holds u^offset times a
+Laurent polynomial in q, so every value packed must lie in one residue
+class of u-exponents mod 4.  Decoding is exact whenever the decoded
+coefficients fit in a digit; the decoder raises DomainError otherwise.
+
+The engine's values have one residue by construction.  Let mu_s be the
+color of strand s mod 2 and alpha_s its weight index mod 2, and put
+
+    P(K) = sum over strands s left of t of mu_s alpha_t
+           + sum over upward strands s of mu_s alpha_s      (mod 2).
+
+Then every state entry at key K lies in u^(C + 2 P(K)) Z[q, 1/q], with C
+fixed for the whole contraction.  By the exponent formula in
+reps.braiding, a crossing term on colors (m, n) has u-exponent
++-mn + 2 dP (mod 4), dP the change of P it makes; a cup or cap term has
+exponent s(n - 2i) = sn (mod 4) and leaves P unchanged.  So the terms
+merged at one key never mix residues, and pack and _padd raise
+DomainError instead of computing with a value that does.
 """
 
 from __future__ import annotations
@@ -46,16 +60,10 @@ from .reps import braiding
 # -- packed Laurent coefficients ------------------------------------------
 #
 # A packed value is a pair (offset, mag) with one balanced base-2^64 digit
-# of mag per q-step: digit k is the coefficient of u^(offset + 4k).  Every
-# engine and surgery-sum value checked is u^s times a polynomial in q, but
-# nothing relies on it: a value spanning several residues mod 4 gets a
-# _Lanes mag, whose lane r packs the q-steps of u^(offset + r).  _Lanes
-# multiplies and tests for zero like an int, so the engine's inline
-# products need no branch.  Packing is a ring map, so decoding is exact
-# whenever the decoded coefficients fit in a digit, however large the
-# intermediate digits grow; sums spanning several residues are formed on
-# decoded values, so they too must fit.  unpack raises OverflowError near
-# the digit boundary.
+# of mag per q-step: digit k is the coefficient of u^(offset + 4k).
+# Packing is a ring map, so decoding is exact whenever the decoded
+# coefficients fit in a digit, however large the intermediate digits
+# grow; unpack raises DomainError near the digit boundary.
 
 _BITS = 64
 _BASE = 1 << _BITS
@@ -67,51 +75,24 @@ PACKED_ZERO = (0, 0)
 PACKED_ONE = (0, 1)
 
 
-class _Lanes:
-    """Mixed-residue magnitude: lanes[r] packs u^(offset + r + 4k)."""
-
-    __slots__ = ("lanes",)
-
-    def __init__(self, lanes):
-        self.lanes = tuple(lanes)
-
-    def __bool__(self):
-        return any(self.lanes)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Lanes):
-            return _Lanes(m * other for m in self.lanes)
-        out = [0] * 4
-        for r, a in enumerate(self.lanes):
-            for s, b in enumerate(other.lanes):
-                # u^(r + s) with r + s >= 4 carries a q: one digit up
-                out[(r + s) % 4] += (a * b) << (_BITS * ((r + s) // 4))
-        return _Lanes(out)
-
-    __rmul__ = __mul__
-
-
 def pack(x):
-    lanes = [sum(c << (_BITS * k) for k, c in enumerate(x.coeffs[r::4]))
-             for r in range(4)]
-    # lane 0 holds the lowest coefficient, which is nonzero unless x = 0
-    return (x.min, _Lanes(lanes) if any(lanes[1:]) else lanes[0])
+    if any(c for i, c in enumerate(x.coeffs) if i % 4):
+        raise DomainError("packed value spans several residues mod 4")
+    return (x.min, sum(c << (_BITS * k) for k, c in enumerate(x.coeffs[::4])))
 
 
 def unpack(value):
-    offset, mag = value
+    e, m = value
     coeffs = {}
-    for r, m in enumerate(mag.lanes if isinstance(mag, _Lanes) else (mag,)):
-        e = offset + r
-        while m:
-            d = m & _MASK
-            if d >= _HALF:
-                d -= _BASE
-            if abs(d) > _HALF - _GUARD:
-                raise OverflowError("packed coefficient near digit boundary")
-            coeffs[e] = d
-            e += 4
-            m = (m - d) >> _BITS
+    while m:
+        d = m & _MASK
+        if d >= _HALF:
+            d -= _BASE
+        if abs(d) > _HALF - _GUARD:
+            raise DomainError("packed coefficient near digit boundary")
+        coeffs[e] = d
+        e += 4
+        m = (m - d) >> _BITS
     return LaurentU.from_dict(coeffs)
 
 
@@ -122,8 +103,8 @@ def _padd(a, b):
         return b
     if not mb:
         return a
-    if (ob - oa) % 4 or type(ma) is not int or type(mb) is not int:
-        return pack(unpack(a) + unpack(b))
+    if (ob - oa) % 4:
+        raise DomainError("sum of packed values in different residues mod 4")
     if oa <= ob:
         return (oa, ma + (mb << (_BITS * ((ob - oa) // 4))))
     return (ob, mb + (ma << (_BITS * ((oa - ob) // 4))))
@@ -325,7 +306,7 @@ def linking_data(d):
 def _packed_block(m, n, sign):
     block = braiding(m, n, sign)
     return {key: tuple(((j2, i2),) + pack(c) for (j2, i2, c) in terms)
-            for key, terms in block.entries.items()}
+            for key, terms in block.items()}
 
 
 def _contract(d, colors, cut=False):

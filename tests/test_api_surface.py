@@ -2,8 +2,10 @@
 
 A public (no leading underscore) module-level function or class must be
 referenced, as a name or an attribute, by some other top-level statement
-of a module in src/uwrt.  A public method's name must be referenced
-somewhere in src/uwrt other than by a call on self in its own body.
+of a module in src/uwrt.  A public method's name must be referenced as
+an attribute somewhere in src/uwrt other than by a call on self in its
+own body: a bare name is a local or a global, never the method, so a
+local variable of the same name does not hide an unused method.
 Imports do not count, and neither do docstrings, so a definition that
 only tests call fails here.
 """
@@ -17,8 +19,8 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _referenced(nodes, method=None):
-    """Names and attributes under nodes, except self.method."""
-    names = set()
+    """(bare names, attribute names) under nodes, except self.method."""
+    names, attributes = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
@@ -26,8 +28,8 @@ def _referenced(nodes, method=None):
             elif isinstance(sub, ast.Attribute) and not (
                     sub.attr == method and isinstance(sub.value, ast.Name)
                     and sub.value.id == "self"):
-                names.add(sub.attr)
-    return names
+                attributes.add(sub.attr)
+    return names, attributes
 
 
 def unreferenced_public_definitions(src=SRC):
@@ -67,9 +69,17 @@ def unreferenced_public_definitions(src=SRC):
             if not node.name.startswith("_"):
                 definitions.append((units, f"{path.stem}.{node.name}"))
     return sorted(qualified for own, qualified in definitions
-                  if not any(qualified.rsplit(".", 1)[1] in names
-                             for unit, names in references
+                  if not any(_mentions(qualified, names, attributes)
+                             for unit, (names, attributes) in references
                              if unit not in own))
+
+
+def _mentions(qualified, names, attributes):
+    """Whether the referenced names can reach the definition: a
+    module-level one by name or attribute, a method by attribute only."""
+    name = qualified.rsplit(".", 1)[1]
+    return name in attributes or (qualified.count(".") == 1
+                                  and name in names)
 
 
 def test_every_public_definition_is_used_in_src():
@@ -104,8 +114,11 @@ def test_detector_flags_a_test_only_method(tmp_path):
         "    def recursive(self, n):\n"
         "        return self.recursive(n - 1) if n else 0\n\n"
         "    @staticmethod\n"
-        "    def make():\n        return Box()\n\n\n"
-        "VALUE = Box().used()\n",
+        "    def make():\n        return Box()\n\n"
+        "    def shadowed(self):\n        return 3\n\n\n"
+        "def outer():\n    shadowed = 4\n    return shadowed\n\n\n"
+        "VALUE = Box().used() + outer()\n",
         encoding="utf-8")
+    # the local variable shadowed is not the method Box.shadowed
     assert unreferenced_public_definitions(tmp_path) == \
-        ["c.Box.make", "c.Box.recursive"]
+        ["c.Box.make", "c.Box.recursive", "c.Box.shadowed"]

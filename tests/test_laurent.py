@@ -11,8 +11,8 @@ from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotAUnit,
 from uwrt.laurent import (GF, LaurentU, ModPoly, ONE, QQ, ZERO,
                           ZZ, cyclotomic, cyclotomic_coeffs, falling_bal,
                           falling_q, pochhammer, q_pow, qbinom_bal, qbinom_q,
-                          qfact_bal, qfact_q, qint_bal, qint_q, qmultinom_q,
-                          qnum, qnum_q, reduce_mod, u_pow, v_pow)
+                          qfact_bal, qfact_q, qint_bal, qmultinom_q, qnum,
+                          reduce_mod, u_pow, v_pow)
 
 laurents = st.builds(LaurentU,
                      st.integers(min_value=-8, max_value=8),
@@ -71,17 +71,24 @@ def test_variable_membership():
 
 
 def test_qint_conventions():
-    assert qint_q(3) == q_pow(3) - 1
     assert qint_bal(2) == v_pow(2) - v_pow(-2)
     assert qnum(2) == v_pow(1) + v_pow(-1)
     assert qnum(3) == q_pow(1) + 1 + q_pow(-1)
-    assert qnum_q(3) == q_pow(2) + q_pow(1) + 1
+    # [i] = {i}/{1} as an exact division, [-i] = -[i] included
+    for i in range(-7, 8):
+        assert qnum(i) == (v_pow(i) - v_pow(-i)).exact_div(v_pow(1)
+                                                            - v_pow(-1))
 
 
 def test_balanced_vs_q_factorials():
-    # {n}! = v^(-n(n+1)/2) {n}_q! as polynomials in u
-    for n in range(6):
-        assert qfact_bal(n) == qfact_q(n) * v_pow(-n * (n + 1) // 2)
+    # {n}! and {n}_q! against their products built inline
+    for n in range(7):
+        bal = q = ONE
+        for k in range(1, n + 1):
+            bal = bal * (v_pow(k) - v_pow(-k))
+            q = q * (q_pow(k) - 1)
+        assert qfact_bal(n) == bal
+        assert qfact_q(n) == q
 
 
 def test_binomials_integral():
@@ -90,19 +97,32 @@ def test_binomials_integral():
             g = qbinom_q(n, k)
             assert all(c >= 0 for c in g.coeffs)
             assert qbinom_bal(n, k).is_in_v()
+            assert qbinom_bal(n, k) == \
+                falling_bal(n, k).exact_div(qfact_bal(k))
     assert qbinom_q(4, 2) == qbinom_q(4, 2).conj() * q_pow(4)
 
 
 def test_falling_and_multinomial():
-    assert falling_q(5, 2) == qint_q(5) * qint_q(4)
-    assert falling_bal(5, 2) == qint_bal(5) * qint_bal(4)
-    assert qmultinom_q(3, (1, 1, 1)) == qnum_q(2) * qnum_q(3)
+    # falling products against inline products, the arguments crossing 0
+    for i in range(-3, 8):
+        for n in range(5):
+            fq = fb = ONE
+            for k in range(n):
+                fq = fq * (q_pow(i - k) - 1)
+                fb = fb * (v_pow(i - k) - v_pow(k - i))
+            assert falling_q(i, n) == fq
+            assert falling_bal(i, n) == fb
+    assert qmultinom_q(3, (1, 1, 1)) == \
+        (1 + q_pow(1)) * (1 + q_pow(1) + q_pow(2))
     assert qmultinom_q(4, (2, 2)) == qbinom_q(4, 2)
 
 
 def test_pochhammer():
     assert pochhammer(0) == ONE
-    assert pochhammer(2) == (1 - q_pow(1)) * (1 - q_pow(2))
+    acc = ONE
+    for n in range(1, 7):
+        acc = acc * (1 - q_pow(n))
+        assert pochhammer(n) == acc
 
 
 def test_cyclotomic():

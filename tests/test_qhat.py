@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from uwrt.errors import DepthExceeded, NotInQ
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import (ONE, ZERO, ModPoly, ZZ, cyclotomic_coeffs,
-                          pochhammer, q_pow)
+                          pochhammer, q_pow, u_pow)
 from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
                        phi_order, reduce, taylor)
 
@@ -28,7 +28,7 @@ def test_constructors():
     with pytest.raises(ValueError):
         HabiroElem(0)
     with pytest.raises(NotInQ):
-        HabiroElem.from_polynomial(q_pow(1) + ONE.shift(1))
+        HabiroElem.from_polynomial(q_pow(1) + u_pow(1))
 
 
 def test_reduce_goldens():

@@ -7,10 +7,10 @@ from uwrt.reps import braiding, twist_eigen
 def _compose(b2, b1):
     """Matrix of b2 after b1 as a dict (input pair) -> {output pair: c}."""
     out = {}
-    for (i, j), terms in b1.entries.items():
+    for (i, j), terms in b1.items():
         acc = {}
         for (j2, i2, c) in terms:
-            for (i3, j3, c2) in b2.entries[(j2, i2)]:
+            for (i3, j3, c2) in b2[(j2, i2)]:
                 key = (i3, j3)
                 acc[key] = acc.get(key, ONE * 0) + c * c2
         out[(i, j)] = {k: v for k, v in acc.items() if not v.is_zero()}
@@ -22,7 +22,7 @@ def test_braiding_weight_conservation():
         for n in range(3):
             for sign in (1, -1):
                 b = braiding(m, n, sign)
-                for (i, j), terms in b.entries.items():
+                for (i, j), terms in b.items():
                     assert terms
                     for (j2, i2, c) in terms:
                         assert 0 <= i2 <= m and 0 <= j2 <= n

@@ -15,18 +15,12 @@ from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
                           linking_data, pack, parse_diagram, unpack, _padd,
                           _pmul)
 
-small_laurents = st.builds(LaurentU,
-                           st.integers(min_value=-6, max_value=6),
-                           st.lists(st.integers(min_value=-99, max_value=99),
-                                    max_size=5))
-
-# u^s * Z[q, 1/q] with s in 0..3: the values the engine and the surgery sum
-# pack; sums of two of them span two residues mod 4 whenever the s differ
-q_graded = st.builds(lambda s, lo, cs: LaurentU.from_q_coeffs(lo, cs).shift(s),
-                     st.integers(min_value=0, max_value=3),
-                     st.integers(min_value=-3, max_value=3),
-                     st.lists(st.integers(min_value=-999, max_value=999),
-                              max_size=5))
+# Packed values are u^s * Z[q, 1/q]: a shift s and a Laurent polynomial in q
+shifts = st.integers(min_value=-6, max_value=6)
+q_polys = st.builds(LaurentU.from_q_coeffs,
+                    st.integers(min_value=-3, max_value=3),
+                    st.lists(st.integers(min_value=-999, max_value=999),
+                             max_size=5))
 
 
 BUILTIN_TEXT = {
@@ -188,11 +182,14 @@ def test_multi_event_slices_multiplicative():
             colored_jones(hopf, (a, b)) * colored_jones(trefoil, (c,))
 
 
-braid_words = st.integers(min_value=2, max_value=3).flatmap(
-    lambda strands: st.tuples(
-        st.just(strands),
-        st.lists(st.tuples(st.integers(min_value=1, max_value=strands - 1),
-                           st.sampled_from((1, -1))), max_size=5)))
+def braids(max_strands):
+    """(strands, word) with 2..max_strands strands and up to 5 letters."""
+    return st.integers(min_value=2, max_value=max_strands).flatmap(
+        lambda strands: st.tuples(
+            st.just(strands),
+            st.lists(st.tuples(
+                st.integers(min_value=1, max_value=strands - 1),
+                st.sampled_from((1, -1))), max_size=5)))
 
 
 def _closure_value(strands, word, color):
@@ -201,7 +198,7 @@ def _closure_value(strands, word, color):
 
 
 @settings(deadline=None, max_examples=60)
-@given(braid_words, st.integers(min_value=0, max_value=2), st.data())
+@given(braids(3), st.integers(min_value=0, max_value=2), st.data())
 def test_braid_closure_invariance(braid, color, data):
     # every component has the same color, so renumbering them is harmless
     strands, word = braid
@@ -217,16 +214,27 @@ def test_braid_closure_invariance(braid, color, data):
 
 
 @settings(deadline=None, max_examples=60)
-@given(small_laurents)
-def test_pack_round_trip(a):
+@given(shifts, q_polys, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=-99, max_value=99).filter(bool))
+def test_pack_round_trip(s, a, r, c):
+    a = a * u_pow(s)
     assert unpack(pack(a)) == a
+    # one more term in another residue mod 4 is refused
+    if not a.is_zero():
+        with pytest.raises(DomainError):
+            pack(a + u_pow(a.min + r, c))
 
 
 @settings(deadline=None, max_examples=60)
-@given(small_laurents, small_laurents)
-def test_packed_arithmetic(a, b):
+@given(shifts, q_polys, q_polys, st.integers(min_value=1, max_value=3))
+def test_packed_arithmetic(s, a, b, r):
+    a, b = a * u_pow(s), b * u_pow(s)
     assert unpack(_padd(pack(a), pack(b))) == a + b
     assert unpack(_pmul(pack(a), pack(b))) == a * b
+    # a sum across residues mod 4 is refused, not computed
+    if not (a.is_zero() or b.is_zero()):
+        with pytest.raises(DomainError):
+            _padd(pack(a), pack(b * u_pow(r)))
 
 
 def test_pack_q_step_layout():
@@ -235,13 +243,50 @@ def test_pack_q_step_layout():
 
 
 @settings(deadline=None, max_examples=60)
-@given(q_graded, q_graded, q_graded)
-def test_packed_q_graded_arithmetic(a, b, c):
+@given(shifts, shifts, q_polys, q_polys, q_polys)
+def test_packed_q_graded_arithmetic(s, t, a, b, c):
+    # a and b share a residue mod 4, c may have another one
+    a, b, c = a * u_pow(s), b * u_pow(s), c * u_pow(t)
     pa, pb, pc = pack(a), pack(b), pack(c)
-    mixed = _padd(pa, pb)
-    assert unpack(mixed) == a + b
-    assert unpack(_padd(mixed, pc)) == a + b + c
-    assert unpack(_pmul(mixed, pc)) == (a + b) * c
-    assert unpack(_pmul(pc, mixed)) == (a + b) * c
-    assert unpack(_pmul(mixed, mixed)) == (a + b) * (a + b)
+    ab = _padd(pa, pb)
+    assert unpack(ab) == a + b
+    assert unpack(_pmul(ab, pc)) == (a + b) * c
+    assert unpack(_pmul(pc, ab)) == (a + b) * c
+    assert unpack(_pmul(ab, ab)) == (a + b) * (a + b)
     assert unpack(_padd(_pmul(pa, pc), _pmul(pb, pc))) == (a + b) * c
+    if (s - t) % 4 and not (c.is_zero() or (a + b).is_zero()):
+        with pytest.raises(DomainError):
+            _padd(ab, pc)
+    else:
+        assert unpack(_padd(ab, pc)) == a + b + c
+
+
+def test_unpack_refuses_digits_near_the_boundary():
+    # the top 8 bits of a digit are a guard band: a digit there may be a
+    # coefficient that overflowed into its neighbour
+    edge = uwrt.tangles._HALF - uwrt.tangles._GUARD
+    assert unpack((3, edge)) == u_pow(3, edge)
+    assert unpack((3, -edge)) == u_pow(3, -edge)
+    for mag in (edge + 1, -edge - 1, 1 + ((edge + 1) << 64)):
+        with pytest.raises(DomainError):
+            unpack((3, mag))
+
+
+# Diagrams beyond braid closures: a flipped cup, and slices holding several
+# cups, caps and crossings.
+EXTRA_TEXTS = ("U'(1)\nA(1)\n", "U(1)\nA(1) U(2)\nA(2)\n",
+               "U(1) U(2)\nA(1) A(2)\n", HOPF_BESIDE_TREFOIL)
+
+@settings(deadline=None, max_examples=60)
+@given(braids(4),
+       st.lists(st.integers(min_value=0, max_value=4), min_size=4,
+                max_size=4))
+def test_contraction_stays_in_one_residue(braid, colors):
+    # every state entry is u^(C + 2P(K)) Z[q, 1/q] (the tangles docstring),
+    # so no merge meets two residues and nothing raises; colored_jones,
+    # which cuts a braid closure open, agrees with the uncut contraction
+    strands, word = braid
+    for d in [closure_of_braid(strands, word)] + \
+            [parse_diagram(t) for t in EXTRA_TEXTS]:
+        cs = tuple(colors[:d.component_count])
+        assert colored_jones(d, cs) == uwrt.tangles._contract(d, cs)
