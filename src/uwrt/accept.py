@@ -13,14 +13,14 @@ from itertools import product
 from .errors import (InterfaceMismatch, NonExactDivision, NotAdmissible,
                      OpenDiagram)
 from .evaluate import eval_padic, eval_rational, modp_value
-from .invariants import (borromean_presentation, eval_root_q,
-                         jm_borromean, jm_from_surgery, knot_borromean,
-                         ohtsuki, poincare_series, reduced_jones,
-                         s3_presentations, theta, theta0, tilde_tau8_check,
-                         congruence_report, wrt, SurgeryPresentation)
-from .laurent import (GF, LaurentU, ModPoly, ONE, ZERO, cyclotomic_coeffs,
+from .invariants import (borromean_presentation, jm_borromean,
+                         jm_from_surgery, knot_borromean, ohtsuki,
+                         poincare_series, reduced_jones, s3_presentations,
+                         theta, theta0, tilde_tau8_check, congruence_report,
+                         wrt, SurgeryPresentation)
+from .laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, q_pow, qbinom_q, qfact_bal, qint_bal,
-                      qnum, reduce_mod, ZZ)
+                      qnum, reduce_mod)
 from .qhat import HabiroElem, equals_at_depth, eval_root, phi_order, taylor
 from .repring import (BasisCombo, _p_in_v, omega_truncated, pairing,
                       pprime_mul, to_P, to_V)
@@ -127,7 +127,7 @@ def criterion_5():
     for pres in presentations:
         j = jm_from_surgery(pres, 8)
         for r in range(1, 9):
-            if eval_root_q(j, r) != wrt(pres, r):
+            if eval_root(j, r) != wrt(pres, r):
                 return False, f"{pres} at r = {r}"
     return True, "eval_root = wrt for 10 presentations, 1 <= r <= 8"
 
@@ -139,10 +139,10 @@ def criterion_6():
         if eval_root(x, 1) != 1:
             return False, "value at r = 1"
         for r in (3, 6):
-            if eval_root_q(x, r) != 1:
+            if eval_root(x, r) != 1:
                 return False, f"value at r = {r}"
         for r in (2, 4):
-            val = eval_root_q(x, r)
+            val = eval_root(x, r)
             if val != 1 and val != -1:
                 return False, f"value at r = {r} not a sign"
     s3 = s3_presentations()
@@ -212,7 +212,7 @@ def criterion_10():
             return False, f"theta at i = {i}"
     kash = theta0(rj)
     for r in range(1, 7):
-        want = reduce_mod(theta(rj, r), cyclotomic_coeffs(r), ZZ, "q")
+        want = reduce_mod(theta(rj, r), cyclotomic_coeffs(r))
         got = eval_root(kash, r)
         if r == 1:
             want = want.as_integer()
@@ -304,8 +304,7 @@ def criterion_11():
     x = jm_borromean(1, 1, -1, 10)
     for p, r in ((3, 5), (5, 4), (7, 3)):
         e = eval_root(x, r)
-        red = ModPoly(GF(p), [c % p for c in e.modulus],
-                      [c % p for c in e.coeffs])
+        red = ModPoly(e.modulus, e.coeffs, p)
         if red != modp_value(x, p, r).value:
             return False, f"pi-compatibility at (p,r)=({p},{r})"
     deeper = jm_borromean(1, 1, -1, 12)

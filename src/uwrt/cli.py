@@ -16,8 +16,8 @@ import sys
 
 from . import accept
 from .errors import DomainError, InputError, UnknownName
-from .evaluate import eval_padic, eval_rational, modp_nonvanishing, \
-    modp_value
+from .evaluate import (check_modp, check_padic, check_rational, eval_padic,
+                       eval_rational, modp_nonvanishing, modp_value)
 from .invariants import (SurgeryPresentation, jm_from_surgery,
                          knot_borromean, ohtsuki, read_text, theta0, wrt)
 from .qhat import eval_root, reduce, taylor
@@ -106,6 +106,15 @@ def cmd_jm(args):
                   "reduced": reduce(x, args.depth).to_json()})
 
 
+# what each mode rejects in its parameters alone, checked before the
+# surgery sum is paid for
+_EVAL_CHECKS = {"root": lambda r: _check_positive("r", r),
+                "rational": check_rational,
+                "padic": check_padic,
+                "modp": check_modp,
+                "modp-scan": lambda p, rmax: check_modp(p, 1)}
+
+
 def _depth_for_eval(mode, params, default):
     if mode == "root":
         return max(default, params[0])
@@ -124,6 +133,7 @@ def cmd_eval(args):
     if len(params) != need:
         raise UnknownName(f"mode {mode} takes {need} parameters")
     pres = _load_presentation(args)
+    _EVAL_CHECKS[mode](*params)
     x = jm_from_surgery(pres, _depth_for_eval(mode, params, args.depth))
     if mode == "root":
         val = eval_root(x, params[0])

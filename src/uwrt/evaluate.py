@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime, \
-    NotInQ, NonInvertibleVariable
-from .laurent import GF, cyclotomic_coeffs, reduce_mod
+from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime, NotInQ
+from .laurent import ModPoly, cyclotomic_coeffs, is_unit, remainder
 
 
 class ResidueValue:
@@ -101,10 +100,7 @@ def eval_rational(x, a, b, m):
     The sum truncates at the multiplicative order r of a/b mod m, since
     (a/b)_r contains the factor 1 - (a/b)^r = 0 mod m.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(m, a * b) != 1:
-        raise NotCoprime(f"gcd({m}, {a}*{b}) != 1")
+    check_rational(a, b, m)
     if m == 1:
         return ResidueValue("int", 1, 0)
     s = a * pow(b, -1, m) % m
@@ -136,12 +132,7 @@ def eval_padic(x, s, p, e):
     (s)_n at least e; that index is found by accumulating exact
     valuations factor by factor.
     """
-    if e < 1:
-        raise ValueError("precision must be positive")
-    if not is_prime(p):
-        raise InputError(f"{p} is not a prime")
-    if s % p == 0:
-        raise NotAUnit(f"{s} is not a unit modulo {p}")
+    check_padic(s, p, e)
     pe = p ** e
     acc = 0
     poch = 1          # (s)_n as an exact integer
@@ -171,21 +162,43 @@ def _valuation(n, p):
 def modp_value(x, p, r):
     """The element evaluated over F_p[q]/(Phi_r mod p): the mod-p WRT
     value at every primitive r-th root of unity simultaneously."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not a prime")
-    if math.gcd(p, r) != 1:
-        raise NotCoprime(f"gcd({p}, {r}) != 1")
+    check_modp(p, r)
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    acc = reduce_mod(x.expand(r), cyclotomic_coeffs(r), GF(p), "q")
+    f = cyclotomic_coeffs(r)
+    acc = ModPoly(f, remainder(*x.expand(r), f), p)
     return ResidueValue("modp-poly", (p, r), acc)
 
 
 def modp_nonvanishing(value):
     """True iff a mod-p value (the ModPoly of modp_value) is nonzero at
     every primitive r-th root, i.e. invertible mod (p, Phi_r)."""
-    try:
-        value.inverse()
-        return True
-    except NonInvertibleVariable:
-        return False
+    return is_unit(value.coeffs, value.modulus, value.p)
+
+
+# -- parameter checks, which need no element and so run before one is built
+
+
+def check_rational(a, b, m):
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if math.gcd(m, a * b) != 1:
+        raise NotCoprime(f"gcd({m}, {a}*{b}) != 1")
+
+
+def check_padic(s, p, e):
+    if e < 1:
+        raise ValueError("precision must be positive")
+    if not is_prime(p):
+        raise InputError(f"{p} is not a prime")
+    if s % p == 0:
+        raise NotAUnit(f"{s} is not a unit modulo {p}")
+
+
+def check_modp(p, r):
+    if not is_prime(p):
+        raise InputError(f"{p} is not a prime")
+    if math.gcd(p, r) != 1:
+        raise NotCoprime(f"gcd({p}, {r}) != 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")

@@ -1,15 +1,18 @@
-"""Exact Laurent-polynomial arithmetic in u = q^(1/4) over Z.
+"""Exact Laurent-polynomial arithmetic in u = q^(1/4) over Z, and
+quotient rings Z[x]/(f) and F_p[x]/(f).
 
 Everything downstream is expressed in the single variable u; v = u^2 and
 q = u^4 are notational subrings.  Coefficients are Python ints, so they
 are arbitrary precision by construction.  All values are immutable.
+Every quotient is by a modulus with unit leading coefficient, so
+remainders are taken over Z and reduced mod p afterwards; no fraction
+is ever formed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
@@ -381,194 +384,85 @@ def qmultinom_q(n, parts):
     return qfact_q(n).exact_div(math.prod(map(qfact_q, parts), start=_ONE))
 
 
-# -- quotient-ring elements -----------------------------------------------
-
-
-class BaseRing:
-    """Coefficient domain tag for ModPoly: Z, F_p or Q."""
-
-    def __init__(self, kind, modulus=None):
-        if kind not in ("Z", "Fp", "Q"):
-            raise ValueError(kind)
-        if kind == "Fp" and modulus is not None:
-            # callers check primality (evaluate.is_prime); this only
-            # rejects moduli below 2
-            if modulus < 2:
-                raise ValueError("not a prime")
-        self.kind = kind
-        self.modulus = modulus
-
-    def coerce(self, x):
-        if self.kind == "Q":
-            return Fraction(x)
-        x = int(x)
-        if self.kind == "Fp":
-            return x % self.modulus
-        return x
-
-    def add(self, a, b):
-        c = a + b
-        if self.kind == "Fp":
-            c %= self.modulus
-        return c
-
-    def mul(self, a, b):
-        c = a * b
-        if self.kind == "Fp":
-            c %= self.modulus
-        return c
-
-    def neg(self, a):
-        if self.kind == "Fp":
-            return (-a) % self.modulus
-        return -a
-
-    def is_unit(self, a):
-        if self.kind == "Q":
-            return a != 0
-        if self.kind == "Z":
-            return a in (1, -1)
-        return math.gcd(int(a), self.modulus) == 1
-
-    def inv(self, a):
-        if self.kind == "Q":
-            if a == 0:
-                raise NonInvertibleVariable("zero in Q")
-            return Fraction(1) / a
-        if self.kind == "Z":
-            if a in (1, -1):
-                return a
-            raise NonInvertibleVariable(f"{a} not a unit in Z")
-        try:
-            return pow(int(a), -1, self.modulus)
-        except ValueError:
-            raise NonInvertibleVariable(f"{a} not invertible mod {self.modulus}")
-
-    def is_field(self):
-        return self.kind in ("Fp", "Q")
-
-    def __eq__(self, other):
-        return (isinstance(other, BaseRing)
-                and (self.kind, self.modulus) == (other.kind, other.modulus))
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
-
-    def __repr__(self):
-        if self.modulus is None:
-            return self.kind
-        return f"{self.kind}({self.modulus})"
-
-
-ZZ = BaseRing("Z")
-QQ = BaseRing("Q")
-
-
-def GF(p):
-    return BaseRing("Fp", p)
+# -- quotient rings over Z and F_p ---------------------------------------
 
 
 class ModPoly:
-    """Element of base[x]/(f(x)).
+    """Element of Z[x]/(f) (p = 0) or F_p[x]/(f) (p > 0).
 
-    The modulus is stored as a coefficient tuple (constant term first)
-    with unit leading coefficient over the base; representatives are
-    reduced to degree < deg(f).
+    The modulus f is a coefficient tuple, constant term first.  Over Z
+    its leading coefficient must be +-1 (else NotAUnit); over F_p it is
+    reduced mod p and scaled to be monic, which leaves the ideal
+    unchanged.  Representatives are reduced to degree < deg f, and mod p
+    when p > 0; callers check that p is prime (evaluate.is_prime).
     """
 
-    __slots__ = ("base", "modulus", "coeffs")
+    __slots__ = ("modulus", "coeffs", "p")
 
-    def __init__(self, base, modulus, coeffs):
-        self.base = base
-        modulus = tuple(base.coerce(c) for c in modulus)
+    def __init__(self, modulus, coeffs, p=0):
+        modulus = tuple(modulus)
         if len(modulus) < 2:
             raise ValueError("modulus must have degree >= 1")
-        if not base.is_unit(modulus[-1]):
-            raise ValueError("modulus leading coefficient must be a unit")
+        if p:
+            inv = pow(modulus[-1], -1, p)     # ValueError if not a unit
+            modulus = tuple(c * inv % p for c in modulus)
         self.modulus = modulus
-        coeffs = [base.coerce(c) for c in coeffs]
-        coeffs = self._reduce(base, modulus, coeffs)
-        self.coeffs = tuple(coeffs)
+        self.p = p
+        self.coeffs = self._reduced(coeffs)
 
-    @staticmethod
-    def _reduce(base, modulus, coeffs):
-        deg = len(modulus) - 1
-        if len(coeffs) > deg:
-            lead_inv = base.inv(modulus[-1])
-        for k in range(len(coeffs) - 1, deg - 1, -1):
-            c = coeffs[k]
-            if c:
-                f = base.mul(c, lead_inv)
-                for i in range(len(modulus)):
-                    coeffs[k - deg + i] = base.add(
-                        coeffs[k - deg + i], base.neg(base.mul(f, modulus[i])))
-        coeffs = coeffs[:deg]
-        while len(coeffs) < deg:
-            coeffs.append(base.coerce(0))
-        return coeffs
-
-    @classmethod
-    def constant(cls, base, modulus, value):
-        return cls(base, modulus, [value])
-
-    @classmethod
-    def variable(cls, base, modulus):
-        return cls(base, modulus, [0, 1])
+    def _reduced(self, coeffs):
+        rem = remainder(0, coeffs, self.modulus)
+        return tuple(c % self.p for c in rem) if self.p else tuple(rem)
 
     def _like(self, coeffs):
-        """Result with this base and modulus; coeffs are already in the
-        base, so nothing is coerced or checked again."""
+        """Result with this modulus and p; the modulus is not checked
+        again."""
         out = object.__new__(ModPoly)
-        out.base = self.base
         out.modulus = self.modulus
-        out.coeffs = tuple(self._reduce(self.base, self.modulus, coeffs))
+        out.p = self.p
+        out.coeffs = self._reduced(coeffs)
         return out
 
     def _check(self, other):
-        if not isinstance(other, ModPoly):
-            other = ModPoly.constant(self.base, self.modulus, other)
-        if other.base != self.base or other.modulus != self.modulus:
+        if isinstance(other, int):
+            return self._like([other])
+        if (not isinstance(other, ModPoly) or other.p != self.p
+                or other.modulus != self.modulus):
             raise ShapeMismatch("incompatible ModPoly operands")
         return other
 
     def __add__(self, other):
         other = self._check(other)
-        return self._like([self.base.add(a, b)
-                           for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like([self.base.neg(a) for a in self.coeffs])
+        return self._like([-a for a in self.coeffs])
 
     def __sub__(self, other):
-        other = self._check(other)
-        return self + (-other)
+        return self + (-self._check(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int) or (self.base.kind == "Q"
-                                      and isinstance(other, Fraction)):
-            c = self.base.coerce(other)
-            return self._like([self.base.mul(a, c) for a in self.coeffs])
-        other = self._check(other)
-        out = [self.base.coerce(0)] * (2 * len(self.coeffs) - 1)
+        if isinstance(other, int):
+            return self._like([a * other for a in self.coeffs])
+        b = self._check(other).coeffs
+        out = [0] * (2 * len(self.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = self.base.add(out[i + j],
-                                                   self.base.mul(a, b))
+                for j, c in enumerate(b):
+                    out[i + j] += a * c
         return self._like(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
-        result = ModPoly.constant(self.base, self.modulus, 1)
+            raise ValueError("ModPoly powers must be >= 0")
+        result = self._like([1])
         base = self
         while n:
             if n & 1:
@@ -578,34 +472,18 @@ class ModPoly:
         return result
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ModPoly.constant(self.base, self.modulus, other)
+        if isinstance(other, int):
+            other = self._like([other])
         if not isinstance(other, ModPoly):
             return NotImplemented
-        return (self.base == other.base and self.modulus == other.modulus
-                and self.coeffs == other.coeffs)
+        return (self.p, self.modulus, self.coeffs) == \
+            (other.p, other.modulus, other.coeffs)
 
     def __hash__(self):
-        return hash((self.base, self.modulus, self.coeffs))
-
-    def inverse(self):
-        """Multiplicative inverse; requires a field base (extended
-        Euclid against the modulus) or a unit constant."""
-        if self.base.is_field():
-            g, s = _poly_ext_gcd(self.base, list(self.coeffs),
-                                 list(self.modulus))
-            if len(g) != 1:
-                raise NonInvertibleVariable("not invertible modulo modulus")
-            ginv = self.base.inv(g[0])
-            return self._like([self.base.mul(c, ginv) for c in s])
-        if all(c == 0 for c in self.coeffs[1:]):
-            return ModPoly.constant(self.base, self.modulus,
-                                    self.base.inv(self.coeffs[0]))
-        raise NonInvertibleVariable(
-            "inverse over a non-field base needs a constant unit")
+        return hash((self.p, self.modulus, self.coeffs))
 
     def as_integer(self):
         """Value for a degree-1 modulus x - a: the residue f(a)."""
@@ -613,65 +491,41 @@ class ModPoly:
             raise ShapeMismatch("modulus is not linear")
         return self.coeffs[0]
 
+    def _base(self):
+        return f"Fp({self.p})" if self.p else "Z"
+
     def to_json(self):
-        return {"base": repr(self.base),
+        return {"base": self._base(),
                 "modulus": [str(c) for c in self.modulus],
                 "coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self):
-        return (f"ModPoly({self.base!r}, deg {len(self.modulus) - 1} modulus, "
-                f"{list(self.coeffs)})")
+        return (f"ModPoly({self._base()}, deg {len(self.modulus) - 1} "
+                f"modulus, {list(self.coeffs)})")
 
 
-def _poly_ext_gcd(base, a, b):
-    """(g, s) with s*a = g mod b, over a field base; g normalized to a
-    minimal-length coefficient list."""
+def is_unit(a, f, p):
+    """Whether sum_i a[i] x^i is a unit of F_p[x]/(f), f of degree >= 1
+    mod p: Euclid's algorithm over F_p ends in a nonzero constant."""
 
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
+    def stripped(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
 
-    def divmod_(num, den):
-        num = num[:]
-        q = [base.coerce(0)] * max(len(num) - len(den) + 1, 0)
-        inv = base.inv(den[-1])
-        for k in range(len(num) - len(den), -1, -1):
-            f = base.mul(num[k + len(den) - 1], inv)
-            q[k] = f
-            if f:
-                for i, d in enumerate(den):
-                    num[k + i] = base.add(num[k + i], base.neg(base.mul(f, d)))
-        return q, strip(num)
-
-    r0, r1 = strip(list(b)), strip(list(a))
-    s0, s1 = [base.coerce(0)], [base.coerce(1)]
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul(base, q, s1)
-        s0, s1 = s1, strip([base.add(x, base.neg(y))
-                            for x, y in _zip_pad(base, s0, qs)])
-    return r0, s0
-
-
-def _poly_mul(base, a, b):
-    if not a or not b:
-        return []
-    out = [base.coerce(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return out
-
-
-def _zip_pad(base, a, b):
-    n = max(len(a), len(b))
-    zero = base.coerce(0)
-    a = a + [zero] * (n - len(a))
-    b = b + [zero] * (n - len(b))
-    return zip(a, b)
+    g, h = stripped(f), stripped(a)
+    while h:
+        inv = pow(h[-1], -1, p)
+        while len(g) >= len(h):
+            c = g[-1] * inv
+            shift = len(g) - len(h)
+            for i, y in enumerate(h):
+                g[shift + i] = (g[shift + i] - c * y) % p
+            while g and not g[-1]:
+                g.pop()
+        g, h = h, g
+    return len(g) == 1
 
 
 def remainder(lo, run, f):
@@ -711,20 +565,21 @@ def remainder(lo, run, f):
     return r
 
 
-def reduce_mod(a, f, base=ZZ, var="q"):
-    """Reduce a LaurentU modulo a polynomial f in the named power of u.
+def reduce_mod(a, f, p=0, var="q"):
+    """Reduce a LaurentU modulo a polynomial f in q (var "q") or in u
+    (var "u"), over Z (p = 0) or F_p.
 
     f is the coefficient sequence of the modulus, constant term first
     (cyclotomic_coeffs gives it for Phi_n).  The remainder is taken over
     Z in one pass (remainder), so f must have leading coefficient +-1,
     and also f(0) = +-1 when a has negative exponents; cyclotomic moduli
-    have both.  Z -> base is a ring map, so the result is the reduction
-    over base.
+    have both.  Z -> F_p is a ring map, so reducing that remainder mod p
+    gives the reduction over F_p.
     """
-    step = {"q": 4, "v": 2, "u": 1}[var]
+    step = {"q": 4, "u": 1}[var]
     start = -a.min % step
     for i, c in enumerate(a.coeffs):
         if c and (i - start) % step:
             raise NotInQ(f"exponent {a.min + i} not a multiple of {step}")
     rem = remainder((a.min + start) // step, a.coeffs[start::step], f)
-    return ModPoly(base, f, rem)
+    return ModPoly(f, rem, p)

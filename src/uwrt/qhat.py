@@ -24,9 +24,8 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DepthExceeded, InputError, NotInQ
-from .laurent import (LaurentU, ZERO, ZZ, ModPoly, cyclotomic,
-                      cyclotomic_coeffs, pochhammer, q_pow, reduce_mod,
-                      remainder)
+from .laurent import (LaurentU, ZERO, ModPoly, cyclotomic, cyclotomic_coeffs,
+                      pochhammer, q_pow, remainder)
 
 DEFAULT_DEPTH = 10
 
@@ -115,8 +114,25 @@ class HabiroElem:
         return HabiroElem(self.depth, out)
 
     def expand(self, d):
-        """The Laurent polynomial sum_{n<d} c_n (q)_n."""
-        return sum((self.terms[n] * pochhammer(n) for n in range(d)), ZERO)
+        """The q-run (lo, run) of sum_{n<d} c_n (q)_n, the polynomial
+        q^lo * sum_i run[i] q^i, by Horner: P <- c_n + (1 - q^(n+1)) P."""
+        lo, run = 0, []
+        for n in range(d - 1, -1, -1):
+            if run:
+                pad = [0] * (n + 1)
+                run = [a - b for a, b in zip(run + pad, pad + run)]
+            c = self.terms[n]
+            if c.coeffs:
+                clo = c.min // 4
+                if clo < lo:
+                    run = [0] * (lo - clo) + run
+                    lo = clo
+                at = clo - lo
+                crun = c.coeffs[::4]
+                run += [0] * (at + len(crun) - len(run))
+                for i, a in enumerate(crun, at):
+                    run[i] += a
+        return lo, run
 
     def __repr__(self):
         bits = [f"({c.to_str()})*(q)_{n}" for n, c in enumerate(self.terms)
@@ -149,8 +165,7 @@ def reduce(x, d):
     """Canonical representative of x in Z[q]/((q)_d)."""
     if d > x.depth:
         raise DepthExceeded(f"requested depth {d} > element depth {x.depth}")
-    acc = x.expand(d)
-    rem = remainder(acc.min // 4, acc.coeffs[::4], pochhammer(d).coeffs[::4])
+    rem = remainder(*x.expand(d), pochhammer(d).coeffs[::4])
     return LaurentU.from_q_coeffs(0, rem)
 
 
@@ -168,7 +183,8 @@ def eval_root(x, r):
         raise ValueError("r must be >= 1")
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    val = reduce_mod(x.expand(r), cyclotomic_coeffs(r), ZZ, "q")
+    f = cyclotomic_coeffs(r)
+    val = ModPoly(f, remainder(*x.expand(r), f))
     return val.as_integer() if r == 1 else val
 
 
@@ -189,12 +205,9 @@ def taylor(x, r, d):
         raise InputError(f"coefficient count must be >= 1, got {d}")
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
-    p = x.expand(r * d)
-    rem = remainder(p.min // 4, p.coeffs[::4],
-                    (cyclotomic(r) ** d).coeffs[::4])
+    rem = remainder(*x.expand(r * d), (cyclotomic(r) ** d).coeffs[::4])
     mod = cyclotomic_coeffs(r)
-    return [ModPoly(ZZ, mod, [comb(j, k) * rem[j]
-                              for j in range(k, len(rem))])
+    return [ModPoly(mod, [comb(j, k) * rem[j] for j in range(k, len(rem))])
             for k in range(d)]
 
 

@@ -1,10 +1,14 @@
 """End-to-end command-line interface tests via cli.main."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uwrt import cli, evaluate
+from uwrt import cli, evaluate, invariants
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import LaurentU
 from uwrt.tangles import builtin, colored_jones
@@ -124,6 +128,17 @@ def test_wrt(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["command"] == "wrt" and obj["r"] == 3
+    assert obj["value"]["base"] == "Z"
+
+
+def test_wrt_not_integral_exits_1(capsys, monkeypatch):
+    original = invariants._unknot_I
+    monkeypatch.setattr(invariants, "_unknot_I",
+                        lambda r, sign: original(r, sign) * 2)
+    surgery = '{"diagram": "unknot", "framings": [1]}'
+    code, out, err = run(capsys, ["wrt", "--surgery", surgery, "3"])
+    assert code == 1 and not out
+    assert "domain error" in err and "not integral" in err
 
 
 def test_kashaev(capsys):
@@ -193,9 +208,23 @@ def test_counts_checked_before_the_surgery_sum(capsys, monkeypatch):
     surgery = '{"diagram": "borromean", "framings": [-1, -1, -1]}'
     for argv in (["ohtsuki", "--surgery", surgery, "0"],
                  ["taylor", "--surgery", surgery, "1", "0"],
-                 ["taylor", "--surgery", surgery, "0", "2"]):
+                 ["taylor", "--surgery", surgery, "0", "2"],
+                 ["eval", "--surgery", surgery, "root", "0"],
+                 ["eval", "--surgery", surgery, "rational", "2", "1", "0"],
+                 ["eval", "--surgery", surgery, "padic", "2", "4", "3"],
+                 ["eval", "--surgery", surgery, "padic", "2", "3", "0"],
+                 ["eval", "--surgery", surgery, "modp", "4", "3"],
+                 ["eval", "--surgery", surgery, "modp", "5", "-3"],
+                 ["eval", "--surgery", surgery, "modp-scan", "4", "5"],
+                 ["eval", "--surgery", surgery, "modp-scan", "0", "2"],
+                 ["eval", "--surgery", surgery, "modp-scan", "1", "5"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and "input error" in err and not out
+    for argv in (["eval", "--surgery", surgery, "rational", "2", "1", "4"],
+                 ["eval", "--surgery", surgery, "padic", "3", "3", "2"],
+                 ["eval", "--surgery", surgery, "modp", "5", "10"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and "domain error" in err and not out
 
 
 def test_taylor_depth_is_what_it_reads(capsys, monkeypatch):
@@ -232,3 +261,66 @@ def test_argparse_rejections(capsys):
         cli.main(["eval", "--surgery", BORR, "complex", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- fuzzing over the documented grammar --------------------------------------
+#
+# Mostly well-formed; some draws carry a fault: a zero depth, a wrong
+# parameter count, a bad mode parameter or a malformed presentation.
+
+_small = st.integers(min_value=-3, max_value=4)
+_params = st.lists(st.integers(min_value=-2, max_value=2), min_size=3,
+                   max_size=3)
+_surgery = st.one_of(
+    st.builds(lambda ps: {"family": "borromean", "params": ps}, _params),
+    st.builds(lambda ps: {"family": "borromean", "params": ps}, _params),
+    st.builds(lambda d, fs: {"diagram": d, "framings": fs},
+              st.sampled_from(["unknot", "unknot+1", "hopf"]),
+              st.lists(st.sampled_from([1, -1]), min_size=1, max_size=2)),
+    st.sampled_from([{"family": "borromean", "params": [1, 1]},
+                     {"family": "borromean", "params": [1.5, 1, 1]},
+                     {"diagram": "unknot", "framings": [True]},
+                     {"diagram": "nowhere", "framings": [1]},
+                     {"diagram": "unknot", "framings": [2]}, [1], 3]))
+_counts = {"jm": 0, "ohtsuki": 1, "wrt": 1, "taylor": 2, "kashaev": 2,
+           "root": 1, "rational": 3, "padic": 3, "modp": 2, "modp-scan": 2}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["jm", "eval", "ohtsuki", "taylor", "wrt",
+                                    "kashaev", "jones"]))
+    depth = draw(st.sampled_from([1, 2, 3, 3, 0]))
+    argv = [command, "--format", draw(st.sampled_from(["human", "json"])),
+            "--depth", str(depth)]
+    if command == "jones":
+        argv += ["--builtin", draw(st.sampled_from(["unknot", "hopf"]))]
+    elif command != "kashaev":
+        argv += ["--surgery", json.dumps(draw(_surgery))]
+    positional = []
+    if command == "eval":
+        positional.append(draw(st.sampled_from(["root", "rational", "padic",
+                                                "modp", "modp-scan"])))
+    n = _counts.get(positional[0] if positional else command)
+    if n is None:                           # jones: one colour per component
+        n = 1 if argv[-1] == "unknot" else 2
+    n = draw(st.sampled_from([n, n, n, n + 1]))
+    values = draw(st.lists(_small, min_size=n, max_size=n))
+    if command in ("ohtsuki", "taylor", "wrt"):
+        values = [min(v, 3) for v in values]    # keep r * count small
+    positional += [str(v) for v in values]
+    return argv + (["--"] + positional if positional else [])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:            # argparse rejections
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == bool(out.getvalue())

@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from uwrt.errors import (DepthExceeded, InputError, NotAdmissible, NotAKnot,
-                         UnknownName)
+import uwrt.invariants
+from uwrt.errors import (DepthExceeded, InputError, NonExactDivision,
+                         NotAdmissible, NotAKnot, UnknownName)
 from uwrt.invariants import (SurgeryPresentation, TwoVarKnot,
                              borromean_presentation, congruence_report,
                              eval_root_q, jm_borromean, jm_from_surgery,
@@ -111,6 +112,17 @@ def test_wrt_matches_unified_invariant():
     pres = borromean_presentation((-1, -1, -1))
     assert wrt(pres, 3) == eval_root_q(M111, 3)
     assert wrt(pres, 1) == 1
+
+
+def test_wrt_is_checked_integral(monkeypatch):
+    # doubling the unknot value halves the solution: 1/2 at S^3
+    original = uwrt.invariants._unknot_I
+    monkeypatch.setattr(uwrt.invariants, "_unknot_I",
+                        lambda r, sign: original(r, sign) * 2)
+    for pres in s3_presentations()[1:]:
+        with pytest.raises(NonExactDivision):
+            wrt(pres, 3)
+    assert wrt(s3_presentations()[0], 3) == 1      # no framing, no U
 
 
 def test_not_admissible():

@@ -1,6 +1,6 @@
 """Exact Laurent arithmetic, q-combinatorics and quotient rings."""
 
-from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotAUnit,
                          NotInQ, ShapeMismatch)
-from uwrt.laurent import (GF, LaurentU, ModPoly, ONE, QQ, ZERO,
-                          ZZ, cyclotomic, cyclotomic_coeffs, falling_bal,
-                          falling_q, pochhammer, q_pow, qbinom_bal, qbinom_q,
-                          qfact_bal, qfact_q, qint_bal, qmultinom_q, qnum,
-                          reduce_mod, u_pow, v_pow)
+from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
+                          cyclotomic_coeffs, falling_bal, falling_q, is_unit,
+                          pochhammer, q_pow, qbinom_bal, qbinom_q, qfact_bal,
+                          qfact_q, qint_bal, qmultinom_q, qnum, reduce_mod,
+                          u_pow, v_pow)
 
 laurents = st.builds(LaurentU,
                      st.integers(min_value=-8, max_value=8),
@@ -138,71 +138,93 @@ def test_cyclotomic():
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
 
 
-def test_modpoly_field_inverse():
+def test_modpoly_arithmetic():
     mod = [1, 1, 1]          # q^2 + q + 1
-    x = ModPoly.variable(QQ, mod)
+    x = ModPoly(mod, [0, 1])
     assert x * x * x == 1    # q^3 = 1 mod Phi_3
-    inv = (x + 1).inverse()
-    assert (x + 1) * inv == 1
-    with pytest.raises(NonInvertibleVariable):
-        ModPoly(GF(5), [0, 1], [0]).inverse()
+    assert (x + 1) * (-x) == 1           # -q - q^2 = 1 mod Phi_3
+    assert x ** 0 == 1 and x - x == 0 and 2 * x - x == x
+    y = ModPoly(mod, [0, 1], 5)
+    assert (y + 1) * (4 * y) == 1 and y * 6 == y
+    with pytest.raises(NotAUnit):        # not monic over Z
+        ModPoly([1, 1, 2], [0])
+    # over F_p a unit multiple of the modulus is the same ring
+    assert ModPoly([2, 2, 2], [3, 4, 5], 7) == ModPoly(mod, [3, 4, 5], 7)
+    with pytest.raises(ValueError):      # leading coefficient 0 mod 7
+        ModPoly([1, 1, 7], [0], 7)
 
 
 def test_modpoly_shape_guard():
-    a = ModPoly.variable(ZZ, [1, 0, 1])
-    b = ModPoly.variable(ZZ, [1, 1, 1])
+    a = ModPoly([1, 0, 1], [0, 1])
+    b = ModPoly([1, 1, 1], [0, 1])
     with pytest.raises(ShapeMismatch):
         a + b
+    with pytest.raises(ShapeMismatch):
+        b + ModPoly([1, 1, 1], [0, 1], 5)
     with pytest.raises(ShapeMismatch):
         a.as_integer()
 
 
+def _brute_force_unit(a, f, p):
+    """Whether some b of degree < deg f has a*b = 1 in F_p[x]/(f)."""
+    one = ModPoly(f, [1], p)
+    x = ModPoly(f, a, p)
+    return any(x * ModPoly(f, b, p) == one
+               for b in product(range(p), repeat=len(f) - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_is_unit_matches_brute_force(p):
+    moduli = [f for deg in (1, 2)
+              for f in product(range(p), repeat=deg + 1) if f[-1]]
+    for f in moduli:
+        for a in product(range(p), repeat=len(f) - 1):
+            assert is_unit(a, f, p) == _brute_force_unit(a, f, p), (a, f)
+    phi3 = cyclotomic_coeffs(3)              # (x - 1)^2 mod 3
+    assert not is_unit([-1, 1], phi3, 3)
+    assert is_unit([1, 1], phi3, 3)
+    assert not is_unit([0, 0], phi3, 3)
+
+
 def test_reduce_mod():
-    val = reduce_mod(q_pow(5) + q_pow(-1), cyclotomic_coeffs(3), ZZ, "q")
-    x = ModPoly.variable(ZZ, [1, 1, 1])
+    val = reduce_mod(q_pow(5) + q_pow(-1), cyclotomic_coeffs(3))
+    x = ModPoly([1, 1, 1], [0, 1])
     assert val == x ** 5 + x ** 2        # q^-1 = q^2 mod Phi_3
     with pytest.raises(NotInQ):
-        reduce_mod(u_pow(1), cyclotomic_coeffs(3), ZZ, "q")
+        reduce_mod(u_pow(1), cyclotomic_coeffs(3))
     with pytest.raises(TypeError):      # not iterable, so it cannot hang
-        reduce_mod(q_pow(5), cyclotomic(3), ZZ, "q")
+        reduce_mod(q_pow(5), cyclotomic(3))
     with pytest.raises(NotAUnit):       # the remainder is taken over Z
-        reduce_mod(q_pow(5), [1, 1, 2], QQ, "q")
+        reduce_mod(q_pow(5), [1, 1, 2], 7)
     with pytest.raises(NonInvertibleVariable):
-        reduce_mod(q_pow(-1), [2, 1, 1], ZZ, "q")
-    assert reduce_mod(q_pow(5), [2, 1, 1], ZZ, "q") == \
-        ModPoly.variable(ZZ, [2, 1, 1]) ** 5
+        reduce_mod(q_pow(-1), [2, 1, 1])
+    assert reduce_mod(q_pow(5), [2, 1, 1]) == ModPoly([2, 1, 1], [0, 1]) ** 5
 
 
-_STEPS = {"q": 4, "v": 2, "u": 1}
+_STEPS = {"q": 4, "u": 1}
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from([ZZ, QQ, GF(7), GF(13)]), st.sampled_from("qvu"),
+@given(st.sampled_from([0, 7, 13]), st.sampled_from("qu"),
        st.integers(min_value=1, max_value=40),
        st.dictionaries(st.integers(min_value=-150, max_value=150),
                        st.integers(min_value=-10**6, max_value=10**6),
                        max_size=5))
-def test_reduce_mod_matches_definition(base, var, n, terms):
+def test_reduce_mod_matches_definition(p, var, n, terms):
     # sum c x^k, with x^k = x^(k mod n) a ModPoly power: Phi_n divides
     # q^n - 1
     f = cyclotomic_coeffs(n)
-    x = ModPoly.variable(base, f)
-    want = ModPoly.constant(base, f, 0)
+    x = ModPoly(f, [0, 1], p)
+    want = ModPoly(f, [0], p)
     for k, c in terms.items():
         want = want + x ** (k % n) * c
     step = _STEPS[var]
     a = LaurentU.from_dict({step * k: c for k, c in terms.items()})
-    assert reduce_mod(a, f, base, var) == want
+    assert reduce_mod(a, f, p, var) == want
     if var != "u":
         with pytest.raises(NotInQ):
-            reduce_mod(a + u_pow(step * min(terms, default=0) + 1), f,
-                       base, var)
-
-
-def test_base_rings():
-    assert QQ.coerce(3) == Fraction(3)
-    assert GF(7).inv(3) == 5
-    assert GF(7).is_unit(3) and not GF(7).is_unit(0)
+            reduce_mod(a + u_pow(step * min(terms, default=0) + 1), f, p,
+                       var)
 
 
 @settings(deadline=None, max_examples=60)

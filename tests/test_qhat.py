@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, NotInQ
 from uwrt.invariants import jm_borromean
-from uwrt.laurent import (ONE, ZERO, ModPoly, ZZ, cyclotomic_coeffs,
+from uwrt.laurent import (ONE, ZERO, LaurentU, ModPoly, cyclotomic_coeffs,
                           pochhammer, q_pow, u_pow)
 from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
                        phi_order, reduce, taylor)
@@ -85,7 +85,7 @@ def test_eval_root():
     q = HabiroElem.from_polynomial(q_pow(1))
     assert eval_root(q, 1) == 1
     v3 = eval_root(q, 3)
-    assert v3 == ModPoly.variable(ZZ, [1, 1, 1])
+    assert v3 == ModPoly([1, 1, 1], [0, 1])
     with pytest.raises(DepthExceeded):
         eval_root(HabiroElem(3), 4)
 
@@ -184,7 +184,17 @@ def test_taylor_is_ring_map(x, y, r, d, conj):
         x, y = x.conj(), y.conj()
     x, y = HabiroElem(r * d, x.terms), HabiroElem(r * d, y.terms)
     tx, ty, txy = taylor(x, r, d), taylor(y, r, d), taylor(x * y, r, d)
-    zero = ModPoly(ZZ, cyclotomic_coeffs(r), [0])
+    zero = ModPoly(cyclotomic_coeffs(r), [0])
     for k in range(d):
         assert txy[k] == sum((tx[i] * ty[k - i] for i in range(k + 1)),
                              zero)
+
+
+@settings(deadline=None, max_examples=40)
+@given(elems(8), st.integers(min_value=0, max_value=8), st.booleans())
+def test_expand_matches_definition(x, d, conj):
+    if conj:
+        x = x.conj()
+    want = sum((x.terms[n] * pochhammer(n) for n in range(d)), ZERO)
+    lo, run = x.expand(d)
+    assert LaurentU.from_q_coeffs(lo, run) == want
