@@ -106,35 +106,28 @@ def cmd_jm(args):
                   "reduced": reduce(x, args.depth).to_json()})
 
 
-# what each mode rejects in its parameters alone, checked before the
-# surgery sum is paid for
-_EVAL_CHECKS = {"root": lambda r: _check_positive("r", r),
-                "rational": check_rational,
-                "padic": check_padic,
-                "modp": check_modp,
-                "modp-scan": lambda p, rmax: check_modp(p, 1)}
-
-
-def _depth_for_eval(mode, params, default):
-    if mode == "root":
-        return max(default, params[0])
-    if mode == "modp":
-        return max(default, params[1])
-    return default
+# per eval mode: the parameter count, what the mode rejects in its
+# parameters alone (checked before the surgery sum is paid for), and the
+# parameter r, if any, that J_M must reach: its value at an r-th root
+# reads r terms
+_EVAL_MODES = {"root": (1, lambda r: _check_positive("r", r), 0),
+               "rational": (3, check_rational, None),
+               "padic": (3, check_padic, None),
+               "modp": (2, check_modp, 1),
+               "modp-scan": (2, lambda p, rmax: check_modp(p, 1), 1)}
 
 
 def cmd_eval(args):
     mode = args.mode
     params = args.params
-    need = {"root": 1, "rational": 3, "padic": 3, "modp": 2,
-            "modp-scan": 2}.get(mode)
-    if need is None:
-        raise UnknownName(f"unknown eval mode {mode!r}")
+    need, check, r_index = _EVAL_MODES[mode]
     if len(params) != need:
         raise UnknownName(f"mode {mode} takes {need} parameters")
     pres = _load_presentation(args)
-    _EVAL_CHECKS[mode](*params)
-    x = jm_from_surgery(pres, _depth_for_eval(mode, params, args.depth))
+    check(*params)
+    depth = args.depth if r_index is None else max(args.depth,
+                                                   params[r_index])
+    x = jm_from_surgery(pres, depth)
     if mode == "root":
         val = eval_root(x, params[0])
         human = str(val) if isinstance(val, int) else _modpoly_str(val)
@@ -246,9 +239,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="specialize the unified invariant")
     common(p, surgery=True)
-    p.add_argument("mode",
-                   choices=("root", "rational", "padic", "modp",
-                            "modp-scan"))
+    p.add_argument("mode", choices=tuple(_EVAL_MODES))
     p.add_argument("params", type=int, nargs="*")
     p.set_defaults(func=cmd_eval)
 

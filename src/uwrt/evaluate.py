@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime, NotInQ
+from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime
 from .laurent import ModPoly, cyclotomic_coeffs, is_unit, remainder
 
 
@@ -74,89 +74,49 @@ def is_prime(n):
     return True
 
 
-def _eval_poly_mod(c, s, m):
-    """A Laurent polynomial in q at q = s modulo m (s a unit mod m)."""
+def _truncated_value(x, s, m):
+    """sum_n c_n (s)_n modulo m, for s a unit mod m.
+
+    Every term from the first n with (s)_n = 0 mod m on carries that
+    factor, so the value is the q-polynomial x.expand(n) at q = s,
+    taken by Horner mod m.
+    """
+    n = 0
+    poch = 1 % m          # (s)_n mod m
+    while poch:
+        if n >= x.depth:
+            raise DepthExceeded(
+                f"(q)_n at q = {s} does not vanish mod {m} within "
+                f"depth {x.depth}")
+        n += 1
+        poch = poch * (1 - pow(s, n, m)) % m
+    lo, run = x.expand(n)
     acc = 0
-    sinv = None
-    for i, co in enumerate(c.coeffs):
-        if not co:
-            continue
-        e = c.min + i
-        if e % 4:
-            raise NotInQ("element involves fractional powers of q")
-        k = e // 4
-        if k >= 0:
-            acc += co * pow(s, k, m)
-        else:
-            if sinv is None:
-                sinv = pow(s, -1, m)
-            acc += co * pow(sinv, -k, m)
-    return acc % m
+    for c in reversed(run):
+        acc = (acc * s + c) % m
+    return acc * pow(s, lo, m) % m
 
 
 def eval_rational(x, a, b, m):
     """Value at q = a/b modulo m, for gcd(m, ab) = 1.
 
-    The sum truncates at the multiplicative order r of a/b mod m, since
-    (a/b)_r contains the factor 1 - (a/b)^r = 0 mod m.
+    The sum truncates at the first n with (a/b)_n = 0 mod m, at the
+    latest the multiplicative order r of a/b mod m, since (a/b)_r
+    contains the factor 1 - (a/b)^r = 0 mod m.
     """
     check_rational(a, b, m)
-    if m == 1:
-        return ResidueValue("int", 1, 0)
-    s = a * pow(b, -1, m) % m
-    order = 1
-    t = s
-    while t != 1:
-        if order >= x.depth:
-            raise DepthExceeded(
-                f"depth {x.depth} < multiplicative order of {a}/{b} "
-                f"mod {m}")
-        t = t * s % m
-        order += 1
-    acc = 0
-    poch = 1
-    spow = 1
-    for n in range(order):
-        c = x.terms[n]
-        if not c.is_zero():
-            acc = (acc + _eval_poly_mod(c, s, m) * poch) % m
-        spow = spow * s % m
-        poch = poch * (1 - spow) % m
-    return ResidueValue("int", m, acc)
+    return ResidueValue("int", m,
+                        _truncated_value(x, a * pow(b, -1, m) % m, m))
 
 
 def eval_padic(x, s, p, e):
     """Value at q = s modulo p^e, for an integer s not divisible by p.
 
-    The sum truncates at the first n with p-valuation of the integer
-    (s)_n at least e; that index is found by accumulating exact
-    valuations factor by factor.
+    The sum truncates at the first n with (s)_n = 0 mod p^e.
     """
     check_padic(s, p, e)
-    pe = p ** e
-    acc = 0
-    poch = 1          # (s)_n as an exact integer
-    n = 0
-    while _valuation(poch, p) < e:
-        if n >= x.depth:
-            raise DepthExceeded(
-                f"depth {x.depth} too small for precision {p}^{e} at {s}")
-        c = x.terms[n]
-        if not c.is_zero():
-            acc = (acc + _eval_poly_mod(c, s % pe, pe) * (poch % pe)) % pe
-        n += 1
-        poch *= 1 - s ** n
-    return ResidueValue("prime-power", (p, e), acc)
-
-
-def _valuation(n, p):
-    if n == 0:
-        return math.inf
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return ResidueValue("prime-power", (p, e),
+                        _truncated_value(x, s % p ** e, p ** e))
 
 
 def modp_value(x, p, r):

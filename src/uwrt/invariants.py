@@ -264,35 +264,10 @@ def poincare_series(N=DEFAULT_DEPTH):
 
 
 # -- the two-variable knot invariant ------------------------------------------
-
-
-class TwoVarKnot:
-    """Truncation of the two-variable knot invariant in the sigma basis:
-    coefficient n is the knot's value on P''_n = P_n / {2n+1}_{2n}, a
-    Laurent polynomial."""
-
-    __slots__ = ("depth", "coeffs")
-
-    def __init__(self, depth, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) != depth:
-            raise ValueError("coefficient count does not match depth")
-        self.depth = depth
-        self.coeffs = tuple(coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TwoVarKnot) and self.depth == other.depth
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        bits = [f"({c.to_str()})*s_{n}" for n, c in enumerate(self.coeffs)
-                if not c.is_zero()]
-        return f"TwoVarKnot[depth {self.depth}](" + (" + ".join(bits) or "0") \
-            + ")"
-
-    def to_json(self):
-        return {"depth": self.depth,
-                "coeffs": [c.to_json() for c in self.coeffs]}
+#
+# Truncated at depth N, the invariant is the tuple of its first N
+# coefficients in the sigma basis: coefficient n is the knot's value on
+# P''_n = P_n / {2n+1}_{2n}, a Laurent polynomial.
 
 
 def knot_borromean(i, j, N=DEFAULT_DEPTH):
@@ -301,10 +276,8 @@ def knot_borromean(i, j, N=DEFAULT_DEPTH):
     out = []
     for l in range(N):
         c = omega_coeff(i, l) * omega_coeff(j, l)
-        if l % 2:
-            c = -c
-        out.append(c)
-    return TwoVarKnot(N, out)
+        out.append(-c if l % 2 else c)
+    return tuple(out)
 
 
 def reduced_jones(d, N=DEFAULT_DEPTH):
@@ -318,7 +291,7 @@ def reduced_jones(d, N=DEFAULT_DEPTH):
         for a, c in sorted(_p_in_v(n).items()):
             acc = acc + c * colored_jones(d, (a,)) * twist_eigen(a, -w)
         out.append(acc.exact_div(falling_bal(2 * n + 1, 2 * n)))
-    return TwoVarKnot(N, out)
+    return tuple(out)
 
 
 def theta(x, i):
@@ -327,14 +300,14 @@ def theta(x, i):
     if i == 0:
         raise ValueError("use theta0 for the i = 0 specialization")
     a = abs(i)
-    if a > x.depth:
-        raise DepthExceeded(f"depth {x.depth} < |i| = {a}")
+    if a > len(x):
+        raise DepthExceeded(f"depth {len(x)} < |i| = {a}")
     acc = ZERO
     fac = ONE
     for k in range(a):
         if k:
             fac = fac * (q_pow(i) + q_pow(-i) - q_pow(k) - q_pow(-k))
-        acc = acc + x.coeffs[k] * fac
+        acc = acc + x[k] * fac
     return acc
 
 
@@ -342,12 +315,12 @@ def theta0(x):
     """The unified Kashaev invariant: t -> 1, with the k-th sigma value
     (-1)^k q^(-k(k+1)/2) (q)_k^2 contributing one (q)_k to slot k."""
     out = []
-    for k, c in enumerate(x.coeffs):
+    for k, c in enumerate(x):
         c = c * pochhammer(k) * q_pow(-k * (k + 1) // 2)
         if k % 2:
             c = -c
         out.append(c)
-    return HabiroElem(x.depth, out)
+    return HabiroElem(len(x), out)
 
 
 # -- WRT invariants at roots of unity -----------------------------------------

@@ -11,7 +11,6 @@ is ever formed.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 
@@ -263,14 +262,6 @@ class LaurentU:
 
     def to_json(self):
         return {"var": "u", "min": self.min, "coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json(obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if obj.get("var", "u") != "u":
-            raise NotInQ("unknown variable tag")
-        return LaurentU(obj["min"], obj["coeffs"])
 
 
 _ZERO = LaurentU(0, ())

@@ -55,10 +55,6 @@ class HabiroElem:
             raise NotInQ(p.to_str())
         return HabiroElem(depth, {0: p})
 
-    @staticmethod
-    def zero(depth=DEFAULT_DEPTH):
-        return HabiroElem(depth)
-
     def __add__(self, other):
         other = _as_elem(other, self.depth)
         d = min(self.depth, other.depth)
@@ -143,11 +139,6 @@ class HabiroElem:
     def to_json(self):
         return {"depth": self.depth,
                 "terms": [c.to_json() for c in self.terms]}
-
-    @staticmethod
-    def from_json(obj):
-        return HabiroElem(obj["depth"],
-                          [LaurentU.from_json(t) for t in obj["terms"]])
 
 
 def _as_elem(x, depth):

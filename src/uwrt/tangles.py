@@ -11,17 +11,17 @@ of events drawn left to right:
     X-(a,b)     negative crossing
 
 Strand interfaces between consecutive slices must match in count,
-component and orientation; the whole word must be closed.  Crossings
-are evaluated only between two downward-oriented strands: every link
-used here is presented as a nested closure of a braid, which needs no
-other crossing type.
+component and orientation; the whole word must be closed.  A crossing
+must join two downward-oriented strands, and any other is rejected
+when the diagram is read: every link used here is presented as a
+nested closure of a braid, which needs no other crossing type.
 
-The contraction engine keeps a sparse state vector over the current
-interface, keyed by one weight index per strand, and applies the
-non-identity events one at a time.  Each rewrites only the indices at
-its own position: its position in the slice, shifted by the strands
-that the cups and caps to its left in the same slice have added or
-removed.  Identity strands cost nothing.
+Validation walks the interface once and records each non-identity
+event as a step at its position in the interface of that moment.  The
+contraction engine keeps a sparse state vector over the current
+interface, keyed by one weight index per strand, and applies the steps
+one at a time; each rewrites only the indices at its own position.
+Identity strands cost nothing.
 
 Coefficients are Laurent polynomials in u packed into big integers with
 one balanced 64-bit digit per q-step, q = u^4 (Kronecker substitution),
@@ -126,15 +126,19 @@ class Diagram:
     ("x", sign, a, b) with 0-based component ids and o in "du".
     crossing_sums[a][b] is the signed number of crossings between
     components a and b: twice their linking number for a != b, the
-    self-writhe of a on the diagonal.
+    self-writhe of a on the diagonal.  steps lists the non-identity
+    events in contraction order, each at its interface position (see
+    _validate).
     """
 
-    __slots__ = ("slices", "component_count", "crossing_sums", "name")
+    __slots__ = ("slices", "component_count", "crossing_sums", "steps",
+                 "name")
 
     def __init__(self, slices, name=None):
         self.slices = tuple(tuple(s) for s in slices)
         self.name = name
-        self.component_count, self.crossing_sums = _validate(self.slices)
+        self.component_count, self.crossing_sums, self.steps = \
+            _validate(self.slices)
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -148,6 +152,15 @@ class Diagram:
 
 
 def _validate(slices):
+    """(component count, crossing sums, steps) of a closed slice word.
+
+    Each non-identity event becomes one step (p, kind, ...), p its
+    position in the interface of that moment: the strands that the
+    events to its left in the same slice put out.  A crossing is
+    (p, "x", sign, a, b); a cup or cap is (p, kind, c, s), its index i
+    carrying u^(s(n - 2i)) on colour n: s = 2 on a flipped cup (kappa),
+    -2 on a cap closing (d, u) (its inverse), 0 otherwise.
+    """
     interface = []        # list of (comp, orient, segment)
     seg_count = 0
     parent = {}
@@ -161,6 +174,7 @@ def _validate(slices):
     comps = set()
     loops = {}
     signed = {}
+    steps = []
     for row, events in enumerate(slices):
         pos = 0
         out = []
@@ -172,27 +186,23 @@ def _validate(slices):
                     f"slice {row + 1} consumes more strands than available")
             below = interface[pos:pos + need]
             pos += need
+            p = len(out)
             if kind == "id":
                 _, c, o = ev
-                bc, bo, seg = below[0]
+                bc, bo, _ = below[0]
                 if (bc, bo) != (c, o):
                     raise InterfaceMismatch(
                         f"slice {row + 1}: identity strand expects "
                         f"component {c + 1} {o}, found {bc + 1} {bo}")
-                out.append((c, o, seg))
+                out += below
             elif kind == "cup":
                 _, c, flipped = ev
-                s1, s2 = seg_count, seg_count + 1
-                seg_count += 2
-                parent[s1] = s1
-                parent[s2] = s1
+                parent[seg_count] = seg_count      # one arc, two ends
+                pair = [(c, "d", seg_count), (c, "u", seg_count)]
+                seg_count += 1
                 comps.add(c)
-                if flipped:
-                    out.append((c, "u", s1))
-                    out.append((c, "d", s2))
-                else:
-                    out.append((c, "d", s1))
-                    out.append((c, "u", s2))
+                steps.append((p, "cup", c, 2 if flipped else 0))
+                out += pair[::-1] if flipped else pair
             elif kind == "cap":
                 _, c = ev
                 (c1, o1, sg1), (c2, o2, sg2) = below
@@ -208,19 +218,23 @@ def _validate(slices):
                     loops[c] = loops.get(c, 0) + 1
                 else:
                     parent[r2] = r1
+                steps.append((p, "cap", c, -2 if o1 == "d" else 0))
             else:
                 _, sign, a, b = ev
-                (c1, o1, sg1), (c2, o2, sg2) = below
+                (c1, o1, _), (c2, o2, _) = below
                 if (c1, c2) != (a, b):
                     raise InterfaceMismatch(
                         f"slice {row + 1}: crossing labels ({a + 1},{b + 1}) "
                         f"do not match strands ({c1 + 1},{c2 + 1})")
-                s = sign if o1 == o2 else -sign
-                signed[a, b] = signed.get((a, b), 0) + s
+                if o1 != "d" or o2 != "d":
+                    raise UnsupportedCrossing(
+                        f"slice {row + 1}: crossings are evaluated only "
+                        "between two downward strands")
+                signed[a, b] = signed.get((a, b), 0) + sign
                 if a != b:
-                    signed[b, a] = signed.get((b, a), 0) + s
-                out.append((c2, o2, sg2))
-                out.append((c1, o1, sg1))
+                    signed[b, a] = signed.get((b, a), 0) + sign
+                steps.append((p, "x", sign, a, b))
+                out += below[::-1]
         if pos != len(interface):
             raise InterfaceMismatch(
                 f"slice {row + 1} leaves {len(interface) - pos} strands "
@@ -239,7 +253,7 @@ def _validate(slices):
                 f"component {c + 1} forms {loops.get(c, 0)} loops, "
                 "expected a single closed loop")
     return m, tuple(tuple(signed.get((a, b), 0) for b in range(m))
-                    for a in range(m))
+                    for a in range(m)), tuple(steps)
 
 
 # -- parser -----------------------------------------------------------------
@@ -310,79 +324,39 @@ def _packed_block(m, n, sign):
 
 
 def _contract(d, colors, cut=False):
-    """Contract the diagram bottom-up, one non-identity event at a time.
+    """Contract the diagram one step of d.steps at a time.
 
-    The slice word is compiled into steps (p, width, block): the step
-    replaces the width indices at position p of each state key by each
-    (pair, offset, mag) term that block lists for them.  A crossing maps
-    (i, j) to its output pairs (j2, i2), a cup maps () to every (i, i),
-    and a cap maps (i, i) to () and drops the other keys.  Cup and cap
-    weights are pure u-shifts.  The events of a slice act on disjoint
-    strands, so they apply one after another, left to right; p is the
-    event's position in the interface of that moment: its position in
-    the slice plus the net strands that the cups (+2) and caps (-2) to
-    its left in the same slice have added.  Identity strands cost
-    nothing.
+    A step replaces the indices at its position p of each state key by
+    each (pair, offset, mag) term that its colour block lists for them:
+    a crossing maps (i, j) to its output pairs (j2, i2), a cup maps ()
+    to every (i, i), and a cap maps (i, i) to () and drops the other
+    keys.  Cup and cap weights are pure u-shifts.  Identity strands
+    cost nothing.
 
     With cut=True the first slice must be a single plain cup; that cup
-    is removed, the two strands it created become a fixed (v~_0, v~^0)
-    boundary, and the result is the (0,0) matrix element of the cut-open
-    tangle operator.  Since the operator on an irreducible color is a
-    scalar, the closed value is that element times [n+1]; the caller is
-    responsible for the factor.  This avoids carrying one spectator
-    index through the whole contraction.
+    (step 0) is skipped, the two strands it created become a fixed
+    (v~_0, v~^0) boundary, and the result is the (0,0) matrix element of
+    the cut-open tangle operator.  Since the operator on an irreducible
+    color is a scalar, the closed value is that element times [n+1]; the
+    caller is responsible for the factor.  This avoids carrying one
+    spectator index through the whole contraction.
     """
-    slices = d.slices
-    if cut:
-        state = {(0, 0): PACKED_ONE}
-        c = slices[0][0][1]
-        interface = [(c, "d"), (c, "u")]
-        slices = slices[1:]
-    else:
-        state = {(): PACKED_ONE}
-        interface = []
-    steps = []
-    for events in slices:
-        pos = shift = 0
-        out = []
-        for ev in events:
-            kind = ev[0]
-            below = interface[pos:pos + _ARITY[kind]]
-            p = pos + shift
-            pos += _ARITY[kind]
-            if kind == "id":
-                out.append(below[0])
-            elif kind == "x":
-                _, sign, a, b = ev
-                if below != [(a, "d"), (b, "d")]:
-                    raise UnsupportedCrossing(
-                        "crossings are evaluated only between two "
-                        "downward strands")
-                steps.append((p, 2, _packed_block(colors[a], colors[b],
-                                                  sign)))
-                out += [(b, "d"), (a, "d")]
+    state = {(0, 0) if cut else (): PACKED_ONE}
+    for step in d.steps[1:] if cut else d.steps:
+        p, kind = step[:2]
+        if kind == "x":
+            _, _, sign, a, b = step
+            block = _packed_block(colors[a], colors[b], sign)
+        else:
+            _, _, c, s = step
+            n = colors[c]
+            if kind == "cup":
+                block = {(): tuple(((i, i), s * (n - 2 * i), 1)
+                                   for i in range(n + 1))}
             else:
-                # index i carries u^(s(n - 2i)): kappa on a flipped cup,
-                # its inverse on a cap closing (d, u), 1 otherwise
-                c = ev[1]
-                n = colors[c]
-                if kind == "cup":
-                    s = 2 if ev[2] else 0
-                    terms = tuple(((i, i), s * (n - 2 * i), 1)
-                                  for i in range(n + 1))
-                    steps.append((p, 0, {(): terms}))
-                    pair = [(c, "d"), (c, "u")]
-                    out += pair[::-1] if ev[2] else pair
-                    shift += 2
-                else:
-                    s = -2 if below[0][1] == "d" else 0
-                    steps.append((p, 2, {(i, i): (((), s * (n - 2 * i), 1),)
-                                         for i in range(n + 1)}))
-                    shift -= 2
-        interface = out
-
-    for p, width, block in steps:
-        q = p + width
+                block = {(i, i): (((), s * (n - 2 * i), 1),)
+                         for i in range(n + 1)}
+        q = p if kind == "cup" else p + 2
         new = {}
         for key, (o, mag) in state.items():
             head, tail = key[:p], key[q:]
@@ -392,7 +366,8 @@ def _contract(d, colors, cut=False):
                 old = new.get(k)
                 new[k] = v if old is None else _padd(old, v)
         # only merges can cancel: a cup's terms land on distinct keys
-        state = {k: v for k, v in new.items() if v[1]} if width else new
+        state = new if kind == "cup" else {k: v for k, v in new.items()
+                                           if v[1]}
     return unpack(state.get((), PACKED_ZERO))
 
 

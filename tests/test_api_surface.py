@@ -5,9 +5,11 @@ referenced, as a name or an attribute, by some other top-level statement
 of a module in src/uwrt.  A public method's name must be referenced as
 an attribute somewhere in src/uwrt other than by a call on self in its
 own body: a bare name is a local or a global, never the method, so a
-local variable of the same name does not hide an unused method.
-Imports do not count, and neither do docstrings, so a definition that
-only tests call fails here.
+local variable of the same name does not hide an unused method.  An
+attribute read off a class defined in src/uwrt, K.m, counts only toward
+K.m, so it does not hide an unused method m of another class.  Imports
+do not count, and neither do docstrings, so a definition that only
+tests call fails here.
 """
 
 import ast
@@ -18,17 +20,22 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "uwrt"
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _referenced(nodes, method=None):
-    """(bare names, attribute names) under nodes, except self.method."""
+def _referenced(nodes, classes, method=None):
+    """(bare names, attributes) under nodes, except self.method: an
+    attribute is its name, or (K, name) when read off a class K in
+    classes."""
     names, attributes = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
-            elif isinstance(sub, ast.Attribute) and not (
-                    sub.attr == method and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "self"):
-                attributes.add(sub.attr)
+            elif isinstance(sub, ast.Attribute):
+                owner = sub.value.id if isinstance(sub.value, ast.Name) \
+                    else None
+                if owner in classes:
+                    attributes.add((owner, sub.attr))
+                elif not (sub.attr == method and owner == "self"):
+                    attributes.add(sub.attr)
     return names, attributes
 
 
@@ -37,37 +44,42 @@ def unreferenced_public_definitions(src=SRC):
     that no other top-level statement under src references, and
     "module.Class.name" of every public method whose name nothing under
     src references but a call on self in its own body."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
     definitions = []            # (units the definition owns, name)
     references = []             # (unit, referenced names)
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem, tree in trees.items():
         for i, node in enumerate(tree.body):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             if not isinstance(node, ast.ClassDef):
-                sid = (path.stem, i)
-                references.append((sid, _referenced([node])))
+                sid = (stem, i)
+                references.append((sid, _referenced([node], classes)))
                 if (isinstance(node, _DEFS)
                         and not node.name.startswith("_")):
-                    definitions.append(({sid}, f"{path.stem}.{node.name}"))
+                    definitions.append(({sid}, f"{stem}.{node.name}"))
                 continue
             # each method is a unit of its own and the rest of the class
             # one more; the class owns them all, a method owns none
-            rest = (path.stem, i, None)
+            rest = (stem, i, None)
             units = {rest}
             references.append((rest, _referenced(
                 node.bases + node.keywords + node.decorator_list
-                + [s for s in node.body if not isinstance(s, _DEFS)])))
+                + [s for s in node.body if not isinstance(s, _DEFS)],
+                classes)))
             for j, sub in enumerate(node.body):
                 if isinstance(sub, _DEFS):
-                    mid = (path.stem, i, j)
+                    mid = (stem, i, j)
                     units.add(mid)
-                    references.append((mid, _referenced([sub], sub.name)))
+                    references.append(
+                        (mid, _referenced([sub], classes, sub.name)))
                     if not sub.name.startswith("_"):
                         definitions.append(
-                            (set(), f"{path.stem}.{node.name}.{sub.name}"))
+                            (set(), f"{stem}.{node.name}.{sub.name}"))
             if not node.name.startswith("_"):
-                definitions.append((units, f"{path.stem}.{node.name}"))
+                definitions.append((units, f"{stem}.{node.name}"))
     return sorted(qualified for own, qualified in definitions
                   if not any(_mentions(qualified, names, attributes)
                              for unit, (names, attributes) in references
@@ -76,10 +88,12 @@ def unreferenced_public_definitions(src=SRC):
 
 def _mentions(qualified, names, attributes):
     """Whether the referenced names can reach the definition: a
-    module-level one by name or attribute, a method by attribute only."""
-    name = qualified.rsplit(".", 1)[1]
-    return name in attributes or (qualified.count(".") == 1
-                                  and name in names)
+    module-level one by name or attribute, a method by an attribute of
+    its name that is not read off another class."""
+    parts = qualified.split(".")
+    if len(parts) == 2:
+        return parts[1] in names or parts[1] in attributes
+    return parts[2] in attributes or tuple(parts[1:]) in attributes
 
 
 def test_every_public_definition_is_used_in_src():
@@ -116,9 +130,14 @@ def test_detector_flags_a_test_only_method(tmp_path):
         "    @staticmethod\n"
         "    def make():\n        return Box()\n\n"
         "    def shadowed(self):\n        return 3\n\n\n"
+        "class Crate:\n"
+        "    @staticmethod\n"
+        "    def make():\n        return Crate()\n\n\n"
         "def outer():\n    shadowed = 4\n    return shadowed\n\n\n"
-        "VALUE = Box().used() + outer()\n",
+        "VALUE = Box().used() + outer() + len([Crate.make()])\n",
         encoding="utf-8")
-    # the local variable shadowed is not the method Box.shadowed
+    # the local variable shadowed is not the method Box.shadowed, and
+    # Crate.make reaches Crate's make, not Box's
     assert unreferenced_public_definitions(tmp_path) == \
         ["c.Box.make", "c.Box.recursive", "c.Box.shadowed"]
+

@@ -3,17 +3,28 @@
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwrt import cli, evaluate, invariants
+from uwrt import cli, evaluate, invariants, tangles
 from uwrt.invariants import jm_borromean
-from uwrt.laurent import LaurentU
+from uwrt.qhat import eval_root
 from uwrt.tangles import builtin, colored_jones
 
 BORR = '{"family": "borromean", "params": [1, 1, 1]}'
+README = Path(__file__).resolve().parent.parent / "README.md"
+TREFOIL = """U(1)
+|1_ U(1) |1^
+X-(1,1) |1^ |1^
+X-(1,1) |1^ |1^
+X-(1,1) |1^ |1^
+|1_ A(1) |1^
+A(1)
+"""
 
 
 def run(capsys, argv):
@@ -36,8 +47,7 @@ def test_jones_json_deterministic(capsys):
     assert out1 == out2
     obj = json.loads(out1)
     assert obj["command"] == "jones"
-    assert LaurentU.from_json(obj["value"]) == \
-        colored_jones(builtin("hopf"), (1, 1))
+    assert obj["value"] == colored_jones(builtin("hopf"), (1, 1)).to_json()
 
 
 def test_jones_from_file(capsys, tmp_path):
@@ -78,6 +88,19 @@ def test_eval_modp_scan(capsys):
     assert lines[0] == "modulus-type,p,r,value-encoding,nonvanishing-flag"
     rs = [int(line.split(",")[2]) for line in lines[1:]]
     assert rs == [1, 2, 3, 4, 6]        # r = 5 skipped, shares a factor
+    # r past --depth 10: J_M is built at depth rmax, and every row is the
+    # value at the root reduced mod p
+    code, out, _ = run(capsys,
+                       ["eval", "--surgery", BORR, "modp-scan", "5", "12"])
+    assert code == 0
+    x = jm_borromean(1, 1, 1, 12)
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [int(row[2]) for row in rows] == \
+        [r for r in range(1, 13) if r % 5]
+    for row in rows:
+        val = eval_root(x, int(row[2]))
+        want = [val % 5] if row[2] == "1" else [c % 5 for c in val.coeffs]
+        assert [int(c) for c in row[3].split(";")] == want
 
 
 def test_eval_modp_value_computed_once(capsys, monkeypatch):
@@ -244,6 +267,40 @@ def test_taylor_depth_is_what_it_reads(capsys, monkeypatch):
                           "2", "3"], 6)):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out and depths[-1] == depth
+
+
+def test_upward_crossing_refused_before_any_contraction(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("contraction started")
+
+    monkeypatch.setattr(invariants, "colored_jones", fail)
+    monkeypatch.setattr(tangles, "colored_jones", fail)
+    monkeypatch.setattr(tangles, "_contract", fail)
+    # two upward crossings of opposite signs: a 0-framed split link if
+    # they were read at all
+    diagram = ("U(1)\n|1_ U(2) |1^\n|1_ |2_ X+(2,1)\n|1_ |2_ X-(1,2)\n"
+               "|1_ A(2) |1^\nA(1)\n")
+    surgery = json.dumps({"diagram": diagram, "framings": [1, 1]})
+    code, out, err = run(capsys, ["jm", "--surgery", surgery])
+    assert code == 1 and not out
+    assert "domain error" in err and "downward" in err
+
+
+def test_readme_commands_exit_0(capsys, tmp_path):
+    # every uwrt line of the README's command-line block, with its
+    # placeholder files filled in
+    surgery, knot = tmp_path / "s.json", tmp_path / "my_knot.txt"
+    surgery.write_text(BORR)
+    knot.write_text(TREFOIL)
+    files = {"s.json": str(surgery), "my_knot.txt": str(knot)}
+    block = README.read_text(encoding="utf-8").split(
+        "## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("uwrt ")]
+    assert len(commands) == 13
+    for argv in commands:
+        code, out, err = run(capsys, [files.get(a, a) for a in argv[1:]])
+        assert code == 0 and out, (argv, err)
 
 
 def test_domain_error_exit_code(capsys):

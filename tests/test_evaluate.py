@@ -1,7 +1,9 @@
 """Rational, p-adic and mod-p specializations of the unified invariant."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, NotAUnit, NotCoprime
@@ -9,7 +11,7 @@ from uwrt.evaluate import (ResidueValue, eval_padic, eval_rational,
                            is_prime, modp_nonvanishing, modp_value)
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import ONE, q_pow
-from uwrt.qhat import HabiroElem, eval_root
+from uwrt.qhat import HabiroElem, eval_root, reduce
 
 M111 = jm_borromean(1, 1, 1, 10)
 
@@ -142,3 +144,33 @@ def test_modp_agrees_with_rational(x):
     poly = modp_value(x, 5, 2).value
     at_minus_one = sum(c * (-1) ** k for k, c in enumerate(poly.coeffs)) % 5
     assert at_minus_one == eval_rational(x, 4, 1, 5).value
+
+
+@settings(deadline=None, max_examples=60)
+@given(elems, st.integers(min_value=-30, max_value=30),
+       st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 1), (7, 1), (11, 1),
+                        (15, 1), (35, 1), (1, 1)]))
+def test_truncated_evaluation_matches_reduce(x, s, modulus):
+    # oracle: the first n with (s)_n = 0 mod m, found on the exact
+    # integers (s)_n, and the canonical representative of x mod (q)_n at
+    # q = s; both evaluations must give it or raise DepthExceeded
+    p, e = modulus
+    m = p ** e
+    assume(math.gcd(s, m) == 1)
+    n, poch = 0, 1
+    while poch % m and n < x.depth:
+        n += 1
+        poch *= 1 - s ** n
+    calls = [lambda: eval_rational(x, s, 1, m).value]
+    if is_prime(p):
+        calls.append(lambda: eval_padic(x, s, p, e).value)
+    if poch % m:
+        for call in calls:
+            with pytest.raises(DepthExceeded):
+                call()
+        return
+    rep = reduce(x, n)
+    want = sum(c * pow(s, (rep.min + 4 * i) // 4, m)
+               for i, c in enumerate(rep.coeffs[::4])) % m
+    for call in calls:
+        assert call() == want

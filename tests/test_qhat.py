@@ -129,10 +129,12 @@ def test_phi_order():
     assert phi_order(HabiroElem.from_polynomial(1, 8), 1, 3) == 0
 
 
-def test_json_round_trip():
-    x = HabiroElem(6, {0: q_pow(2), 3: ONE})
-    y = HabiroElem.from_json(x.to_json())
-    assert y.depth == x.depth and y.terms == x.terms
+def test_to_json_literal():
+    # the CLI's JSON form of an element: its depth and every slot
+    zero = {"var": "u", "min": 0, "coeffs": []}
+    assert HabiroElem(4, {0: q_pow(2), 3: ONE}).to_json() == {
+        "depth": 4, "terms": [{"var": "u", "min": 8, "coeffs": [1]}, zero,
+                              zero, {"var": "u", "min": 0, "coeffs": [1]}]}
 
 
 @settings(deadline=None, max_examples=40)

@@ -129,10 +129,23 @@ def test_integrality_check_survives_optimize(monkeypatch):
         colored_jones(builtin("hopf"), (1, 1))
 
 
+# a closed, 0-framed two-component diagram whose crossings join upward
+# strands
+UPWARD_CROSSINGS = """U(1)
+|1_ U(2) |1^
+|1_ |2_ X+(2,1)
+|1_ |2_ X-(1,2)
+|1_ A(2) |1^
+A(1)
+"""
+
+
 def test_unsupported_crossing():
-    d = parse_diagram("U'(1)\nX+(1,1)\nA(1)\n")
-    with pytest.raises(UnsupportedCrossing):
-        colored_jones(d, (1,))
+    # a crossing must join two downward strands: any other is refused
+    # when the diagram is read, before any contraction
+    for text in ("U'(1)\nX+(1,1)\nA(1)\n", UPWARD_CROSSINGS):
+        with pytest.raises(UnsupportedCrossing):
+            parse_diagram(text)
 
 
 def test_unknown_builtin():
@@ -180,6 +193,18 @@ def test_multi_event_slices_multiplicative():
     for a, b, c in ((1, 1, 1), (0, 2, 1), (2, 1, 2), (1, 2, 0)):
         assert colored_jones(d, (a, b, c)) == \
             colored_jones(hopf, (a, b)) * colored_jones(trefoil, (c,))
+
+
+def test_steps_are_at_interface_positions():
+    # the second cup sits after the two strands of the first; each cap
+    # then finds its strands at the front of the interface of its moment
+    d = parse_diagram("U(1) U(2)\nA(1) A(2)\n")
+    assert d.steps == ((0, "cup", 0, 0), (2, "cup", 1, 0),
+                       (0, "cap", 0, -2), (0, "cap", 1, -2))
+    assert parse_diagram("U'(1)\nA(1)\n").steps == \
+        ((0, "cup", 0, 2), (0, "cap", 0, 0))
+    assert [s[:2] for s in builtin("hopf").steps] == \
+        [(0, "cup"), (1, "cup"), (0, "x"), (0, "x"), (1, "cap"), (0, "cap")]
 
 
 def braids(max_strands):
