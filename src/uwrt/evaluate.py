@@ -74,20 +74,21 @@ def is_prime(n):
     return True
 
 
-def _truncated_value(x, s, m):
+def _truncated_value(x, s, m, point):
     """sum_n c_n (s)_n modulo m, for s a unit mod m.
 
     Every term from the first n with (s)_n = 0 mod m on carries that
     factor, so the value is the q-polynomial x.expand(n) at q = s,
-    taken by Horner mod m.
+    taken by Horner mod m.  point names q and the modulus as the caller
+    gave them, for DepthExceeded: m itself may have too many digits to
+    print.
     """
     n = 0
     poch = 1 % m          # (s)_n mod m
     while poch:
         if n >= x.depth:
             raise DepthExceeded(
-                f"(q)_n at q = {s} does not vanish mod {m} within "
-                f"depth {x.depth}")
+                f"(q)_n at {point} does not vanish within depth {x.depth}")
         n += 1
         poch = poch * (1 - pow(s, n, m)) % m
     lo, run = x.expand(n)
@@ -106,7 +107,8 @@ def eval_rational(x, a, b, m):
     """
     check_rational(a, b, m)
     return ResidueValue("int", m,
-                        _truncated_value(x, a * pow(b, -1, m) % m, m))
+                        _truncated_value(x, a * pow(b, -1, m) % m, m,
+                                         f"q = {a}/{b} mod {m}"))
 
 
 def eval_padic(x, s, p, e):
@@ -116,7 +118,8 @@ def eval_padic(x, s, p, e):
     """
     check_padic(s, p, e)
     return ResidueValue("prime-power", (p, e),
-                        _truncated_value(x, s % p ** e, p ** e))
+                        _truncated_value(x, s % p ** e, p ** e,
+                                         f"q = {s} mod {p}^{e}"))
 
 
 def modp_value(x, p, r):

@@ -4,7 +4,10 @@ The central object is the unified invariant J_M living in the completed
 ring handled by qhat.  It is computed either from an admissible surgery
 presentation (a 0-framed algebraically split diagram together with a
 list of +-1 framings) or from the closed formulas for the family
-obtained by surgery on the Borromean rings.  Specializations provided
+obtained by surgery on the Borromean rings.  Both sum over P'-colours
+with the twist coefficients omega^p_k of repring: surgery coefficient
+-1/p on a component contributes omega^p_k, and a framing f = +-1 is the
+case p = -f.  Specializations provided
 here: the classical WRT value at a root of unity, the Ohtsuki series
 with its congruence checks, and the two-variable knot invariant with
 its theta-specializations.
@@ -23,7 +26,7 @@ from .errors import (DepthExceeded, InputError, NonExactDivision,
                      ZeroDenominator)
 from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
-                      qnum, reduce_mod, u_pow)
+                      qnum, reduce_mod)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import _p_in_v, omega_coeff
 from .reps import twist_eigen
@@ -47,9 +50,10 @@ class SurgeryPresentation:
     """Either a 0-framed diagram with framing data, or a named family.
 
     Diagram form: the diagram must be drawn with zero writhe on every
-    component; the +-1 surgery framings travel separately and are
-    applied through twist eigenvalues.  diagram=None with no framings
-    is the empty link (a presentation of the 3-sphere).
+    component; the +-1 surgery framings travel separately, and a
+    framing f enters the surgery sum as the coefficient omega^(-f)_k of
+    the component's P'_k colour.  diagram=None with no framings is the
+    empty link (a presentation of the 3-sphere).
 
     Family form: family="borromean" with params (i, j, k) meaning
     surgery on the Borromean rings with framings -1/i, -1/j, -1/k;
@@ -207,8 +211,9 @@ def _pprime_table(d, N):
 def jm_from_surgery(pres, N=DEFAULT_DEPTH):
     """J_M from an admissible surgery presentation, at depth N.
 
-    The term for framing-corrected colors (k_1, ..., k_m) is divisible
-    by (q)_K with K = max(k_i); it is stored in slot K after that exact
+    The term for P'-colors (k_1, ..., k_m) is J of the 0-framed diagram
+    times omega^(-f_i)_(k_i) for each framing f_i.  It is divisible by
+    (q)_K with K = max(k_i); it is stored in slot K after that exact
     division, so truncating the k-ranges at N is sound.
     """
     if pres.family is not None:
@@ -223,15 +228,11 @@ def jm_from_surgery(pres, N=DEFAULT_DEPTH):
         term = unpack(val)
         if term.is_zero():
             continue
-        exp = 0
-        sign = 1
         for k, f in zip(ks, fr):
-            term = term.exact_div(qfact_bal(k))      # P_k -> P'_k
-            exp -= f * k * (k + 3)
-            if f == 1 and k % 2:
-                sign = -sign
+            # P_k -> P'_k, then framing f contributes omega^(-f)_k
+            term = term.exact_div(qfact_bal(k)) * omega_coeff(-f, k)
         K = max(ks)
-        out[K] = out[K] + (term * u_pow(exp, sign)).exact_div(pochhammer(K))
+        out[K] = out[K] + term.exact_div(pochhammer(K))
     return HabiroElem(N, out)
 
 

@@ -11,7 +11,6 @@ is ever formed.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
@@ -353,6 +352,7 @@ def pochhammer(n):
 
 
 def qbinom_q(i, n):
+    """[i choose n]_q = {i}_{q,n} / {n}_q!."""
     return falling_q(i, n).exact_div(qfact_q(n))
 
 
@@ -366,13 +366,6 @@ def qnum(i):
     if i < 0:
         return -qnum(-i)
     return LaurentU(2 * (1 - i), (1, 0, 0, 0) * i)
-
-
-def qmultinom_q(n, parts):
-    """[n]_q! / prod [p]_q! = {n}_q! / prod {p}_q! over the given
-    composition of n."""
-    assert sum(parts) == n
-    return qfact_q(n).exact_div(math.prod(map(qfact_q, parts), start=_ONE))
 
 
 # -- quotient rings over Z and F_p ---------------------------------------

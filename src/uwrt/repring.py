@@ -11,14 +11,21 @@ Every coefficient is a Laurent polynomial in u: V and P expand in each
 other over Z[u^+-1], P'-combinations multiply by integral structure
 constants, and the P-coordinates of a P'-combination come from one
 exact division by {n}! at the end.
+
+The twist element omega^p = sum_n omega^p_n P'_n is -1/p surgery on a
+component; a +-1 surgery framing f is the case p = -f.  omega^p_n sums,
+over the partial sums 0 = s_0 <= s_1 <= ... <= s_|p| = n, the
+q-multinomial prod_l [s_l choose s_(l-1)]_q times a power of q with one
+term per step: +-(s_l^2 + s_l) at each interior s_l, with the sign of
+p, and for p < 0 also -(s_l - s_(l-1)) s_(l-1) at every step.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import (LaurentU, ONE, ZERO, q_pow, qbinom_bal, qfact_bal,
-                      qmultinom_q, qnum, v_pow)
+from .laurent import (ONE, ZERO, q_pow, qbinom_bal, qbinom_q, qfact_bal,
+                      qnum, v_pow)
 
 BASES = ("V", "P", "P'")
 
@@ -112,44 +119,31 @@ def pairing(x, y):
 
 
 @lru_cache(maxsize=None)
-def _compositions(n, parts):
-    """All tuples of `parts` nonnegative integers summing to n, in
-    lexicographic order."""
-    if parts == 0:
-        return ((),) if n == 0 else ()
-    if parts == 1:
-        return ((n,),)
-    out = []
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def omega_coeff(p, n):
-    """Coefficient of P'_n in omega^p."""
+    """Coefficient of P'_n in omega^p, by one pass over l = 1..|p|.
+
+    A dict keyed by the partial sum s_l holds the sum over s_1..s_(l-1);
+    the step s_(l-1) -> s_l multiplies by [s_l choose s_(l-1)]_q, by
+    q^(+-(s_l^2 + s_l)) at an interior s_l (l < |p|, the sign of p) and,
+    for p < 0, by q^(-(s_l - s_(l-1)) s_(l-1)).  The prefactor is
+    v^(n(n+3)/2) for p > 0 and (-1)^n v^(-n(n+3)/2) for p < 0.
+    """
     if p == 0:
-        return ONE if n == 0 else LaurentU.zero()
-    k = abs(p)
-    acc = LaurentU.zero()
-    for comp in _compositions(n, k):
-        mult = qmultinom_q(n, comp)
-        s = 0
-        f = 0
-        for part in comp[:-1]:
-            s += part
-            f += s * s + s
-        if p > 0:
-            acc = acc + mult * q_pow(f)
-        else:
-            cross = sum(comp[j] * comp[l]
-                        for j in range(k) for l in range(j + 1, k))
-            acc = acc + mult * q_pow(-f - cross)
-    if p > 0:
-        return v_pow(n * (n + 3) // 2) * acc
-    sign = -1 if n % 2 else 1
-    return sign * v_pow(-n * (n + 3) // 2) * acc
+        return ONE if n == 0 else ZERO
+    sign = 1 if p > 0 else -1
+
+    def step(c, s, t):
+        """c [t choose s]_q, times q^(-(t - s) s) for p < 0."""
+        c = c * qbinom_q(t, s)
+        return c if p > 0 else c * q_pow((s - t) * s)
+
+    row = {0: ONE}
+    for _ in range(abs(p) - 1):
+        row = {t: q_pow(sign * (t * t + t))
+               * sum((step(c, s, t) for s, c in row.items() if s <= t), ZERO)
+               for t in range(n + 1)}
+    acc = sum((step(c, s, n) for s, c in row.items()), ZERO)
+    return v_pow(sign * n * (n + 3) // 2, sign ** n) * acc
 
 
 def omega_truncated(p, N):

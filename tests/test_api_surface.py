@@ -9,7 +9,7 @@ local variable of the same name does not hide an unused method.  An
 attribute read off a class defined in src/uwrt, K.m, counts only toward
 K.m, so it does not hide an unused method m of another class.  Imports
 do not count, and neither do docstrings, so a definition that only
-tests call fails here.
+tests call fails here.  Nor does src/uwrt hold an assert statement.
 """
 
 import ast
@@ -98,6 +98,16 @@ def _mentions(qualified, names, attributes):
 
 def test_every_public_definition_is_used_in_src():
     assert unreferenced_public_definitions() == []
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so a check in src must raise
+    # a typed error instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_detector_flags_a_test_only_function(tmp_path):

@@ -172,6 +172,21 @@ def test_kashaev(capsys):
     assert lines[1] == "slot 1: -q^2 + q"
 
 
+def test_kashaev_large_twist_parameter(capsys):
+    # omega^2000 has 2000 parts in each composition of its coefficients
+    code, out, err = run(capsys, ["kashaev", "--depth", "1", "2000", "1"])
+    assert code == 0 and not err
+    assert out.splitlines()[0] == "slot 0: 1"
+
+
+def test_padic_modulus_too_long_to_print(capsys):
+    # 3^100000 has 47,713 digits, beyond int's default conversion limit
+    code, out, err = run(capsys, ["eval", "--surgery", BORR,
+                                  "padic", "2", "3", "100000"])
+    assert code == 1 and not out
+    assert "domain error" in err and "3^100000" in err
+
+
 def test_surgery_from_file(capsys, tmp_path):
     path = tmp_path / "s3.json"
     path.write_text('{"diagram": "unknot", "framings": [1]}')

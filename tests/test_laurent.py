@@ -11,8 +11,8 @@ from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotAUnit,
 from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           cyclotomic_coeffs, falling_bal, falling_q, is_unit,
                           pochhammer, q_pow, qbinom_bal, qbinom_q, qfact_bal,
-                          qfact_q, qint_bal, qmultinom_q, qnum, reduce_mod,
-                          u_pow, v_pow)
+                          qfact_q, qint_bal, qnum, reduce_mod, u_pow,
+                          v_pow)
 
 laurents = st.builds(LaurentU,
                      st.integers(min_value=-8, max_value=8),
@@ -112,9 +112,12 @@ def test_falling_and_multinomial():
                 fb = fb * (v_pow(i - k) - v_pow(k - i))
             assert falling_q(i, n) == fq
             assert falling_bal(i, n) == fb
-    assert qmultinom_q(3, (1, 1, 1)) == \
+    # a q-multinomial is the product of binomials along its partial
+    # sums: (1, 1, 1) has partial sums 1, 2, 3 and (1, 2, 1) has 1, 3, 4
+    assert qbinom_q(2, 1) * qbinom_q(3, 2) == \
         (1 + q_pow(1)) * (1 + q_pow(1) + q_pow(2))
-    assert qmultinom_q(4, (2, 2)) == qbinom_q(4, 2)
+    assert qbinom_q(3, 1) * qbinom_q(4, 3) == \
+        qfact_q(4).exact_div(qfact_q(1) * qfact_q(2) * qfact_q(1))
 
 
 def test_pochhammer():

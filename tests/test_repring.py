@@ -1,14 +1,16 @@
 """Representation ring bases, the Hopf pairing and the omega elements."""
 
-from math import comb
+from itertools import combinations_with_replacement
 
 import pytest
 
 from uwrt.errors import NonExactDivision
-from uwrt.laurent import ONE, ZERO, falling_bal, qfact_bal, qnum, v_pow
-from uwrt.repring import (BasisCombo, _compositions, omega_coeff,
-                          omega_truncated, pairing, pprime_mul,
-                          pprime_mul_unit, to_P, to_V)
+from uwrt.invariants import jm_borromean
+from uwrt.laurent import (ONE, ZERO, falling_bal, q_pow, qfact_bal, qfact_q,
+                          qnum, v_pow)
+from uwrt.qhat import eval_root
+from uwrt.repring import (BasisCombo, omega_coeff, omega_truncated, pairing,
+                          pprime_mul, pprime_mul_unit, to_P, to_V)
 
 
 def _v_product(x, y):
@@ -98,10 +100,51 @@ def test_pprime_mul_unit_matches_v_basis():
             assert direct == via_v
 
 
-def test_compositions():
-    for n in range(5):
-        for parts in range(1, 4):
-            combos = list(_compositions(n, parts))
-            assert len(combos) == comb(n + parts - 1, parts - 1)
-            assert all(sum(c) == n and len(c) == parts for c in combos)
-            assert combos == sorted(combos)
+def _omega_by_compositions(p, n):
+    """omega^p_n as the sum over the compositions c of n into |p| parts
+    of the q-multinomial [n]_q! / prod [c_l]_q!, each with its own
+    exponent: f = sum of s^2 + s over the interior partial sums s, and
+    for p < 0 also the cross term sum_{a < b} c_a c_b."""
+    acc = ZERO
+    for cuts in combinations_with_replacement(range(n + 1), abs(p) - 1):
+        bounds = (0,) + cuts + (n,)
+        comp = [b - a for a, b in zip(bounds, bounds[1:])]
+        mult = qfact_q(n)
+        for c in comp:
+            mult = mult.exact_div(qfact_q(c))
+        f = sum(s * s + s for s in cuts)
+        if p < 0:
+            f += sum(comp[a] * comp[b] for a in range(len(comp))
+                     for b in range(a + 1, len(comp)))
+        acc = acc + mult * q_pow(f if p > 0 else -f)
+    if p > 0:
+        return v_pow(n * (n + 3) // 2) * acc
+    return (-1) ** n * v_pow(-n * (n + 3) // 2) * acc
+
+
+def test_omega_matches_composition_sum():
+    for p in range(-5, 6):
+        if p:
+            for n in range(8):
+                assert omega_coeff(p, n) == _omega_by_compositions(p, n)
+
+
+def test_omega_first_coefficient_closed_form():
+    # omega^p_1 = v^2 (1 + q^2 + ... + q^(2(p-1))) and
+    # omega^(-p)_1 = -v^(-2) (1 + q^(-2) + ... + q^(-2(p-1)))
+    for p in range(1, 51):
+        assert omega_coeff(p, 1) == v_pow(2) * sum(
+            (q_pow(2 * i) for i in range(p)), ZERO)
+        assert omega_coeff(-p, 1) == -v_pow(-2) * sum(
+            (q_pow(-2 * i) for i in range(p)), ZERO)
+
+
+def test_values_trivial_at_r_dividing_2k_for_large_k():
+    # criterion 9's identity at k = 10 and 20, where omega^k has more
+    # than 10^4 compositions per coefficient
+    for k in (10, 20):
+        for i, j in ((1, -1), (2, -1)):
+            x = jm_borromean(i, j, k, 10)
+            for r in range(1, 11):
+                if (2 * k) % r == 0:
+                    assert eval_root(x, r) == 1, (i, j, k, r)
