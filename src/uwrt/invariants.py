@@ -2,15 +2,15 @@
 
 The central object is the unified invariant J_M living in the completed
 ring handled by qhat.  It is computed either from an admissible surgery
-presentation (a 0-framed algebraically split diagram together with a
-list of +-1 framings) or from the closed formulas for the family
-obtained by surgery on the Borromean rings.  Both sum over P'-colours
-with the twist coefficients omega^p_k of repring: surgery coefficient
--1/p on a component contributes omega^p_k, and a framing f = +-1 is the
-case p = -f.  Specializations provided
-here: the classical WRT value at a root of unity, the Ohtsuki series
-with its congruence checks, and the two-variable knot invariant with
-its theta-specializations.
+presentation (an algebraically split diagram, its components drawn with
+any writhe, and a list of +-1 framings) or from the closed formulas for
+the family obtained by surgery on the Borromean rings.  Both sum over
+P'-colours with the twist coefficients omega^p_k of repring: surgery
+coefficient -1/p on a component contributes omega^p_k, and a framing
+f = +-1 is the case p = -f.  Specializations provided here: the
+classical WRT value at a root of unity, the Ohtsuki series with its
+congruence checks, and the two-variable knot invariant with its
+theta-specializations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (DepthExceeded, InputError, NonExactDivision,
                      NotAdmissible, NotAKnot, NotInQSubring, UnknownName,
@@ -47,13 +47,13 @@ def read_text(path):
 
 
 class SurgeryPresentation:
-    """Either a 0-framed diagram with framing data, or a named family.
+    """Either a diagram with framing data, or a named family.
 
-    Diagram form: the diagram must be drawn with zero writhe on every
-    component; the +-1 surgery framings travel separately, and a
-    framing f enters the surgery sum as the coefficient omega^(-f)_k of
-    the component's P'_k colour.  diagram=None with no framings is the
-    empty link (a presentation of the 3-sphere).
+    Diagram form: the components have linking number 0 and any writhe;
+    the +-1 surgery framings travel separately, and a framing f enters
+    the surgery sum as the coefficient omega^(-f)_k of the component's
+    P'_k colour.  diagram=None with no framings is the empty link (a
+    presentation of the 3-sphere).
 
     Family form: family="borromean" with params (i, j, k) meaning
     surgery on the Borromean rings with framings -1/i, -1/j, -1/k;
@@ -140,6 +140,7 @@ def borromean_presentation(framings):
 
 
 def _check_admissible(d, framings):
+    """One +-1 framing per component and zero linking numbers."""
     if d is None:
         if framings:
             raise NotAdmissible("framings given for the empty link")
@@ -150,17 +151,11 @@ def _check_admissible(d, framings):
     if any(f not in (1, -1) for f in framings):
         raise NotAdmissible("surgery framings must be +1 or -1")
     lk = linking_data(d)
-    m = d.component_count
-    for i in range(m):
-        if lk[i][i] != 0:
+    for i, j in combinations(range(d.component_count), 2):
+        if lk[i][j] != 0:
             raise NotAdmissible(
-                f"component {i + 1} is drawn with writhe {lk[i][i]}, "
-                "expected a 0-framed diagram")
-        for j in range(i + 1, m):
-            if lk[i][j] != 0:
-                raise NotAdmissible(
-                    f"components {i + 1} and {j + 1} have linking number "
-                    f"{lk[i][j]}, expected an algebraically split link")
+                f"components {i + 1} and {j + 1} have linking number "
+                f"{lk[i][j]}, expected an algebraically split link")
 
 
 def _diagram_form(pres):
@@ -178,26 +173,33 @@ def _diagram_form(pres):
 
 
 def _pprime_table(d, N):
-    """Packed J of the 0-framed diagram with colors P_{k_1}, ..., P_{k_m},
-    keyed by (k_1, ..., k_m) in range(N)^m: the packed V-colored table
-    changed to the P basis one axis at a time (mode-n products with the
-    P_k -> V_a matrix), O(m N^(m+1)) packed products in all.
+    """Packed J of the 0-framed link of d with colors P_{k_1}, ...,
+    P_{k_m}, keyed by (k_1, ..., k_m) in range(N)^m: the packed V-colored
+    table, each V_a value times theta_a^(-w) = u^(-w a(a+2)) for the
+    writhe w of its component (a shift of the packed offset), changed to
+    the P basis one axis at a time (mode-n products with the P_k -> V_a
+    matrix), O(m N^(m+1)) packed products in all.
 
     Every sum here stays in one residue of u-exponents mod 4, as packed
-    values must.  _p_in_v(k)[a] lies in u^(2(a+k)) Z[q, 1/q].  A V-colored
-    value of a 0-framed, algebraically split diagram lies in
-    u^(2 sum_X N_X a_X) Z[q, 1/q], N_X the number of cup and cap events
+    values must.  _p_in_v(k)[a] lies in u^(2(a+k)) Z[q, 1/q].  The
+    V-colored value of an algebraically split diagram has u-exponents
+    sum_X (2 N_X a_X + w_X a_X^2) mod 4: N_X counts the cup and cap events
     with nonzero weight shift on component X (the tangles invariant with
-    P = 0 at the empty key).  N_X has the parity of the rotation number
-    of X, which by Whitney's formula is self-crossings + 1 = 1 mod 2, as
-    writhe 0 makes the self-crossings even.  So the product for V_a and
-    P_k on axis X has residue 2k plus the other axes' part, whatever a."""
+    P = 0 at the empty key), each self-crossing adds +-a_X^2, and mixed
+    crossings add 2 lk a_X a_Y = 0.  N_X has the parity of the rotation
+    number of X, which by Whitney's formula is self-crossings + 1 =
+    w_X + 1 mod 2.  So axis X has raw exponent 2(w + 1)a + w a^2, the
+    correction -w a(a + 2) leaves 2a, and the product for V_a and P_k
+    has residue 2k plus the other axes' part, whatever a."""
     to_p = [[] for _ in range(N)]        # a -> [(k, V_a-coefficient of P_k)]
     for k in range(N):
         for a, c in _p_in_v(k).items():
             to_p[a].append((k, pack(c)))
-    table = {a: pack(colored_jones(d, a))
-             for a in product(range(N), repeat=d.component_count)}
+    table = {}
+    for a in product(range(N), repeat=d.component_count):
+        o, mag = pack(colored_jones(d, a))
+        table[a] = (o - sum(w * c * (c + 2) for w, c in zip(d.writhes, a)),
+                    mag)
     for axis in range(d.component_count):
         new = {}
         for key, val in table.items():
@@ -211,7 +213,7 @@ def _pprime_table(d, N):
 def jm_from_surgery(pres, N=DEFAULT_DEPTH):
     """J_M from an admissible surgery presentation, at depth N.
 
-    The term for P'-colors (k_1, ..., k_m) is J of the 0-framed diagram
+    The term for P'-colors (k_1, ..., k_m) is J of the 0-framed link
     times omega^(-f_i)_(k_i) for each framing f_i.  It is divisible by
     (q)_K with K = max(k_i); it is stored in slot K after that exact
     division, so truncating the k-ranges at N is sound.
@@ -285,14 +287,9 @@ def reduced_jones(d, N=DEFAULT_DEPTH):
     """Two-variable invariant of a knot diagram, framing-corrected to 0."""
     if d.component_count != 1:
         raise NotAKnot(f"{d.component_count} components")
-    w = linking_data(d)[0][0]
-    out = []
-    for n in range(N):
-        acc = ZERO
-        for a, c in sorted(_p_in_v(n).items()):
-            acc = acc + c * colored_jones(d, (a,)) * twist_eigen(a, -w)
-        out.append(acc.exact_div(falling_bal(2 * n + 1, 2 * n)))
-    return tuple(out)
+    table = _pprime_table(d, N)
+    return tuple(unpack(table[n,]).exact_div(falling_bal(2 * n + 1, 2 * n))
+                 for n in range(N))
 
 
 def theta(x, i):
@@ -389,8 +386,8 @@ def wrt(pres, r):
         total = ZERO
         for colors in product(range(r - 1), repeat=d.component_count):
             w = ONE
-            for c, f in zip(colors, fr):
-                w = w * qnum(c + 1) * twist_eigen(c, f)
+            for c, f, wr in zip(colors, fr, d.writhes):
+                w = w * qnum(c + 1) * twist_eigen(c, f - wr)
             total = total + w * colored_jones(d, colors)
     denom = ModPoly(mod4, [1])
     for sign in set(fr):

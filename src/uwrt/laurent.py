@@ -312,18 +312,20 @@ def cyclotomic_coeffs(n):
 # integers {i} = v^i - v^(-i) = v^(-i) {i}_q differ from them by a
 # v-monomial, so each balanced product is the q-product times one power
 # of v, and [i] = {i}/{1} = v^(1-i)(1 + q + ... + q^(i-1)).  Only the
-# falling product is multiplied out (once per argument pair, cached);
+# falling product is multiplied out, one factor per new length, cached;
 # binomials are exact divisions, and a failure there is an internal
 # fault, not a caller error.
 
+_falling_cache = {}      # i -> [{i}_{q,0}, {i}_{q,1}, ...]
 
-@lru_cache(maxsize=None)
+
 def falling_q(i, n):
-    """{i}_{q,n} = {i}_q {i-1}_q ... {i-n+1}_q."""
-    acc = _ONE
-    for k in range(n):
-        acc = acc * (q_pow(i - k) - 1)
-    return acc
+    """{i}_{q,n} = {i}_q {i-1}_q ... {i-n+1}_q (1 for n <= 0); each new
+    length is one product with the longest kept for this i."""
+    row = _falling_cache.setdefault(i, [_ONE])
+    while len(row) <= n:
+        row.append(row[-1] * (q_pow(i - len(row) + 1) - 1))
+    return row[max(n, 0)]
 
 
 def qint_bal(i):

@@ -125,20 +125,20 @@ class Diagram:
     Events are tuples: ("id", c, o), ("cup", c, flipped), ("cap", c),
     ("x", sign, a, b) with 0-based component ids and o in "du".
     crossing_sums[a][b] is the signed number of crossings between
-    components a and b: twice their linking number for a != b, the
-    self-writhe of a on the diagonal.  steps lists the non-identity
-    events in contraction order, each at its interface position (see
-    _validate).
+    components a and b: twice their linking number for a != b, and on
+    the diagonal writhes[a], the self-writhe (blackboard framing) of a.
+    steps lists the non-identity events in contraction order, each at
+    its interface position (see _validate).
     """
 
-    __slots__ = ("slices", "component_count", "crossing_sums", "steps",
-                 "name")
+    __slots__ = ("slices", "component_count", "crossing_sums", "writhes",
+                 "steps", "name")
 
     def __init__(self, slices, name=None):
         self.slices = tuple(tuple(s) for s in slices)
         self.name = name
-        self.component_count, self.crossing_sums, self.steps = \
-            _validate(self.slices)
+        (self.component_count, self.crossing_sums, self.writhes,
+         self.steps) = _validate(self.slices)
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -152,7 +152,7 @@ class Diagram:
 
 
 def _validate(slices):
-    """(component count, crossing sums, steps) of a closed slice word.
+    """(components, crossing sums, writhes, steps) of a closed slice word.
 
     Each non-identity event becomes one step (p, kind, ...), p its
     position in the interface of that moment: the strands that the
@@ -252,8 +252,9 @@ def _validate(slices):
             raise InterfaceMismatch(
                 f"component {c + 1} forms {loops.get(c, 0)} loops, "
                 "expected a single closed loop")
-    return m, tuple(tuple(signed.get((a, b), 0) for b in range(m))
-                    for a in range(m)), tuple(steps)
+    sums = tuple(tuple(signed.get((a, b), 0) for b in range(m))
+                 for a in range(m))
+    return m, sums, tuple(sums[c][c] for c in range(m)), tuple(steps)
 
 
 # -- parser -----------------------------------------------------------------
@@ -401,8 +402,7 @@ def colored_jones(d, colors):
         value = element * v_pow(a) * qnum(a + 1)
     else:
         value = _contract(d, colors)
-    writhes = [row[i] for i, row in enumerate(d.crossing_sums)]
-    if all(w % 2 == 0 for w in writhes) and not value.is_in_v():
+    if all(w % 2 == 0 for w in d.writhes) and not value.is_in_v():
         raise DomainError("even-framed value left Z[v, 1/v]")
     _jones_cache[cache_key] = value
     return value

@@ -312,7 +312,7 @@ def test_readme_commands_exit_0(capsys, tmp_path):
         "## Command line", 1)[1].split("```")[1]
     commands = [shlex.split(line, comments=True)
                 for line in block.splitlines() if line.startswith("uwrt ")]
-    assert len(commands) == 13
+    assert len(commands) == 14
     for argv in commands:
         code, out, err = run(capsys, [files.get(a, a) for a in argv[1:]])
         assert code == 0 and out, (argv, err)
@@ -347,8 +347,9 @@ _surgery = st.one_of(
     st.builds(lambda ps: {"family": "borromean", "params": ps}, _params),
     st.builds(lambda ps: {"family": "borromean", "params": ps}, _params),
     st.builds(lambda d, fs: {"diagram": d, "framings": fs},
-              st.sampled_from(["unknot", "unknot+1", "hopf"]),
-              st.lists(st.sampled_from([1, -1]), min_size=1, max_size=2)),
+              st.sampled_from(["unknot", "unknot+1", "unknot-1", "hopf",
+                               "trefoil", "borromean"]),
+              st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3)),
     st.sampled_from([{"family": "borromean", "params": [1, 1]},
                      {"family": "borromean", "params": [1.5, 1, 1]},
                      {"diagram": "unknot", "framings": [True]},
@@ -365,10 +366,12 @@ def _argv(draw):
     depth = draw(st.sampled_from([1, 2, 3, 3, 0]))
     argv = [command, "--format", draw(st.sampled_from(["human", "json"])),
             "--depth", str(depth)]
+    surgery = None
     if command == "jones":
         argv += ["--builtin", draw(st.sampled_from(["unknot", "hopf"]))]
     elif command != "kashaev":
-        argv += ["--surgery", json.dumps(draw(_surgery))]
+        surgery = draw(_surgery)
+        argv += ["--surgery", json.dumps(surgery)]
     positional = []
     if command == "eval":
         positional.append(draw(st.sampled_from(["root", "rational", "padic",
@@ -380,6 +383,11 @@ def _argv(draw):
     values = draw(st.lists(_small, min_size=n, max_size=n))
     if command in ("ohtsuki", "taylor", "wrt"):
         values = [min(v, 3) for v in values]    # keep r * count small
+    if isinstance(surgery, dict) and "diagram" in surgery:
+        # a diagram is contracted at depth <= 3, whatever the command
+        values = [min(v, 3) for v in values]
+        if command == "taylor":
+            values[1:] = [min(v, 1) for v in values[1:]]
     positional += [str(v) for v in values]
     return argv + (["--"] + positional if positional else [])
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import uwrt.invariants
 from uwrt.errors import (DepthExceeded, InputError, NonExactDivision,
@@ -20,6 +22,7 @@ from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.tangles import builtin, closure_of_braid
 
 BORROMEAN_WORD = [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)]
+FIGURE_EIGHT = closure_of_braid(3, [(1, 1), (2, -1), (1, 1), (2, -1)])
 
 M111 = jm_borromean(1, 1, 1, 10)
 
@@ -50,6 +53,60 @@ def test_borromean_family_matches_surgery():
             x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=fr),
                                 4)
             assert equals_at_depth(x, jm_borromean(*(-f for f in fr), 4), 4)
+
+
+def _knot_surgeries():
+    """(presentation, Borromean parameters of the same manifold) for +-1
+    surgery on the trefoil (writhe -3) and the figure-eight (writhe 0):
+    M_(i,j,k) is -1/k surgery on the knot K_(i,j), the trefoil K_(1,1)
+    and the figure-eight K_(1,-1)."""
+    trefoil = builtin("trefoil")
+    return [(SurgeryPresentation(diagram=trefoil, framings=(-1,)), (1, 1, 1)),
+            (SurgeryPresentation(diagram=trefoil, framings=(1,)), (1, 1, -1)),
+            (SurgeryPresentation(diagram=FIGURE_EIGHT, framings=(1,)),
+             (1, -1, -1)),
+            (SurgeryPresentation(diagram=FIGURE_EIGHT, framings=(-1,)),
+             (1, 1, -1))]
+
+
+def test_knot_surgery_matches_closed_form():
+    for pres, ijk in _knot_surgeries():
+        assert equals_at_depth(jm_from_surgery(pres, 8),
+                               jm_borromean(*ijk, 8), 8), (pres, ijk)
+    for pres, ijk in _knot_surgeries():
+        for r in range(2, 8):
+            assert wrt(pres, r) == eval_root_q(jm_borromean(*ijk, r), r)
+
+
+def test_stabilised_borromean_matches_builtin():
+    # a Markov stabilisation draws a kink of writhe +-1 on component 3
+    for sign, fr in ((1, (1, -1, 1)), (-1, (-1, -1, -1))):
+        d = closure_of_braid(4, BORROMEAN_WORD + [(3, sign)])
+        pres = SurgeryPresentation(diagram=d, framings=fr)
+        assert equals_at_depth(jm_from_surgery(pres, 5),
+                               jm_from_surgery(borromean_presentation(fr), 5),
+                               5)
+        for r in range(2, 8):
+            assert wrt(pres, r) == \
+                eval_root_q(jm_borromean(*(-f for f in fr), r), r)
+
+
+_braids = st.integers(min_value=2, max_value=3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(min_value=1, max_value=n - 1),
+                  st.sampled_from([1, -1])), min_size=1, max_size=5)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_braids, st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_knot_surgery_invariant_under_stabilisation(braid, sign, f):
+    n, word = braid
+    d = closure_of_braid(n, word)
+    assume(d.component_count == 1)
+    stabilised = closure_of_braid(n + 1, word + [(n, sign)])
+    x, y = (jm_from_surgery(SurgeryPresentation(diagram=k, framings=(f,)), 4)
+            for k in (d, stabilised))
+    assert equals_at_depth(x, y, 4)
 
 
 def test_jm_borromean_degenerate_and_symmetric():
@@ -133,13 +190,15 @@ def test_not_admissible():
         jm_from_surgery(SurgeryPresentation(diagram=builtin("hopf"),
                                             framings=(1, 1)), 4)
     with pytest.raises(NotAdmissible):
-        jm_from_surgery(SurgeryPresentation(diagram=builtin("unknot+1"),
-                                            framings=(1,)), 4)
-    with pytest.raises(NotAdmissible):
         jm_from_surgery(SurgeryPresentation(diagram=builtin("unknot"),
                                             framings=(1, 1)), 4)
     with pytest.raises(NotAdmissible):
         wrt(SurgeryPresentation(family="borromean", params=(2, 1, 1)), 2)
+    # a kink is blackboard framing, not surgery framing: +1 surgery on
+    # the unknot drawn with writhe +1 is still the 3-sphere
+    x = jm_from_surgery(SurgeryPresentation(diagram=builtin("unknot+1"),
+                                            framings=(1,)), 6)
+    assert equals_at_depth(x, 1, 6)
 
 
 def test_from_json():
@@ -172,6 +231,8 @@ def test_reduced_jones():
     ru = reduced_jones(builtin("unknot"), 5)
     assert ru == (ONE,) + (ZERO,) * 4
     assert reduced_jones(builtin("trefoil"), 6) == knot_borromean(1, 1, 6)
+    stabilised = closure_of_braid(3, [(1, -1)] * 3 + [(2, 1)])
+    assert reduced_jones(stabilised, 6) == knot_borromean(1, 1, 6)
     with pytest.raises(NotAKnot):
         reduced_jones(builtin("hopf"), 4)
 

@@ -113,6 +113,12 @@ def test_linking_data():
     assert linking_data(builtin("hopf")) == [[0, -1], [-1, 0]]
     assert linking_data(builtin("borromean")) == [[0] * 3] * 3
     assert linking_data(builtin("unknot+1")) == [[1]]
+    # the self-writhes are the diagonal, one per component
+    assert builtin("trefoil").writhes == (-3,)
+    assert builtin("hopf").writhes == (0, 0)
+    stabilised = closure_of_braid(
+        4, [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1), (3, -1)])
+    assert stabilised.writhes == (0, 0, -1)
 
 
 def test_color_count_mismatch():
