@@ -284,7 +284,8 @@ def knot_borromean(i, j, N=DEFAULT_DEPTH):
 
 
 def reduced_jones(d, N=DEFAULT_DEPTH):
-    """Two-variable invariant of a knot diagram, framing-corrected to 0."""
+    """Two-variable invariant of a knot diagram, framing-corrected to 0.
+    Packed sums, as in jm_from_surgery: DomainError near the digit bound."""
     if d.component_count != 1:
         raise NotAKnot(f"{d.component_count} components")
     table = _pprime_table(d, N)

@@ -124,9 +124,8 @@ class Diagram:
 
     Events are tuples: ("id", c, o), ("cup", c, flipped), ("cap", c),
     ("x", sign, a, b) with 0-based component ids and o in "du".
-    crossing_sums[a][b] is the signed number of crossings between
-    components a and b: twice their linking number for a != b, and on
-    the diagonal writhes[a], the self-writhe (blackboard framing) of a.
+    crossing_sums[a][b] is twice the linking number of components a != b
+    (0 if a = b), writhes[a] the self-writhe (blackboard framing) of a.
     steps lists the non-identity events in contraction order, each at
     its interface position (see _validate).
     """
@@ -252,9 +251,10 @@ def _validate(slices):
             raise InterfaceMismatch(
                 f"component {c + 1} forms {loops.get(c, 0)} loops, "
                 "expected a single closed loop")
+    writhes = tuple(signed.pop((c, c), 0) for c in range(m))
     sums = tuple(tuple(signed.get((a, b), 0) for b in range(m))
                  for a in range(m))
-    return m, sums, tuple(sums[c][c] for c in range(m)), tuple(steps)
+    return m, sums, writhes, tuple(steps)
 
 
 # -- parser -----------------------------------------------------------------
@@ -305,12 +305,12 @@ def linking_data(d):
     matrix = [list(row) for row in d.crossing_sums]
     for i, row in enumerate(matrix):
         for j, s in enumerate(row):
-            if i != j:
-                row[j], rem = divmod(s, 2)
-                if rem:
-                    raise InterfaceMismatch(
-                        "odd mixed crossing count between components "
-                        f"{i + 1} and {j + 1}")
+            row[j], rem = divmod(s, 2)
+            if rem:
+                raise InterfaceMismatch(
+                    "odd mixed crossing count between components "
+                    f"{i + 1} and {j + 1}")
+        row[i] = d.writhes[i]
     return matrix
 
 

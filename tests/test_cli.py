@@ -383,8 +383,9 @@ def _argv(draw):
     values = draw(st.lists(_small, min_size=n, max_size=n))
     if command in ("ohtsuki", "taylor", "wrt"):
         values = [min(v, 3) for v in values]    # keep r * count small
-    if isinstance(surgery, dict) and "diagram" in surgery:
-        # a diagram is contracted at depth <= 3, whatever the command
+    if (isinstance(surgery, dict) and
+            surgery.get("diagram") in ("unknot-1", "trefoil", "borromean")):
+        # the new diagrams are contracted at depth <= 3, whatever the command
         values = [min(v, 3) for v in values]
         if command == "taylor":
             values[1:] = [min(v, 1) for v in values[1:]]
