@@ -84,11 +84,17 @@ class SurgeryPresentation:
         """Presentation from a JSON object, {"family": "borromean",
         "params": [i, j, k]} or {"diagram": d, "framings": [...]} with d
         a builtin name, a diagram file or the diagram text.  The schema
-        is checked first (InputError): an object, lists of integers
-        (booleans rejected) and a string diagram; null is read as an
-        absent key."""
+        is checked first (InputError): an object with only the keys of
+        its form, lists of integers (booleans rejected) and a string
+        diagram; null is read as an absent key."""
         if not isinstance(obj, dict):
             raise InputError("a surgery presentation is a JSON object")
+        obj = {k: v for k, v in obj.items() if v is not None}
+        form = ("family", "params") if "family" in obj else \
+            ("diagram", "framings")
+        for key in obj:
+            if key not in form:
+                raise InputError(f'unexpected key "{key}" in a {form[0]} form')
         for key in ("params", "framings"):
             value = obj.get(key)
             if value is not None and (

@@ -21,7 +21,9 @@ event as a step at its position in the interface of that moment.  The
 contraction engine keeps a sparse state vector over the current
 interface, keyed by one weight index per strand, and applies the steps
 one at a time; each rewrites only the indices at its own position.
-Identity strands cost nothing.
+Identity strands cost nothing.  colored_jones cuts the link open at the
+outer cup of one component; only an arc on the outer face can be cut,
+so a braid closure is also drawn with each component outermost.
 
 Coefficients are Laurent polynomials in u packed into big integers with
 one balanced 64-bit digit per q-step, q = u^4 (Kronecker substitution),
@@ -127,17 +129,24 @@ class Diagram:
     crossing_sums[a][b] is twice the linking number of components a != b
     (0 if a = b), writhes[a] the self-writhe (blackboard framing) of a.
     steps lists the non-identity events in contraction order, each at
-    its interface position (see _validate).
+    its interface position (see _validate).  cuts[c] lists the steps of
+    a drawing whose first step is an outer plain cup of component c:
+    steps itself if the first slice is one plain cup, and the drawings
+    given (see closure_of_braid).
     """
 
     __slots__ = ("slices", "component_count", "crossing_sums", "writhes",
-                 "steps", "name")
+                 "steps", "cuts", "name")
 
-    def __init__(self, slices, name=None):
+    def __init__(self, slices, name=None, cuts=()):
         self.slices = tuple(tuple(s) for s in slices)
         self.name = name
         (self.component_count, self.crossing_sums, self.writhes,
          self.steps) = _validate(self.slices)
+        self.cuts = dict(cuts)
+        first = self.slices[0]
+        if len(first) == 1 and first[0][0] == "cup" and not first[0][2]:
+            self.cuts[first[0][1]] = self.steps
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -324,7 +333,7 @@ def _packed_block(m, n, sign):
             for key, terms in block.items()}
 
 
-def _contract(d, colors, cut=False):
+def _contract(d, colors, cut=None):
     """Contract the diagram one step of d.steps at a time.
 
     A step replaces the indices at its position p of each state key by
@@ -334,16 +343,17 @@ def _contract(d, colors, cut=False):
     keys.  Cup and cap weights are pure u-shifts.  Identity strands
     cost nothing.
 
-    With cut=True the first slice must be a single plain cup; that cup
-    (step 0) is skipped, the two strands it created become a fixed
-    (v~_0, v~^0) boundary, and the result is the (0,0) matrix element of
-    the cut-open tangle operator.  Since the operator on an irreducible
-    color is a scalar, the closed value is that element times [n+1]; the
-    caller is responsible for the factor.  This avoids carrying one
-    spectator index through the whole contraction.
+    With cut=c the steps are d.cuts[c] instead, whose first step is a
+    plain cup of component c on the outer face.  That cup is skipped,
+    the two strands it created become a fixed (v~_0, v~^0) boundary,
+    and the result is the (0,0) matrix element of the cut-open tangle
+    operator.  Since the operator on an irreducible color is a scalar,
+    the closed value is that element times [n+1]; the caller is
+    responsible for the factor.  This avoids carrying one spectator
+    index through the whole contraction.
     """
-    state = {(0, 0) if cut else (): PACKED_ONE}
-    for step in d.steps[1:] if cut else d.steps:
+    state = {() if cut is None else (0, 0): PACKED_ONE}
+    for step in d.steps if cut is None else d.cuts[cut][1:]:
         p, kind = step[:2]
         if kind == "x":
             _, _, sign, a, b = step
@@ -379,7 +389,13 @@ def colored_jones(d, colors):
     """Exact colored Jones value of a closed diagram with V-weights.
 
     Includes the blackboard framing contribution of the diagram as
-    drawn (kinks count).
+    drawn (kinks count).  The link is cut open at the outer cup of the
+    component in d.cuts of largest colour a (the lowest on a tie), for
+    1/(a+1) of the work: the cut tangle acts on the irreducible V_a as
+    a scalar, so one matrix element determines the closed value (v^a
+    undoes the kappa weight at the quantum-trace cap, [a+1] restores
+    the trace).  Only an arc on the outer face can be cut; pinning an
+    inner cup gives wrong values, so the link is redrawn instead.
     """
     colors = tuple(colors)
     if len(colors) != d.component_count:
@@ -391,17 +407,12 @@ def colored_jones(d, colors):
     hit = _jones_cache.get(cache_key)
     if hit is not None:
         return hit
-    first = d.slices[0]
-    if len(first) == 1 and first[0][0] == "cup" and not first[0][2]:
-        # Cut the outermost component open: the cut tangle acts on the
-        # irreducible V_a as a scalar, so one matrix element determines
-        # the closed value (the v^a undoes the kappa weight sitting at
-        # the quantum-trace cap, [a+1] restores the trace).
-        a = colors[first[0][1]]
-        element = _contract(d, colors, cut=True)
-        value = element * v_pow(a) * qnum(a + 1)
-    else:
+    cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
+    if cut is None:
         value = _contract(d, colors)
+    else:
+        a = colors[cut]
+        value = _contract(d, colors, cut) * v_pow(a) * qnum(a + 1)
     if all(w % 2 == 0 for w in d.writhes) and not value.is_in_v():
         raise DomainError("even-framed value left Z[v, 1/v]")
     _jones_cache[cache_key] = value
@@ -416,7 +427,12 @@ def closure_of_braid(strands, word, name=None):
 
     word is a sequence of (position, sign) pairs, position 1-based as
     sigma_i.  Components are the cycles of the braid permutation,
-    numbered by their smallest top position.
+    numbered by their smallest top position.  The slices close each
+    strand on the right, strand 0 outermost.  Only an arc on the outer
+    face can be cut, so Diagram.cuts also keeps, for each other
+    component, the steps of the link drawn with its first strand t
+    outermost: strands left of t close on the left (a flipped cup at
+    the top, a cap over (up, down) at the bottom), with no crossing added.
     """
     perm = list(range(strands))
     for p, _ in word:
@@ -431,34 +447,39 @@ def closure_of_braid(strands, word, name=None):
             comp_of[j] = m
             j = perm.index(j)
         m += 1
-    slices = []
-    for k in range(strands):
-        row = [("id", comp_of[i], "d") for i in range(k)]
-        row.append(("cup", comp_of[k], False))
-        row += [("id", comp_of[i], "u") for i in range(k - 1, -1, -1)]
-        slices.append(row)
-    current = list(range(strands))
-    for p, sign in word:
-        row = []
-        for i in range(strands):
-            if i == p - 1:
-                row.append(("x", sign, comp_of[current[p - 1]],
-                            comp_of[current[p]]))
-            elif i != p:
-                row.append(("id", comp_of[current[i]], "d"))
-        row += [("id", comp_of[i], "u") for i in range(strands - 1, -1, -1)]
-        slices.append(row)
-        current[p - 1], current[p] = current[p], current[p - 1]
-    for k in range(strands - 1, -1, -1):
-        row = [("id", comp_of[current[i]], "d") for i in range(k)]
-        row.append(("cap", comp_of[current[k]]))
-        row += [("id", comp_of[i], "u") for i in range(k - 1, -1, -1)]
-        slices.append(row)
-    return Diagram(slices, name=name)
+
+    def ids(o, tops):
+        return [("id", comp_of[i], o) for i in tops]
+
+    def drawing(t):
+        # the returns in interface order: n-1 .. t right, t-1 .. 0 left
+        right = ids("u", range(strands - 1, t - 1, -1))
+        left = ids("u", range(t - 1, -1, -1))
+        slices = [ids("d", range(t, k)) + [("cup", comp_of[k], False)]
+                  + right[strands - k:] for k in range(t, strands)]
+        slices += [left[:t - 1 - k] + [("cup", comp_of[k], True)]
+                   + ids("d", range(k + 1, strands)) + right
+                   for k in range(t - 1, -1, -1)]
+        current = list(range(strands))
+        for p, sign in word:
+            a, b = current[p - 1], current[p]
+            slices.append(left + ids("d", current[:p - 1])
+                          + [("x", sign, comp_of[a], comp_of[b])]
+                          + ids("d", current[p + 1:]) + right)
+            current[p - 1], current[p] = b, a
+        slices += [left + ids("d", current[:k])
+                   + [("cap", comp_of[current[k]])] + right[strands - k:]
+                   for k in range(strands - 1, t - 1, -1)]
+        slices += [left[:t - 1 - k] + [("cap", comp_of[current[k]])]
+                   + ids("d", current[k + 1:t]) for k in range(t)]
+        return slices
+
+    cuts = {c: _validate(drawing(comp_of.index(c)))[3] for c in range(1, m)}
+    return Diagram(drawing(0), name=name, cuts=cuts)
 
 
 BUILTIN_NAMES = ("unknot", "unknot+1", "unknot-1", "hopf", "trefoil",
-                 "borromean")
+                 "figure8", "borromean")
 
 
 def builtin(name):
@@ -474,6 +495,9 @@ def builtin(name):
         # the left-handed trefoil: the one arising from the Borromean
         # rings by -1-framed surgery on two components
         return closure_of_braid(2, [(1, -1), (1, -1), (1, -1)], name=name)
+    if name == "figure8":
+        return closure_of_braid(3, [(1, 1), (2, -1), (1, 1), (2, -1)],
+                                name=name)
     if name == "borromean":
         return closure_of_braid(
             3, [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)],

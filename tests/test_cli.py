@@ -232,6 +232,16 @@ def test_input_errors(capsys):
         code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
         assert code == 2 and "input error" in err and not out
         assert "Traceback" not in err
+    # a key of neither form, or of the other form, is named and refused
+    for surgery, key in (
+            ('{"diagram": "unknot", "framings": [1], "params": [2]}',
+             "params"),
+            ('{"family": "borromean", "params": [1, 1, 1], '
+             '"diagram": "hopf"}', "diagram"),
+            ('{"diagrm": "unknot", "framings": [1]}', "diagrm")):
+        code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
+        assert code == 2 and not out
+        assert f'input error: unexpected key "{key}"' in err
     for surgery in ('[1]', '"x"', '1'):        # JSON naming no file
         code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
         assert code == 2 and not out and "Traceback" not in err
@@ -348,13 +358,17 @@ _surgery = st.one_of(
     st.builds(lambda ps: {"family": "borromean", "params": ps}, _params),
     st.builds(lambda d, fs: {"diagram": d, "framings": fs},
               st.sampled_from(["unknot", "unknot+1", "unknot-1", "hopf",
-                               "trefoil", "borromean"]),
+                               "trefoil", "figure8", "borromean"]),
               st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3)),
     st.sampled_from([{"family": "borromean", "params": [1, 1]},
                      {"family": "borromean", "params": [1.5, 1, 1]},
                      {"diagram": "unknot", "framings": [True]},
                      {"diagram": "nowhere", "framings": [1]},
-                     {"diagram": "unknot", "framings": [2]}, [1], 3]))
+                     {"diagram": "unknot", "framings": [2]},
+                     {"diagram": "unknot", "framings": [1], "params": [2]},
+                     {"family": "borromean", "params": [1, 1, 1],
+                      "diagram": "hopf"},
+                     {"diagrm": "unknot", "framings": [1]}, [1], 3]))
 _counts = {"jm": 0, "ohtsuki": 1, "wrt": 1, "taylor": 2, "kashaev": 2,
            "root": 1, "rational": 3, "padic": 3, "modp": 2, "modp-scan": 2}
 
@@ -384,7 +398,8 @@ def _argv(draw):
     if command in ("ohtsuki", "taylor", "wrt"):
         values = [min(v, 3) for v in values]    # keep r * count small
     if (isinstance(surgery, dict) and
-            surgery.get("diagram") in ("unknot-1", "trefoil", "borromean")):
+            surgery.get("diagram") in ("unknot-1", "trefoil", "figure8",
+                                       "borromean")):
         # the new diagrams are contracted at depth <= 3, whatever the command
         values = [min(v, 3) for v in values]
         if command == "taylor":

@@ -22,7 +22,9 @@ from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.tangles import builtin, closure_of_braid
 
 BORROMEAN_WORD = [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)]
-FIGURE_EIGHT = closure_of_braid(3, [(1, 1), (2, -1), (1, 1), (2, -1)])
+FIGURE_EIGHT = builtin("figure8")
+# the right-handed trefoil, writhe +3
+MIRROR_TREFOIL = closure_of_braid(2, [(1, 1)] * 3)
 
 M111 = jm_borromean(1, 1, 1, 10)
 
@@ -57,12 +59,17 @@ def test_borromean_family_matches_surgery():
 
 def _knot_surgeries():
     """(presentation, Borromean parameters of the same manifold) for +-1
-    surgery on the trefoil (writhe -3) and the figure-eight (writhe 0):
-    M_(i,j,k) is -1/k surgery on the knot K_(i,j), the trefoil K_(1,1)
-    and the figure-eight K_(1,-1)."""
+    surgery on the trefoil (writhe -3), its mirror (writhe +3) and the
+    figure-eight (writhe 0): M_(i,j,k) is -1/k surgery on the knot
+    K_(i,j), the trefoil K_(1,1), its mirror K_(-1,-1) and the
+    figure-eight K_(1,-1)."""
     trefoil = builtin("trefoil")
     return [(SurgeryPresentation(diagram=trefoil, framings=(-1,)), (1, 1, 1)),
             (SurgeryPresentation(diagram=trefoil, framings=(1,)), (1, 1, -1)),
+            (SurgeryPresentation(diagram=MIRROR_TREFOIL, framings=(1,)),
+             (-1, -1, -1)),
+            (SurgeryPresentation(diagram=MIRROR_TREFOIL, framings=(-1,)),
+             (-1, -1, 1)),
             (SurgeryPresentation(diagram=FIGURE_EIGHT, framings=(1,)),
              (1, -1, -1)),
             (SurgeryPresentation(diagram=FIGURE_EIGHT, framings=(-1,)),

@@ -9,7 +9,7 @@ import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                          InterfaceMismatch, OpenDiagram, UnknownName,
                          UnsupportedCrossing)
-from uwrt.laurent import LaurentU, q_pow, qnum, u_pow
+from uwrt.laurent import LaurentU, q_pow, qnum, u_pow, v_pow
 from uwrt.reps import twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
                           linking_data, pack, parse_diagram, unpack, _padd,
@@ -130,7 +130,7 @@ def test_integrality_check_survives_optimize(monkeypatch):
     # an odd power of u on an even-framed diagram must raise, not assert
     monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
     monkeypatch.setattr(uwrt.tangles, "_contract",
-                        lambda d, colors, cut=False: u_pow(1))
+                        lambda d, colors, cut=None: u_pow(1))
     with pytest.raises(DomainError):
         colored_jones(builtin("hopf"), (1, 1))
 
@@ -157,6 +157,14 @@ def test_unsupported_crossing():
 def test_unknown_builtin():
     with pytest.raises(UnknownName):
         builtin("figure-eight")
+
+
+def test_figure8_builtin():
+    d = builtin("figure8")
+    assert d == closure_of_braid(3, [(1, 1), (2, -1), (1, 1), (2, -1)])
+    assert d.component_count == 1 and d.writhes == (0,)
+    # amphichiral: the value is bar-invariant
+    assert colored_jones(d, (2,)) == colored_jones(d, (2,)).conj()
 
 
 def test_closure_components():
@@ -213,14 +221,16 @@ def test_steps_are_at_interface_positions():
         [(0, "cup"), (1, "cup"), (0, "x"), (0, "x"), (1, "cap"), (0, "cap")]
 
 
-def braids(max_strands):
-    """(strands, word) with 2..max_strands strands and up to 5 letters."""
-    return st.integers(min_value=2, max_value=max_strands).flatmap(
+def braids(max_strands, min_strands=2, max_letters=5):
+    """(strands, word) with min_strands..max_strands strands and up to
+    max_letters letters (none on one strand)."""
+    return st.integers(min_value=min_strands, max_value=max_strands).flatmap(
         lambda strands: st.tuples(
             st.just(strands),
             st.lists(st.tuples(
-                st.integers(min_value=1, max_value=strands - 1),
-                st.sampled_from((1, -1))), max_size=5)))
+                st.integers(min_value=1, max_value=max(strands - 1, 1)),
+                st.sampled_from((1, -1))),
+                max_size=max_letters if strands > 1 else 0)))
 
 
 def _closure_value(strands, word, color):
@@ -321,3 +331,61 @@ def test_contraction_stays_in_one_residue(braid, colors):
             [parse_diagram(t) for t in EXTRA_TEXTS]:
         cs = tuple(colors[:d.component_count])
         assert colored_jones(d, cs) == uwrt.tangles._contract(d, cs)
+
+
+def test_closure_keeps_the_nested_slices():
+    # strand 0 outermost, every strand closed on the right: the slices
+    # (hence the colored_jones cache keys) of the plain nested closure
+    assert builtin("hopf").slices == (
+        (("cup", 0, False),),
+        (("id", 0, "d"), ("cup", 1, False), ("id", 0, "u")),
+        (("x", -1, 0, 1), ("id", 1, "u"), ("id", 0, "u")),
+        (("x", -1, 1, 0), ("id", 1, "u"), ("id", 0, "u")),
+        (("id", 0, "d"), ("cap", 1), ("id", 0, "u")),
+        (("cap", 0),))
+    # component 2 outermost: strand 1 closes on the left, from a flipped
+    # cup to a cap over (up, down), with no crossing added
+    assert builtin("hopf").cuts[1] == (
+        (0, "cup", 1, 0), (0, "cup", 0, 2), (1, "x", -1, 0, 1),
+        (1, "x", -1, 1, 0), (2, "cap", 1, -2), (0, "cap", 0, 0))
+
+
+def test_text_diagram_cut_only_at_a_lone_first_cup():
+    assert set(parse_diagram(BUILTIN_TEXT["hopf"]).cuts) == {0}
+    for text in ("U'(1)\nA(1)\n", "U(1) U(2)\nA(1) A(2)\n"):
+        assert parse_diagram(text).cuts == {}
+
+
+def test_largest_colour_is_cut(monkeypatch):
+    calls = []
+
+    def recording(d, colors, cut=None):
+        calls.append(cut)
+        return contract(d, colors, cut)
+
+    contract = uwrt.tangles._contract
+    monkeypatch.setattr(uwrt.tangles, "_contract", recording)
+    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    d = builtin("borromean")
+    for colors, cut in (((1, 4, 1), 1), ((4, 1, 1), 0), ((1, 1, 4), 2),
+                        ((1, 1, 1), 0), ((1, 4, 4), 1), ((2, 1, 2), 0)):
+        calls.clear()
+        assert colored_jones(d, colors) == contract(d, colors)
+        assert calls == [cut], colors
+
+
+@settings(deadline=None, max_examples=40)
+@given(braids(4, min_strands=1, max_letters=6),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=4,
+                max_size=4))
+def test_every_cut_drawing_gives_the_closed_value(braid, colors):
+    # each component's outermost drawing, cut open and scaled by
+    # v^a [a+1], against the uncut contraction of the nested drawing
+    d = closure_of_braid(*braid)
+    assert set(d.cuts) == set(range(d.component_count))
+    cs = tuple(colors[:d.component_count])
+    closed = uwrt.tangles._contract(d, cs)
+    for c in d.cuts:
+        a = cs[c]
+        assert uwrt.tangles._contract(d, cs, c) * v_pow(a) * qnum(a + 1) \
+            == closed, c
