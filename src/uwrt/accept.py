@@ -22,7 +22,7 @@ from .laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, q_pow, qbinom_q, qfact_bal, qint_bal,
                       qnum, reduce_mod)
 from .qhat import HabiroElem, equals_at_depth, eval_root, phi_order, taylor
-from .repring import (BasisCombo, _p_in_v, omega_truncated, pairing,
+from .repring import (BasisCombo, omega_truncated, p_in_v, pairing,
                       pprime_mul, to_P, to_V)
 from .reps import braiding, twist_eigen
 from .tangles import builtin, colored_jones, parse_diagram
@@ -65,7 +65,7 @@ def criterion_2():
     for i, j, k in product(range(4), repeat=3):
         got = ZERO
         for (a, x), (b, y), (c, z) in product(
-                *(_p_in_v(n).items() for n in (i, j, k))):
+                *(p_in_v(n).items() for n in (i, j, k))):
             got = got + x * y * z * colored_jones(d, (a, b, c))
         if i == j == k:
             want = falling_bal(2 * i + 1, i + 1).exact_div(qint_bal(1))

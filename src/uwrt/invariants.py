@@ -28,11 +28,10 @@ from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
                       qnum, reduce_mod)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
-from .repring import _p_in_v, omega_coeff
+from .repring import omega_coeff
 from .reps import twist_eigen
-from .tangles import (BUILTIN_NAMES, PACKED_ZERO, Diagram, _padd, _pmul,
-                      builtin, colored_jones, linking_data, pack,
-                      parse_diagram, unpack)
+from .tangles import (BUILTIN_NAMES, Diagram, builtin, colored_jones,
+                      linking_data, parse_diagram, pprime_table)
 
 # -- surgery presentations ---------------------------------------------------
 
@@ -113,7 +112,6 @@ class SurgeryPresentation:
             d = parse_diagram(read_text(d) if os.path.exists(d) else d)
         return SurgeryPresentation(diagram=d, framings=obj.get("framings"))
 
-
     def __repr__(self):
         if self.family:
             return f"SurgeryPresentation({self.family}, {self.params})"
@@ -178,44 +176,6 @@ def _diagram_form(pres):
 # -- the unified invariant ----------------------------------------------------
 
 
-def _pprime_table(d, N):
-    """Packed J of the 0-framed link of d with colors P_{k_1}, ...,
-    P_{k_m}, keyed by (k_1, ..., k_m) in range(N)^m: the packed V-colored
-    table, each V_a value times theta_a^(-w) = u^(-w a(a+2)) for the
-    writhe w of its component (a shift of the packed offset), changed to
-    the P basis one axis at a time (mode-n products with the P_k -> V_a
-    matrix), O(m N^(m+1)) packed products in all.
-
-    Every sum here stays in one residue of u-exponents mod 4, as packed
-    values must.  _p_in_v(k)[a] lies in u^(2(a+k)) Z[q, 1/q].  The
-    V-colored value of an algebraically split diagram has u-exponents
-    sum_X (2 N_X a_X + w_X a_X^2) mod 4: N_X counts the cup and cap events
-    with nonzero weight shift on component X (the tangles invariant with
-    P = 0 at the empty key), each self-crossing adds +-a_X^2, and mixed
-    crossings add 2 lk a_X a_Y = 0.  N_X has the parity of the rotation
-    number of X, which by Whitney's formula is self-crossings + 1 =
-    w_X + 1 mod 2.  So axis X has raw exponent 2(w + 1)a + w a^2, the
-    correction -w a(a + 2) leaves 2a, and the product for V_a and P_k
-    has residue 2k plus the other axes' part, whatever a."""
-    to_p = [[] for _ in range(N)]        # a -> [(k, V_a-coefficient of P_k)]
-    for k in range(N):
-        for a, c in _p_in_v(k).items():
-            to_p[a].append((k, pack(c)))
-    table = {}
-    for a in product(range(N), repeat=d.component_count):
-        o, mag = pack(colored_jones(d, a))
-        table[a] = (o - sum(w * c * (c + 2) for w, c in zip(d.writhes, a)),
-                    mag)
-    for axis in range(d.component_count):
-        new = {}
-        for key, val in table.items():
-            for k, c in to_p[key[axis]]:
-                nk = key[:axis] + (k,) + key[axis + 1:]
-                new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
-        table = new
-    return table
-
-
 def jm_from_surgery(pres, N=DEFAULT_DEPTH):
     """J_M from an admissible surgery presentation, at depth N.
 
@@ -232,8 +192,7 @@ def jm_from_surgery(pres, N=DEFAULT_DEPTH):
     if d is None:
         out[0] = ONE
         return HabiroElem(N, out)
-    for ks, val in _pprime_table(d, N).items():
-        term = unpack(val)
+    for ks, term in pprime_table(d, N).items():
         if term.is_zero():
             continue
         for k, f in zip(ks, fr):
@@ -291,11 +250,11 @@ def knot_borromean(i, j, N=DEFAULT_DEPTH):
 
 def reduced_jones(d, N=DEFAULT_DEPTH):
     """Two-variable invariant of a knot diagram, framing-corrected to 0.
-    Packed sums, as in jm_from_surgery: DomainError near the digit bound."""
+    Packed sums (tangles.pprime_table): DomainError near the digit bound."""
     if d.component_count != 1:
         raise NotAKnot(f"{d.component_count} components")
-    table = _pprime_table(d, N)
-    return tuple(unpack(table[n,]).exact_div(falling_bal(2 * n + 1, 2 * n))
+    table = pprime_table(d, N)
+    return tuple(table[n,].exact_div(falling_bal(2 * n + 1, 2 * n))
                  for n in range(N))
 
 

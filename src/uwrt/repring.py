@@ -65,7 +65,7 @@ class BasisCombo:
 
 
 @lru_cache(maxsize=None)
-def _p_in_v(n):
+def p_in_v(n):
     """V-basis coefficients of P_n; each is an exact Laurent polynomial."""
     coeffs = {}
     for i in range(n + 1):
@@ -102,7 +102,7 @@ def to_V(x):
     if x.basis == "V":
         return x
     return BasisCombo("V", [(m, a * c) for n, c in to_P(x).terms.items()
-                            for m, a in _p_in_v(n).items()])
+                            for m, a in p_in_v(n).items()])
 
 
 def pairing(x, y):

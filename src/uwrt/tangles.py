@@ -21,7 +21,7 @@ event as a step at its position in the interface of that moment.  The
 contraction engine keeps a sparse state vector over the current
 interface, keyed by one weight index per strand, and applies the steps
 one at a time; each rewrites only the indices at its own position.
-Identity strands cost nothing.  colored_jones cuts the link open at the
+Identity strands cost nothing.  _closed cuts the link open at the
 outer cup of one component; only an arc on the outer face can be cut,
 so a braid closure is also drawn with each component outermost.
 
@@ -52,11 +52,13 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import product
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
-from .laurent import LaurentU, qnum, v_pow
+from .laurent import LaurentU
+from .repring import p_in_v
 from .reps import braiding
 
 # -- packed Laurent coefficients ------------------------------------------
@@ -348,9 +350,9 @@ def _contract(d, colors, cut=None):
     the two strands it created become a fixed (v~_0, v~^0) boundary,
     and the result is the (0,0) matrix element of the cut-open tangle
     operator.  Since the operator on an irreducible color is a scalar,
-    the closed value is that element times [n+1]; the caller is
-    responsible for the factor.  This avoids carrying one spectator
-    index through the whole contraction.
+    the closed value is that element times [n+1]; the caller (_closed)
+    is responsible for the factor.  This avoids carrying one spectator
+    index through the whole contraction.  The value is packed.
     """
     state = {() if cut is None else (0, 0): PACKED_ONE}
     for step in d.steps if cut is None else d.cuts[cut][1:]:
@@ -379,7 +381,27 @@ def _contract(d, colors, cut=None):
         # only merges can cancel: a cup's terms land on distinct keys
         state = new if kind == "cup" else {k: v for k, v in new.items()
                                            if v[1]}
-    return unpack(state.get((), PACKED_ZERO))
+    return state.get((), PACKED_ZERO)
+
+
+def _closed(d, colors):
+    """Packed value of the closed diagram with V-weights, cut open at the
+    outer cup of the component in d.cuts of largest colour a (the lowest
+    on a tie) for 1/(a+1) of the work: the cut tangle acts on V_a as a
+    scalar, so one matrix element times v^a [a+1] = 1 + q + ... + q^a,
+    one product with the all-ones digit number, is the closed value (v^a
+    undoes the kappa weight at the quantum-trace cap, [a+1] restores the
+    trace).  Only an arc on the outer face can be cut; pinning an inner
+    cup gives wrong values, so the link is redrawn instead.  A nonzero
+    value at an odd offset on an even-framed diagram raises DomainError:
+    it has left Z[v, 1/v]."""
+    cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
+    o, mag = _contract(d, colors, cut)
+    if cut is not None:
+        mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
+    if mag and o % 2 and all(w % 2 == 0 for w in d.writhes):
+        raise DomainError("even-framed value left Z[v, 1/v]")
+    return o, mag
 
 
 _jones_cache = {}
@@ -389,14 +411,7 @@ def colored_jones(d, colors):
     """Exact colored Jones value of a closed diagram with V-weights.
 
     Includes the blackboard framing contribution of the diagram as
-    drawn (kinks count).  The link is cut open at the outer cup of the
-    component in d.cuts of largest colour a (the lowest on a tie), for
-    1/(a+1) of the work: the cut tangle acts on the irreducible V_a as
-    a scalar, so one matrix element determines the closed value (v^a
-    undoes the kappa weight at the quantum-trace cap, [a+1] restores
-    the trace).  Only an arc on the outer face can be cut; pinning an
-    inner cup gives wrong values, so the link is redrawn instead.
-    """
+    drawn (kinks count): the unpacked value of _closed, cached."""
     colors = tuple(colors)
     if len(colors) != d.component_count:
         raise ColorCountMismatch(
@@ -404,19 +419,46 @@ def colored_jones(d, colors):
     if any(c < 0 for c in colors):
         raise InputError(f"colors must be >= 0, got {colors}")
     cache_key = (d.slices, colors)
-    hit = _jones_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
-    if cut is None:
-        value = _contract(d, colors)
-    else:
-        a = colors[cut]
-        value = _contract(d, colors, cut) * v_pow(a) * qnum(a + 1)
-    if all(w % 2 == 0 for w in d.writhes) and not value.is_in_v():
-        raise DomainError("even-framed value left Z[v, 1/v]")
-    _jones_cache[cache_key] = value
-    return value
+    if cache_key not in _jones_cache:
+        _jones_cache[cache_key] = unpack(_closed(d, colors))
+    return _jones_cache[cache_key]
+
+
+@lru_cache(maxsize=None)
+def pprime_table(d, N):
+    """J of the 0-framed link of d with colors P_{k_1}, ..., P_{k_m} as
+    LaurentU, keyed by (k_1, ..., k_m) in range(N)^m, cached: the packed
+    V_a-colored values of _closed times theta_a^(-w) = u^(-w a(a+2)) for
+    the writhe w of each component (an offset shift), changed to the P
+    basis one axis at a time by O(m N^(m+1)) packed mode-n products.
+
+    Every sum here stays in one residue of u-exponents mod 4, as packed
+    values must.  p_in_v(k)[a] lies in u^(2(a+k)) Z[q, 1/q].  The
+    V-colored value of an algebraically split diagram has u-exponents
+    sum_X (2 N_X a_X + w_X a_X^2) mod 4: N_X counts the cup and cap events
+    with nonzero weight shift on component X (the invariant above with
+    P = 0 at the empty key), each self-crossing adds +-a_X^2, and mixed
+    crossings add 2 lk a_X a_Y = 0.  N_X has the parity of the rotation
+    number of X, which by Whitney's formula is self-crossings + 1 =
+    w_X + 1 mod 2.  So axis X has raw exponent 2(w + 1)a + w a^2, the
+    correction -w a(a + 2) leaves 2a, and the product for V_a and P_k
+    has residue 2k plus the other axes' part, whatever a."""
+    # a -> [(k, V_a-coefficient of P_k)]
+    to_p = [[(k, pack(p_in_v(k)[a])) for k in range(N) if a in p_in_v(k)]
+            for a in range(N)]
+    table = {}
+    for a in product(range(N), repeat=d.component_count):
+        o, mag = _closed(d, a)
+        table[a] = (o - sum(w * c * (c + 2) for w, c in zip(d.writhes, a)),
+                    mag)
+    for axis in range(d.component_count):
+        new = {}
+        for key, val in table.items():
+            for k, c in to_p[key[axis]]:
+                nk = key[:axis] + (k,) + key[axis + 1:]
+                new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
+        table = new
+    return {key: unpack(val) for key, val in table.items()}
 
 
 # -- builtin diagrams -------------------------------------------------------
@@ -433,7 +475,11 @@ def closure_of_braid(strands, word, name=None):
     component, the steps of the link drawn with its first strand t
     outermost: strands left of t close on the left (a flipped cup at
     the top, a cap over (up, down) at the bottom), with no crossing added.
+    A letter off 1 <= position < strands or sign +-1 is an InputError.
     """
+    for p, sign in word:
+        if p not in range(1, strands) or sign not in (1, -1):
+            raise InputError(f"braid letter {(p, sign)} on {strands} strands")
     perm = list(range(strands))
     for p, _ in word:
         perm[p - 1], perm[p] = perm[p], perm[p - 1]

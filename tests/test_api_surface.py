@@ -9,7 +9,8 @@ local variable of the same name does not hide an unused method.  An
 attribute read off a class defined in src/uwrt, K.m, counts only toward
 K.m, so it does not hide an unused method m of another class.  Imports
 do not count, and neither do docstrings, so a definition that only
-tests call fails here.  Nor does src/uwrt hold an assert statement.
+tests call fails here.  Nor does src/uwrt hold an assert statement, or
+import a leading-underscore name from another uwrt module.
 """
 
 import ast
@@ -108,6 +109,35 @@ def test_no_assert_in_src():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def private_imports(src=SRC):
+    """Sorted "module: name" of every leading-underscore name that a
+    module under src imports from a uwrt module, relative or absolute."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").split(".")[0]
+                         == "uwrt")):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_no_private_import_across_modules():
+    # a name another module needs is public; a private one stays put
+    assert private_imports() == []
+
+
+def test_private_import_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "from .b import _hidden, shown\n"
+        "from uwrt.c import _other\n"
+        "from os import _exit\n",
+        encoding="utf-8")
+    assert private_imports(tmp_path) == ["a: _hidden", "a: _other"]
 
 
 def test_detector_flags_a_test_only_function(tmp_path):

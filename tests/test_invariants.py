@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwrt.invariants
+import uwrt.tangles
 from uwrt.errors import (DepthExceeded, InputError, NonExactDivision,
                          NotAdmissible, NotAKnot, UnknownName)
 from uwrt.invariants import (SurgeryPresentation, borromean_presentation,
@@ -114,6 +115,37 @@ def test_knot_surgery_invariant_under_stabilisation(braid, sign, f):
     x, y = (jm_from_surgery(SurgeryPresentation(diagram=k, framings=(f,)), 4)
             for k in (d, stabilised))
     assert equals_at_depth(x, y, 4)
+
+
+def test_pprime_table_is_reused(monkeypatch):
+    # one table per diagram and depth: other framings, and the knot
+    # invariant of the same diagram, contract nothing more
+    calls = []
+    contract = uwrt.tangles._contract
+
+    def counting(d, colors, cut=None):
+        calls.append(colors)
+        return contract(d, colors, cut)
+
+    monkeypatch.setattr(uwrt.tangles, "_contract", counting)
+    uwrt.tangles.pprime_table.cache_clear()
+    d = builtin("borromean")
+    x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=(1, -1, 1)),
+                        4)
+    assert calls
+    calls.clear()
+    y = jm_from_surgery(
+        SurgeryPresentation(diagram=d, framings=(-1, -1, -1)), 4)
+    assert calls == []
+    assert equals_at_depth(x, jm_borromean(-1, 1, -1, 4), 4)
+    assert equals_at_depth(y, jm_borromean(1, 1, 1, 4), 4)
+    trefoil = builtin("trefoil")
+    z = jm_from_surgery(SurgeryPresentation(diagram=trefoil, framings=(-1,)),
+                        6)
+    assert calls and equals_at_depth(z, jm_borromean(1, 1, 1, 6), 6)
+    calls.clear()
+    assert reduced_jones(trefoil, 6) == knot_borromean(1, 1, 6)
+    assert calls == []
 
 
 def test_jm_borromean_degenerate_and_symmetric():

@@ -1,19 +1,23 @@
 """Sliced diagrams: parsing, validation, linking data, the contraction
-engine and its Kronecker packing."""
+engine, its Kronecker packing and the P-basis table of a link."""
+
+import re
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
-                         InterfaceMismatch, OpenDiagram, UnknownName,
-                         UnsupportedCrossing)
-from uwrt.laurent import LaurentU, q_pow, qnum, u_pow, v_pow
+                         InputError, InterfaceMismatch, OpenDiagram,
+                         UnknownName, UnsupportedCrossing)
+from uwrt.laurent import ZERO, LaurentU, q_pow, qnum, u_pow, v_pow
+from uwrt.repring import p_in_v
 from uwrt.reps import twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
-                          linking_data, pack, parse_diagram, unpack, _padd,
-                          _pmul)
+                          linking_data, pack, parse_diagram, pprime_table,
+                          unpack, _padd, _pmul)
 
 # Packed values are u^s * Z[q, 1/q]: a shift s and a Laurent polynomial in q
 shifts = st.integers(min_value=-6, max_value=6)
@@ -129,8 +133,9 @@ def test_color_count_mismatch():
 def test_integrality_check_survives_optimize(monkeypatch):
     # an odd power of u on an even-framed diagram must raise, not assert
     monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    # the fake contraction's packed value is u^1
     monkeypatch.setattr(uwrt.tangles, "_contract",
-                        lambda d, colors, cut=None: u_pow(1))
+                        lambda d, colors, cut=None: (1, 1))
     with pytest.raises(DomainError):
         colored_jones(builtin("hopf"), (1, 1))
 
@@ -330,7 +335,7 @@ def test_contraction_stays_in_one_residue(braid, colors):
     for d in [closure_of_braid(strands, word)] + \
             [parse_diagram(t) for t in EXTRA_TEXTS]:
         cs = tuple(colors[:d.component_count])
-        assert colored_jones(d, cs) == uwrt.tangles._contract(d, cs)
+        assert colored_jones(d, cs) == unpack(uwrt.tangles._contract(d, cs))
 
 
 def test_closure_keeps_the_nested_slices():
@@ -370,7 +375,7 @@ def test_largest_colour_is_cut(monkeypatch):
     for colors, cut in (((1, 4, 1), 1), ((4, 1, 1), 0), ((1, 1, 4), 2),
                         ((1, 1, 1), 0), ((1, 4, 4), 1), ((2, 1, 2), 0)):
         calls.clear()
-        assert colored_jones(d, colors) == contract(d, colors)
+        assert colored_jones(d, colors) == unpack(contract(d, colors))
         assert calls == [cut], colors
 
 
@@ -384,8 +389,48 @@ def test_every_cut_drawing_gives_the_closed_value(braid, colors):
     d = closure_of_braid(*braid)
     assert set(d.cuts) == set(range(d.component_count))
     cs = tuple(colors[:d.component_count])
-    closed = uwrt.tangles._contract(d, cs)
+    closed = unpack(uwrt.tangles._contract(d, cs))
     for c in d.cuts:
         a = cs[c]
-        assert uwrt.tangles._contract(d, cs, c) * v_pow(a) * qnum(a + 1) \
-            == closed, c
+        assert unpack(uwrt.tangles._contract(d, cs, c)) * v_pow(a) \
+            * qnum(a + 1) == closed, c
+
+
+def test_closure_of_braid_checks_its_letters():
+    # a position off 1..strands-1 or a sign other than +-1 is refused
+    # before any strand is moved, and the message names the letter
+    for strands, word, letter in ((3, [(3, 1)], (3, 1)),
+                                  (3, [(0, 1)], (0, 1)),
+                                  (3, [(1, 2)], (1, 2)),
+                                  (2, [(1, 0)], (1, 0)),
+                                  (3, [(1, 1), (2, -1), (2, 3)], (2, 3)),
+                                  (1, [(1, 1)], (1, 1))):
+        with pytest.raises(InputError, match=re.escape(str(letter))):
+            closure_of_braid(strands, word)
+    # no strand at all is an empty diagram, also an input error
+    for strands in (0, -1):
+        with pytest.raises(InputError):
+            closure_of_braid(strands, [])
+
+
+@settings(deadline=None, max_examples=25)
+@given(braids(3), st.integers(min_value=1, max_value=3))
+def test_pprime_table_matches_the_laurent_sum(braid, N):
+    # the packed table against its definition in LaurentU arithmetic:
+    # prod_i p_in_v(k_i)[a_i] * colored_jones(d, a) * prod_i
+    # theta_(a_i)^(-w_i), summed over the V-colours a; 1-3 components,
+    # any writhe, zero linking numbers (the table's domain)
+    d = closure_of_braid(*braid)
+    lk = linking_data(d)
+    assume(all(lk[i][j] == 0 for i in range(len(lk)) for j in range(i)))
+    table = pprime_table(d, N)
+    ranks = list(product(range(N), repeat=d.component_count))
+    assert set(table) == set(ranks)
+    for k in ranks:
+        want = ZERO
+        for a in ranks:
+            term = colored_jones(d, a)
+            for ki, ai, w in zip(k, a, d.writhes):
+                term = term * p_in_v(ki).get(ai, ZERO) * twist_eigen(ai, -w)
+            want = want + term
+        assert table[k] == want, k
