@@ -22,10 +22,10 @@ from .laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, q_pow, qbinom_q, qfact_bal, qint_bal,
                       qnum, reduce_mod)
 from .qhat import HabiroElem, equals_at_depth, eval_root, phi_order, taylor
-from .repring import (BasisCombo, omega_truncated, p_in_v, pairing,
-                      pprime_mul, to_P, to_V)
+from .repring import (BasisCombo, omega_truncated, pairing, pprime_mul,
+                      to_P, to_V)
 from .reps import braiding, twist_eigen
-from .tangles import builtin, colored_jones, parse_diagram
+from .tangles import builtin, colored_jones, parse_diagram, pprime_table
 
 TEST_PARAMS = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (2, 1, 1))
 
@@ -62,18 +62,15 @@ def criterion_2():
             return False, f"V-colors ({i},{j},{k})"
     # J(P'_i, P'_j, P'_k) = J(P_i, P_j, P_k) / ({i}!{j}!{k}!), compared
     # after multiplying both sides by {i}!{j}!{k}!: Z[u^+-1] is a domain
+    table = pprime_table(d, 4)
     for i, j, k in product(range(4), repeat=3):
-        got = ZERO
-        for (a, x), (b, y), (c, z) in product(
-                *(p_in_v(n).items() for n in (i, j, k))):
-            got = got + x * y * z * colored_jones(d, (a, b, c))
         if i == j == k:
             want = falling_bal(2 * i + 1, i + 1).exact_div(qint_bal(1))
             if i % 2:
                 want = -want
         else:
             want = ZERO
-        if got != want * qfact_bal(i) * qfact_bal(j) * qfact_bal(k):
+        if table[i, j, k] != want * qfact_bal(i) * qfact_bal(j) * qfact_bal(k):
             return False, f"P'-colors ({i},{j},{k})"
     return True, "V-colored and P'-colored values for all colors <= 3"
 

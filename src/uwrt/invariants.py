@@ -19,7 +19,6 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
 
 from .errors import (DepthExceeded, InputError, NonExactDivision,
                      NotAdmissible, NotAKnot, NotInQSubring, UnknownName,
@@ -30,8 +29,8 @@ from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import omega_coeff
 from .reps import twist_eigen
-from .tangles import (BUILTIN_NAMES, Diagram, builtin, colored_jones,
-                      linking_data, parse_diagram, pprime_table)
+from .tangles import (BUILTIN_NAMES, Diagram, builtin, check_split,
+                      colour_sum, parse_diagram, pprime_table)
 
 # -- surgery presentations ---------------------------------------------------
 
@@ -154,12 +153,7 @@ def _check_admissible(d, framings):
             f"{d.component_count} components but {len(framings)} framings")
     if any(f not in (1, -1) for f in framings):
         raise NotAdmissible("surgery framings must be +1 or -1")
-    lk = linking_data(d)
-    for i, j in combinations(range(d.component_count), 2):
-        if lk[i][j] != 0:
-            raise NotAdmissible(
-                f"components {i + 1} and {j + 1} have linking number "
-                f"{lk[i][j]}, expected an algebraically split link")
+    check_split(d)
 
 
 def _diagram_form(pres):
@@ -333,8 +327,10 @@ def wrt(pres, r):
     """The WRT invariant at a primitive r-th root of unity, an element of
     Z[q]/(Phi_r(q)); r = 1 gives 1.
 
-    With x = q^(1/4), the colour sum T and the framed unknot values
-    U_+, U_- are reduced mod Phi_4r over Z, and the value y is the one
+    With x = q^(1/4), the colour sum T (tangles.colour_sum, colour c of
+    a component of framing f and writhe w weighted by [c+1]
+    theta_c^(f-w)) and the framed unknot values U_+, U_- are reduced
+    mod Phi_4r over Z, and the value y is the one
     solution over Q of y(x^4) * U_+^b_+ * U_-^b_- = T in Q[x]/(Phi_4r),
     b_+- the number of +-1 framings.  The value is an algebraic integer,
     so a denominator in y raises NonExactDivision; no solution raises
@@ -347,14 +343,9 @@ def wrt(pres, r):
     d, fr = _diagram_form(pres)
     _check_admissible(d, fr)
     mod4 = cyclotomic_coeffs(4 * r)
-    total = ONE
-    if d is not None:
-        total = ZERO
-        for colors in product(range(r - 1), repeat=d.component_count):
-            w = ONE
-            for c, f, wr in zip(colors, fr, d.writhes):
-                w = w * qnum(c + 1) * twist_eigen(c, f - wr)
-            total = total + w * colored_jones(d, colors)
+    total = ONE if d is None else colour_sum(d, [
+        [qnum(c + 1) * twist_eigen(c, f - w) for c in range(r - 1)]
+        for f, w in zip(fr, d.writhes)])
     denom = ModPoly(mod4, [1])
     for sign in set(fr):
         uval = _unknot_I(r, sign)

@@ -353,8 +353,9 @@ def pochhammer(n):
     return qfact_q(n) * (-1) ** n
 
 
+@lru_cache(maxsize=None)
 def qbinom_q(i, n):
-    """[i choose n]_q = {i}_{q,n} / {n}_q!."""
+    """[i choose n]_q = {i}_{q,n} / {n}_q!, cached."""
     return falling_q(i, n).exact_div(qfact_q(n))
 
 

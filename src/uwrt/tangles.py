@@ -46,20 +46,34 @@ reps.braiding, a crossing term on colors (m, n) has u-exponent
 exponent s(n - 2i) = sn (mod 4) and leaves P unchanged.  So the terms
 merged at one key never mix residues, and pack and _padd raise
 DomainError instead of computing with a value that does.
+
+The closed value of an algebraically split diagram on V-colours a has
+u-exponents sum_X 2(w + 1)a + w a^2 (mod 4) over its components X, w
+the self-writhe of X and a its colour: the cup and cap events of X with
+a nonzero shift (the invariant above, P = 0 at the empty key) count the
+rotation number of X mod 2, which is w + 1 by Whitney's formula; each
+self-crossing adds +-a^2 and mixed crossings 2 lk a_X a_Y = 0.  In
+pprime_table, theta_a^(-w) = u^(-w a(a+2)) leaves 2a, and p_in_v(k)[a]
+lies in u^(2(a+k)) Z[q, 1/q]: the term for V_a and P_k has residue 2k.
+In colour_sum, wrt's weight [a+1] theta_a^(f-w) adds -2a + (f - w)
+a(a+2), for f a(a+2) in all: 0 mod 4 for even a, -f for odd a, so each
+lane a mod 2 has one residue.  Both sums are one packed product per axis
+(_change_axes); check_split refuses a nonzero linking number before any
+packing, and _padd still raises DomainError if a residue ever mixed.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
-                     InputError, InterfaceMismatch, OpenDiagram, UnknownName,
-                     UnsupportedCrossing)
-from .laurent import LaurentU
+                     InputError, InterfaceMismatch, NotAdmissible,
+                     OpenDiagram, UnknownName, UnsupportedCrossing)
+from .laurent import ZERO, LaurentU
 from .repring import p_in_v
-from .reps import braiding
+from .reps import braiding, twist_eigen
 
 # -- packed Laurent coefficients ------------------------------------------
 #
@@ -325,6 +339,16 @@ def linking_data(d):
     return matrix
 
 
+def check_split(d):
+    """NotAdmissible naming the first two components of d that link."""
+    lk = linking_data(d)
+    for i, j in combinations(range(d.component_count), 2):
+        if lk[i][j] != 0:
+            raise NotAdmissible(
+                f"components {i + 1} and {j + 1} have linking number "
+                f"{lk[i][j]}, expected an algebraically split link")
+
+
 # -- contraction engine -----------------------------------------------------
 
 
@@ -384,81 +408,86 @@ def _contract(d, colors, cut=None):
     return state.get((), PACKED_ZERO)
 
 
-def _closed(d, colors):
-    """Packed value of the closed diagram with V-weights, cut open at the
-    outer cup of the component in d.cuts of largest colour a (the lowest
-    on a tie) for 1/(a+1) of the work: the cut tangle acts on V_a as a
-    scalar, so one matrix element times v^a [a+1] = 1 + q + ... + q^a,
-    one product with the all-ones digit number, is the closed value (v^a
-    undoes the kappa weight at the quantum-trace cap, [a+1] restores the
-    trace).  Only an arc on the outer face can be cut; pinning an inner
-    cup gives wrong values, so the link is redrawn instead.  A nonzero
-    value at an odd offset on an even-framed diagram raises DomainError:
-    it has left Z[v, 1/v]."""
-    cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
-    o, mag = _contract(d, colors, cut)
-    if cut is not None:
-        mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
-    if mag and o % 2 and all(w % 2 == 0 for w in d.writhes):
-        raise DomainError("even-framed value left Z[v, 1/v]")
-    return o, mag
-
-
 _jones_cache = {}
+
+
+def _closed(d, colors):
+    """Packed value of the closed diagram with V-weights, cached (the one
+    V-value cache).  Cut open at the outer cup of the component in d.cuts
+    of largest colour a (the lowest on a tie), for 1/(a+1) of the work:
+    the cut tangle is a scalar on V_a, so one matrix element times v^a
+    [a+1] = 1 + q + ... + q^a, one product with the all-ones digit
+    number, is the closed value (v^a undoes the kappa weight at the
+    trace cap).  Only an arc on the outer face can be cut, so the link
+    is redrawn rather than pinned at an inner cup.  A nonzero odd offset
+    on an even-framed diagram raises DomainError: it left Z[v, 1/v]."""
+    key = (d.slices, colors)
+    value = _jones_cache.get(key)
+    if value is None:
+        cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
+        o, mag = _contract(d, colors, cut)
+        if cut is not None:
+            mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
+        if mag and o % 2 and all(w % 2 == 0 for w in d.writhes):
+            raise DomainError("even-framed value left Z[v, 1/v]")
+        value = _jones_cache[key] = (o, mag)
+    return value
 
 
 def colored_jones(d, colors):
     """Exact colored Jones value of a closed diagram with V-weights.
 
     Includes the blackboard framing contribution of the diagram as
-    drawn (kinks count): the unpacked value of _closed, cached."""
+    drawn (kinks count): the unpacked value of _closed."""
     colors = tuple(colors)
     if len(colors) != d.component_count:
         raise ColorCountMismatch(
             f"{d.component_count} components, {len(colors)} colors")
     if any(c < 0 for c in colors):
         raise InputError(f"colors must be >= 0, got {colors}")
-    cache_key = (d.slices, colors)
-    if cache_key not in _jones_cache:
-        _jones_cache[cache_key] = unpack(_closed(d, colors))
-    return _jones_cache[cache_key]
+    return unpack(_closed(d, colors))
+
+
+def _change_axes(table, maps):
+    """Packed table with the index a on each axis replaced by every
+    (b, packed coefficient) of maps[axis][a], times that coefficient,
+    summed over a: one mode-n product per axis."""
+    for axis, to in enumerate(maps):
+        new = {}
+        for key, val in table.items():
+            for b, c in to[key[axis]]:
+                nk = key[:axis] + (b,) + key[axis + 1:]
+                new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
+        table = new
+    return table
 
 
 @lru_cache(maxsize=None)
 def pprime_table(d, N):
     """J of the 0-framed link of d with colors P_{k_1}, ..., P_{k_m} as
-    LaurentU, keyed by (k_1, ..., k_m) in range(N)^m, cached: the packed
-    V_a-colored values of _closed times theta_a^(-w) = u^(-w a(a+2)) for
-    the writhe w of each component (an offset shift), changed to the P
-    basis one axis at a time by O(m N^(m+1)) packed mode-n products.
+    LaurentU, keyed by (k_1, ..., k_m) in range(N)^m, cached: the values
+    of _closed changed to the P basis one axis at a time, with each V_a
+    coefficient of P_k times theta_a^(-w), w its component's writhe."""
+    check_split(d)
+    maps = [[[(k, pack(p_in_v(k)[a] * twist_eigen(a, -w)))
+              for k in range(N) if a in p_in_v(k)] for a in range(N)]
+            for w in d.writhes]
+    table = {a: _closed(d, a) for a in product(range(N), repeat=len(maps))}
+    return {key: unpack(val) for key, val in _change_axes(table, maps).items()}
 
-    Every sum here stays in one residue of u-exponents mod 4, as packed
-    values must.  p_in_v(k)[a] lies in u^(2(a+k)) Z[q, 1/q].  The
-    V-colored value of an algebraically split diagram has u-exponents
-    sum_X (2 N_X a_X + w_X a_X^2) mod 4: N_X counts the cup and cap events
-    with nonzero weight shift on component X (the invariant above with
-    P = 0 at the empty key), each self-crossing adds +-a_X^2, and mixed
-    crossings add 2 lk a_X a_Y = 0.  N_X has the parity of the rotation
-    number of X, which by Whitney's formula is self-crossings + 1 =
-    w_X + 1 mod 2.  So axis X has raw exponent 2(w + 1)a + w a^2, the
-    correction -w a(a + 2) leaves 2a, and the product for V_a and P_k
-    has residue 2k plus the other axes' part, whatever a."""
-    # a -> [(k, V_a-coefficient of P_k)]
-    to_p = [[(k, pack(p_in_v(k)[a])) for k in range(N) if a in p_in_v(k)]
-            for a in range(N)]
-    table = {}
-    for a in product(range(N), repeat=d.component_count):
-        o, mag = _closed(d, a)
-        table[a] = (o - sum(w * c * (c + 2) for w, c in zip(d.writhes, a)),
-                    mag)
-    for axis in range(d.component_count):
-        new = {}
-        for key, val in table.items():
-            for k, c in to_p[key[axis]]:
-                nk = key[:axis] + (k,) + key[axis + 1:]
-                new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
-        table = new
-    return {key: unpack(val) for key, val in table.items()}
+
+def colour_sum(d, weights):
+    """sum over colours c of prod_i weights[i][c_i] times the V-coloured
+    value of d as drawn, weights[i] one LaurentU per colour 0, 1, ... of
+    component i: packed, summed into the lanes c mod 2, then unpacked
+    and added.  Split diagrams, weights like wrt's (module docstring)."""
+    check_split(d)
+    if len(weights) != d.component_count:
+        raise ColorCountMismatch(
+            f"{d.component_count} components, {len(weights)} weight lists")
+    lanes = [[[(a % 2, pack(w))] for a, w in enumerate(ws)] for ws in weights]
+    table = {a: _closed(d, a) for a in product(*map(range, map(len, lanes)))}
+    return sum(map(unpack, _change_axes(table, lanes).values()), ZERO)
 
 
 # -- builtin diagrams -------------------------------------------------------
@@ -475,10 +504,14 @@ def closure_of_braid(strands, word, name=None):
     component, the steps of the link drawn with its first strand t
     outermost: strands left of t close on the left (a flipped cup at
     the top, a cap over (up, down) at the bottom), with no crossing added.
-    A letter off 1 <= position < strands or sign +-1 is an InputError.
+    A strand count, position or sign that is not an int, or a letter off
+    1 <= position < strands or sign +-1, is an InputError.
     """
+    if type(strands) is not int:
+        raise InputError(f"braid on {strands!r} strands, not an integer")
     for p, sign in word:
-        if p not in range(1, strands) or sign not in (1, -1):
+        if (type(p) is not int or type(sign) is not int
+                or p not in range(1, strands) or sign not in (1, -1)):
             raise InputError(f"braid letter {(p, sign)} on {strands} strands")
     perm = list(range(strands))
     for p, _ in word:

@@ -298,7 +298,6 @@ def test_upward_crossing_refused_before_any_contraction(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("contraction started")
 
-    monkeypatch.setattr(invariants, "colored_jones", fail)
     monkeypatch.setattr(tangles, "colored_jones", fail)
     monkeypatch.setattr(tangles, "_contract", fail)
     # two upward crossings of opposite signs: a 0-framed split link if

@@ -128,6 +128,7 @@ def test_pprime_table_is_reused(monkeypatch):
         return contract(d, colors, cut)
 
     monkeypatch.setattr(uwrt.tangles, "_contract", counting)
+    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
     uwrt.tangles.pprime_table.cache_clear()
     d = builtin("borromean")
     x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=(1, -1, 1)),
@@ -145,6 +146,35 @@ def test_pprime_table_is_reused(monkeypatch):
     assert calls and equals_at_depth(z, jm_borromean(1, 1, 1, 6), 6)
     calls.clear()
     assert reduced_jones(trefoil, 6) == knot_borromean(1, 1, 6)
+    assert calls == []
+
+
+def test_wrt_shares_its_contractions(monkeypatch):
+    # one packed V-value cache: after wrt at r = 5 (colours 0..3), the
+    # surgery sum at depth 4 and wrt under other framings contract
+    # nothing more
+    calls = []
+    contract = uwrt.tangles._contract
+
+    def counting(d, colors, cut=None):
+        calls.append(colors)
+        return contract(d, colors, cut)
+
+    monkeypatch.setattr(uwrt.tangles, "_contract", counting)
+    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles.pprime_table.cache_clear()
+    fr = (1, -1, 1)
+    assert wrt(borromean_presentation(fr), 5) == \
+        eval_root_q(jm_borromean(-1, 1, -1, 5), 5)
+    assert len(calls) == 4 ** 3
+    calls.clear()
+    x = jm_from_surgery(borromean_presentation(fr), 4)
+    assert equals_at_depth(x, jm_borromean(-1, 1, -1, 4), 4)
+    for other in ((-1, -1, -1), (1, 1, -1)):
+        assert wrt(borromean_presentation(other), 5) == \
+            eval_root_q(jm_borromean(*[-f for f in other], 5), 5)
+        assert wrt(borromean_presentation(other), 4) == \
+            eval_root_q(jm_borromean(*[-f for f in other], 4), 4)
     assert calls == []
 
 

@@ -1,5 +1,6 @@
 """Sliced diagrams: parsing, validation, linking data, the contraction
-engine, its Kronecker packing and the P-basis table of a link."""
+engine, its Kronecker packing, and the P-basis table and WRT colour sum
+of a link."""
 
 import re
 from itertools import product
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 
 import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
-                         InputError, InterfaceMismatch, OpenDiagram,
-                         UnknownName, UnsupportedCrossing)
+                         InputError, InterfaceMismatch, NotAdmissible,
+                         OpenDiagram, UnknownName, UnsupportedCrossing)
 from uwrt.laurent import ZERO, LaurentU, q_pow, qnum, u_pow, v_pow
 from uwrt.repring import p_in_v
 from uwrt.reps import twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
-                          linking_data, pack, parse_diagram, pprime_table,
-                          unpack, _padd, _pmul)
+                          colour_sum, linking_data, pack, parse_diagram,
+                          pprime_table, unpack, _padd, _pmul)
 
 # Packed values are u^s * Z[q, 1/q]: a shift s and a Laurent polynomial in q
 shifts = st.integers(min_value=-6, max_value=6)
@@ -411,6 +412,28 @@ def test_closure_of_braid_checks_its_letters():
     for strands in (0, -1):
         with pytest.raises(InputError):
             closure_of_braid(strands, [])
+    # only ints, as in the framings schema: no float and no bool
+    for strands, word in ((3, [(1.0, 1)]), (2.0, [(1, 1)]), (2, [(1, True)]),
+                          (2, [(True, 1)]), (2.0, [])):
+        with pytest.raises(InputError):
+            closure_of_braid(strands, word)
+
+
+def test_sums_refuse_a_linked_diagram_before_packing(monkeypatch):
+    # the Hopf closure: the residue argument needs zero linking numbers,
+    # so both sums name the components before any contraction instead of
+    # failing in _padd
+    def fail(*args):
+        raise AssertionError("contraction started")
+
+    monkeypatch.setattr(uwrt.tangles, "_contract", fail)
+    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    hopf = closure_of_braid(2, [(1, 1), (1, 1)])
+    weights = [[qnum(c + 1) for c in range(3)]] * 2
+    for call in (lambda: pprime_table(hopf, 2),
+                 lambda: colour_sum(hopf, weights)):
+        with pytest.raises(NotAdmissible, match="components 1 and 2"):
+            call()
 
 
 @settings(deadline=None, max_examples=25)
@@ -434,3 +457,26 @@ def test_pprime_table_matches_the_laurent_sum(braid, N):
                 term = term * p_in_v(ki).get(ai, ZERO) * twist_eigen(ai, -w)
             want = want + term
         assert table[k] == want, k
+
+
+@settings(deadline=None, max_examples=25)
+@given(braids(3), st.integers(min_value=2, max_value=5))
+def test_colour_sum_matches_the_laurent_sum(braid, r):
+    # the packed lane sum against wrt's colour sum in LaurentU arithmetic:
+    # prod_i [c_i+1] theta_(c_i)^(f_i-w_i) * colored_jones(d, c) over the
+    # colours c < r - 1, for every +-1 framing; any writhe, zero linking
+    # numbers
+    d = closure_of_braid(*braid)
+    lk = linking_data(d)
+    assume(all(lk[i][j] == 0 for i in range(len(lk)) for j in range(i)))
+    colours = list(product(range(r - 1), repeat=d.component_count))
+    for fr in product((1, -1), repeat=d.component_count):
+        want = ZERO
+        for c in colours:
+            term = colored_jones(d, c)
+            for ci, f, w in zip(c, fr, d.writhes):
+                term = term * qnum(ci + 1) * twist_eigen(ci, f - w)
+            want = want + term
+        weights = [[qnum(c + 1) * twist_eigen(c, f - w) for c in range(r - 1)]
+                   for f, w in zip(fr, d.writhes)]
+        assert colour_sum(d, weights) == want, fr
