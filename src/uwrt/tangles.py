@@ -21,9 +21,15 @@ event as a step at its position in the interface of that moment.  The
 contraction engine keeps a sparse state vector over the current
 interface, keyed by one weight index per strand, and applies the steps
 one at a time; each rewrites only the indices at its own position.
-Identity strands cost nothing.  _closed cuts the link open at the
-outer cup of one component; only an arc on the outer face can be cut,
-so a braid closure is also drawn with each component outermost.
+Identity strands cost nothing.  The steps above the middle crossing
+run forward from the top and the rest backward from the bottom, each
+transposed (a crossing's block read from outputs to inputs, a cap as a
+cup, a cup as a cap); the two vectors meet in one dot product, the same
+matrix product associated differently.  _closed cuts the link open at
+the outer cup of one component; only an arc on the outer face can be
+cut, so a braid closure is also drawn with each component outermost.
+The cut's up strand crosses nothing and keeps index 0, so its cap, read
+backward, inserts (0, 0) alone.
 
 Coefficients are Laurent polynomials in u packed into big integers with
 one balanced 64-bit digit per q-step, q = u^4 (Kronecker substitution),
@@ -45,7 +51,9 @@ reps.braiding, a crossing term on colors (m, n) has u-exponent
 +-mn + 2 dP (mod 4), dP the change of P it makes; a cup or cap term has
 exponent s(n - 2i) = sn (mod 4) and leaves P unchanged.  So the terms
 merged at one key never mix residues, and pack and _padd raise
-DomainError instead of computing with a value that does.
+DomainError instead of computing with a value that does.  The rule is
+local to each term, so backward entries lie in u^(C' - 2P(K)) Z[q, 1/q]
+and every term of the dot product in u^(C + C') Z[q, 1/q].
 
 The closed value of an algebraically split diagram on V-colours a has
 u-exponents sum_X 2(w + 1)a + w a^2 (mod 4) over its components X, w
@@ -65,7 +73,8 @@ packing, and _padd still raises DomainError if a residue ever mixed.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from collections.abc import Sequence
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
@@ -96,6 +105,8 @@ PACKED_ONE = (0, 1)
 def pack(x):
     if any(c for i, c in enumerate(x.coeffs) if i % 4):
         raise DomainError("packed value spans several residues mod 4")
+    if x.coeffs and max(max(x.coeffs), -min(x.coeffs)) > _HALF - _GUARD:
+        raise DomainError("coefficient too large for a packed digit")
     return (x.min, sum(c << (_BITS * k) for k, c in enumerate(x.coeffs[::4])))
 
 
@@ -148,21 +159,24 @@ class Diagram:
     its interface position (see _validate).  cuts[c] lists the steps of
     a drawing whose first step is an outer plain cup of component c:
     steps itself if the first slice is one plain cup, and the drawings
-    given (see closure_of_braid).
+    given as (steps, pin) pairs (see closure_of_braid).  pins[c] is the
+    index in cuts[c][1:] of the cap that closes that cup's up strand.
     """
 
     __slots__ = ("slices", "component_count", "crossing_sums", "writhes",
-                 "steps", "cuts", "name")
+                 "steps", "cuts", "pins", "name")
 
     def __init__(self, slices, name=None, cuts=()):
         self.slices = tuple(tuple(s) for s in slices)
         self.name = name
         (self.component_count, self.crossing_sums, self.writhes,
-         self.steps) = _validate(self.slices)
-        self.cuts = dict(cuts)
+         self.steps, pin) = _validate(self.slices)
+        cuts = dict(cuts)
         first = self.slices[0]
         if len(first) == 1 and first[0][0] == "cup" and not first[0][2]:
-            self.cuts[first[0][1]] = self.steps
+            cuts[first[0][1]] = self.steps, pin
+        self.cuts = {c: steps for c, (steps, _) in cuts.items()}
+        self.pins = {c: pin for c, (_, pin) in cuts.items()}
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -176,7 +190,8 @@ class Diagram:
 
 
 def _validate(slices):
-    """(components, crossing sums, writhes, steps) of a closed slice word.
+    """(components, crossing sums, writhes, steps, pin) of a closed slice
+    word; pin indexes in steps[1:] the cap closing the first cup's up strand.
 
     Each non-identity event becomes one step (p, kind, ...), p its
     position in the interface of that moment: the strands that the
@@ -198,7 +213,7 @@ def _validate(slices):
     comps = set()
     loops = {}
     signed = {}
-    steps = []
+    steps, pin = [], None
     for row, events in enumerate(slices):
         pos = 0
         out = []
@@ -237,6 +252,8 @@ def _validate(slices):
                 if {o1, o2} != {"d", "u"}:
                     raise InterfaceMismatch(
                         f"slice {row + 1}: cap needs opposite orientations")
+                if (c, "u", 0) in below:
+                    pin = len(steps) - 1
                 r1, r2 = find(sg1), find(sg2)
                 if r1 == r2:
                     loops[c] = loops.get(c, 0) + 1
@@ -279,7 +296,7 @@ def _validate(slices):
     writhes = tuple(signed.pop((c, c), 0) for c in range(m))
     sums = tuple(tuple(signed.get((a, b), 0) for b in range(m))
                  for a in range(m))
-    return m, sums, writhes, tuple(steps)
+    return m, sums, writhes, tuple(steps), pin
 
 
 # -- parser -----------------------------------------------------------------
@@ -359,53 +376,79 @@ def _packed_block(m, n, sign):
             for key, terms in block.items()}
 
 
+@lru_cache(maxsize=None)
+def _transposed(m, n, sign):
+    """_packed_block(m, n, sign) read backward: output pair -> inputs."""
+    block = {}
+    for pair, terms in _packed_block(m, n, sign).items():
+        for out, off, mag in terms:
+            block[out] = block.get(out, ()) + ((pair, off, mag),)
+    return block
+
+
+def _split(steps):
+    """Index of the first backward step: crossing #crossings // 2, if any."""
+    xs = [k for k, step in enumerate(steps) if step[1] == "x"]
+    return (xs or [len(steps)])[len(xs) // 2]
+
+
+@lru_cache(maxsize=None)
+def _cup_cap(n, s, pinned):
+    """(insert, close) blocks of a cup or cap on colour n with shift s."""
+    ids = range(1 if pinned else n + 1)
+    return ({(): tuple(((i, i), s * (n - 2 * i), 1) for i in ids)},
+            {(i, i): (((), s * (n - 2 * i), 1),) for i in ids})
+
+
+def _block(step, colors, back, pinned):
+    """(p, q, block) of a step, the block mapping key[p:q] to its terms;
+    transposed if back.  A pinned cap has the one pair (0, 0)."""
+    p, kind, *rest = step
+    if kind == "x":
+        block = _transposed if back else _packed_block
+        return p, p + 2, block(colors[rest[1]], colors[rest[2]], rest[0])
+    close = (kind == "cup") == back
+    return p, p + 2 * close, _cup_cap(colors[rest[0]], rest[1], pinned)[close]
+
+
 def _contract(d, colors, cut=None):
-    """Contract the diagram one step of d.steps at a time.
+    """Packed value of the closed diagram, contracted from both ends.
 
-    A step replaces the indices at its position p of each state key by
-    each (pair, offset, mag) term that its colour block lists for them:
-    a crossing maps (i, j) to its output pairs (j2, i2), a cup maps ()
-    to every (i, i), and a cap maps (i, i) to () and drops the other
-    keys.  Cup and cap weights are pure u-shifts.  Identity strands
-    cost nothing.
+    A step replaces the indices key[p:q] of each state key by each term
+    (pair, offset, mag) of its block (_block): a crossing maps (i, j) to
+    its output pairs (j2, i2), a cup maps () to every (i, i), a cap maps
+    (i, i) to () and drops the other keys.  The steps before the middle
+    crossing (_split) run forward from the initial key to a ket, the
+    rest backward from the empty key, each transposed, to a bra on the
+    same interface.  sum_K ket[K] bra[K], over the smaller half, is the
+    same product of step matrices associated at the middle: exact.
 
-    With cut=c the steps are d.cuts[c] instead, whose first step is a
-    plain cup of component c on the outer face.  That cup is skipped,
-    the two strands it created become a fixed (v~_0, v~^0) boundary,
-    and the result is the (0,0) matrix element of the cut-open tangle
-    operator.  Since the operator on an irreducible color is a scalar,
-    the closed value is that element times [n+1]; the caller (_closed)
-    is responsible for the factor.  This avoids carrying one spectator
-    index through the whole contraction.  The value is packed.
+    With cut=c the steps are d.cuts[c][1:] from the key (0, 0): the (0,0)
+    element of the link cut open at the outer cup of c (see _closed),
+    whose up strand keeps index 0: its cap d.pins[c] has (0, 0) alone.
     """
-    state = {() if cut is None else (0, 0): PACKED_ONE}
-    for step in d.steps if cut is None else d.cuts[cut][1:]:
-        p, kind = step[:2]
-        if kind == "x":
-            _, _, sign, a, b = step
-            block = _packed_block(colors[a], colors[b], sign)
-        else:
-            _, _, c, s = step
-            n = colors[c]
-            if kind == "cup":
-                block = {(): tuple(((i, i), s * (n - 2 * i), 1)
-                                   for i in range(n + 1))}
-            else:
-                block = {(i, i): (((), s * (n - 2 * i), 1),)
-                         for i in range(n + 1)}
-        q = p if kind == "cup" else p + 2
-        new = {}
-        for key, (o, mag) in state.items():
-            head, tail = key[:p], key[q:]
-            for pair, off, m in block.get(key[p:q], ()):
-                k = head + pair + tail
-                v = (o + off, mag * m)
-                old = new.get(k)
-                new[k] = v if old is None else _padd(old, v)
-        # only merges can cancel: a cup's terms land on distinct keys
-        state = new if kind == "cup" else {k: v for k, v in new.items()
-                                           if v[1]}
-    return state.get((), PACKED_ZERO)
+    steps = d.steps if cut is None else d.cuts[cut][1:]
+    pin, h = d.pins.get(cut), _split(steps)
+    halves = []
+    for back, order, state in (
+            (False, range(h), {() if cut is None else (0, 0): PACKED_ONE}),
+            (True, range(len(steps) - 1, h - 1, -1), {(): PACKED_ONE})):
+        for k in order:
+            p, q, block = _block(steps[k], colors, back, k == pin)
+            new = {}
+            for key, (o, mag) in state.items():
+                head, tail = key[:p], key[q:]
+                for pair, off, m in block.get(key[p:q], ()):
+                    nk = head + pair + tail
+                    v = (o + off, mag * m)
+                    old = new.get(nk)
+                    new[nk] = v if old is None else _padd(old, v)
+            # only merges can cancel: inserted pairs land on distinct keys
+            state = new if p == q else {nk: v for nk, v in new.items() if v[1]}
+        halves.append(state)
+    ket, bra = sorted(halves, key=len)
+    return reduce(_padd, (_pmul(v, bra[key]) for key, v in ket.items()
+                          if key in bra), PACKED_ZERO)
 
 
 _jones_cache = {}
@@ -418,9 +461,8 @@ def _closed(d, colors):
     the cut tangle is a scalar on V_a, so one matrix element times v^a
     [a+1] = 1 + q + ... + q^a, one product with the all-ones digit
     number, is the closed value (v^a undoes the kappa weight at the
-    trace cap).  Only an arc on the outer face can be cut, so the link
-    is redrawn rather than pinned at an inner cup.  A nonzero odd offset
-    on an even-framed diagram raises DomainError: it left Z[v, 1/v]."""
+    trace cap).  A nonzero odd offset on an even-framed diagram raises
+    DomainError: it left Z[v, 1/v]."""
     key = (d.slices, colors)
     value = _jones_cache.get(key)
     if value is None:
@@ -504,15 +546,19 @@ def closure_of_braid(strands, word, name=None):
     component, the steps of the link drawn with its first strand t
     outermost: strands left of t close on the left (a flipped cup at
     the top, a cap over (up, down) at the bottom), with no crossing added.
-    A strand count, position or sign that is not an int, or a letter off
+    A word that is not a sequence, a letter that is not a list or tuple
+    of two ints, a strand count that is not an int, or a letter off
     1 <= position < strands or sign +-1, is an InputError.
     """
     if type(strands) is not int:
         raise InputError(f"braid on {strands!r} strands, not an integer")
-    for p, sign in word:
-        if (type(p) is not int or type(sign) is not int
-                or p not in range(1, strands) or sign not in (1, -1)):
-            raise InputError(f"braid letter {(p, sign)} on {strands} strands")
+    if not isinstance(word, Sequence):
+        raise InputError(f"braid word {word!r} is not a sequence")
+    for x in word:
+        if (type(x) not in (list, tuple) or len(x) != 2
+                or any(type(i) is not int for i in x)
+                or x[0] not in range(1, strands) or x[1] not in (1, -1)):
+            raise InputError(f"braid letter {x!r} on {strands} strands")
     perm = list(range(strands))
     for p, _ in word:
         perm[p - 1], perm[p] = perm[p], perm[p - 1]
@@ -553,32 +599,21 @@ def closure_of_braid(strands, word, name=None):
                    + ids("d", current[k + 1:t]) for k in range(t)]
         return slices
 
-    cuts = {c: _validate(drawing(comp_of.index(c)))[3] for c in range(1, m)}
+    cuts = {c: _validate(drawing(comp_of.index(c)))[3:] for c in range(1, m)}
     return Diagram(drawing(0), name=name, cuts=cuts)
 
 
-BUILTIN_NAMES = ("unknot", "unknot+1", "unknot-1", "hopf", "trefoil",
-                 "figure8", "borromean")
+# the trefoil is left-handed: the one arising from the Borromean rings by
+# -1-framed surgery on two components
+_BRAIDS = {"unknot": (1, []), "unknot+1": (2, [(1, 1)]),
+           "unknot-1": (2, [(1, -1)]), "hopf": (2, [(1, -1)] * 2),
+           "trefoil": (2, [(1, -1)] * 3),
+           "figure8": (3, [(1, 1), (2, -1)] * 2),
+           "borromean": (3, [(1, 1), (2, -1)] * 3)}
+BUILTIN_NAMES = tuple(_BRAIDS)
 
 
 def builtin(name):
-    if name == "unknot":
-        return closure_of_braid(1, [], name=name)
-    if name == "unknot+1":
-        return closure_of_braid(2, [(1, 1)], name=name)
-    if name == "unknot-1":
-        return closure_of_braid(2, [(1, -1)], name=name)
-    if name == "hopf":
-        return closure_of_braid(2, [(1, -1), (1, -1)], name=name)
-    if name == "trefoil":
-        # the left-handed trefoil: the one arising from the Borromean
-        # rings by -1-framed surgery on two components
-        return closure_of_braid(2, [(1, -1), (1, -1), (1, -1)], name=name)
-    if name == "figure8":
-        return closure_of_braid(3, [(1, 1), (2, -1), (1, 1), (2, -1)],
-                                name=name)
-    if name == "borromean":
-        return closure_of_braid(
-            3, [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)],
-            name=name)
-    raise UnknownName(name)
+    if name not in BUILTIN_NAMES:
+        raise UnknownName(name)
+    return closure_of_braid(*_BRAIDS[name], name=name)

@@ -4,6 +4,7 @@ of a link."""
 
 import re
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -405,9 +406,14 @@ def test_closure_of_braid_checks_its_letters():
                                   (3, [(1, 2)], (1, 2)),
                                   (2, [(1, 0)], (1, 0)),
                                   (3, [(1, 1), (2, -1), (2, 3)], (2, 3)),
-                                  (1, [(1, 1)], (1, 1))):
+                                  (1, [(1, 1)], (1, 1)),
+                                  # a word or letter of the wrong shape,
+                                  # refused before any letter is unpacked
+                                  (2, [1], 1), (2, [(1, 1, 1)], (1, 1, 1)),
+                                  (2, [[1]], [1]), (2, None, None)):
         with pytest.raises(InputError, match=re.escape(str(letter))):
             closure_of_braid(strands, word)
+    assert closure_of_braid(2, [[1, -1]]) == closure_of_braid(2, [(1, -1)])
     # no strand at all is an empty diagram, also an input error
     for strands in (0, -1):
         with pytest.raises(InputError):
@@ -417,6 +423,48 @@ def test_closure_of_braid_checks_its_letters():
                           (2, [(True, 1)]), (2.0, [])):
         with pytest.raises(InputError):
             closure_of_braid(strands, word)
+
+
+def test_pack_refuses_a_coefficient_no_digit_holds():
+    # 2^64 + 5 would wrap into its neighbour and decode as 5, 8
+    with pytest.raises(DomainError):
+        pack(LaurentU.from_q_coeffs(0, [2 ** 64 + 5, 7]))
+    # the range that unpack accepts, and not one past it
+    edge = uwrt.tangles._HALF - uwrt.tangles._GUARD
+    for c in (edge, -edge):
+        assert unpack(pack(u_pow(2, c))) == u_pow(2, c)
+        with pytest.raises(DomainError):
+            pack(u_pow(2, c + (1 if c > 0 else -1)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(braids(4, min_strands=1, max_letters=6),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=4,
+                max_size=4))
+def test_contraction_is_the_same_at_every_split(braid, colors):
+    # the forward half ends and the transposed backward half starts at
+    # any step, from all forward (the one-ended contraction) to all
+    # backward, cut or uncut: the value is always colored_jones
+    d = closure_of_braid(*braid)
+    cs = tuple(colors[:d.component_count])
+    want = colored_jones(d, cs)
+    for cut in (None, *d.cuts):
+        steps = d.steps if cut is None else d.cuts[cut][1:]
+        scale = 1 if cut is None else v_pow(cs[cut]) * qnum(cs[cut] + 1)
+        for h in range(len(steps) + 1):
+            with mock.patch.object(uwrt.tangles, "_split", lambda s: h):
+                value = unpack(uwrt.tangles._contract(d, cs, cut))
+            assert value * scale == want, (cut, h)
+
+
+def test_pins_find_the_cap_of_the_cut_up_strand():
+    # the cap closing the cut's up strand: for the outermost drawing of
+    # strand t, the last right cap, followed by t left caps
+    d = builtin("borromean")
+    for c, steps in d.cuts.items():
+        assert steps[1:][d.pins[c]][1] == "cap"
+        assert len(steps) - 2 - d.pins[c] == c
+    assert parse_diagram(BUILTIN_TEXT["hopf"]).pins == {0: 4}
 
 
 def test_sums_refuse_a_linked_diagram_before_packing(monkeypatch):
