@@ -38,6 +38,9 @@ A packed value is one pair (offset, int): it holds u^offset times a
 Laurent polynomial in q, so every value packed must lie in one residue
 class of u-exponents mod 4.  Decoding is exact whenever the decoded
 coefficients fit in a digit; the decoder raises DomainError otherwise.
+A crossing block is built packed from the terms s u^e [b choose t]_q
+{a}_{q,t} of reps.braiding_terms and the cached packed factors pbinom and
+pfall: u^e times a q-polynomial with constant term +-1, one residue, offset e.
 
 The engine's values have one residue by construction.  Let mu_s be the
 color of strand s mod 2 and alpha_s its weight index mod 2, and put
@@ -47,11 +50,11 @@ color of strand s mod 2 and alpha_s its weight index mod 2, and put
 
 Then every state entry at key K lies in u^(C + 2 P(K)) Z[q, 1/q], with C
 fixed for the whole contraction.  By the exponent formula in
-reps.braiding, a crossing term on colors (m, n) has u-exponent
+reps.braiding_terms, a crossing term on colors (m, n) has u-exponent
 +-mn + 2 dP (mod 4), dP the change of P it makes; a cup or cap term has
 exponent s(n - 2i) = sn (mod 4) and leaves P unchanged.  So the terms
-merged at one key never mix residues, and pack and _padd raise
-DomainError instead of computing with a value that does.  The rule is
+merged at one key never mix residues, and _padd raises DomainError
+instead of computing with a value that does.  The rule is
 local to each term, so backward entries lie in u^(C' - 2P(K)) Z[q, 1/q]
 and every term of the dot product in u^(C + C') Z[q, 1/q].
 
@@ -76,13 +79,15 @@ import re
 from collections.abc import Sequence
 from functools import lru_cache, reduce
 from itertools import combinations, product
+from math import comb
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
-                     InputError, InterfaceMismatch, NotAdmissible,
-                     OpenDiagram, UnknownName, UnsupportedCrossing)
+                     InputError, InterfaceMismatch, NonExactDivision,
+                     NotAdmissible, OpenDiagram, UnknownName,
+                     UnsupportedCrossing)
 from .laurent import ZERO, LaurentU
 from .repring import p_in_v
-from .reps import braiding, twist_eigen
+from .reps import braiding_terms, twist_eigen
 
 # -- packed Laurent coefficients ------------------------------------------
 #
@@ -370,10 +375,34 @@ def check_split(d):
 
 
 @lru_cache(maxsize=None)
+def pfall(a, t):
+    """{a}_{q,t} packed: one factor q^(a-t+1) - 1 per new length."""
+    return pfall(a, t - 1) * ((1 << (_BITS * (a - t + 1))) - 1) if t else 1
+
+
+@lru_cache(maxsize=None)
+def pbinom(b, t):
+    """[b choose t]_q = {b}_{q,t} / {t}_{q,t} packed, exact (a ring map)."""
+    quo, rem = divmod(pfall(b, t), pfall(t, t))
+    if rem:
+        raise NonExactDivision(f"[{b} choose {t}]_q is not a packed quotient")
+    return quo
+
+
+@lru_cache(maxsize=None)
 def _packed_block(m, n, sign):
-    block = braiding(m, n, sign)
-    return {key: tuple(((j2, i2),) + pack(c) for (j2, i2, c) in terms)
-            for key, terms in block.items()}
+    """reps.braiding(m, n, sign) packed (module docstring).  C(b, t) 2^t
+    bounds a term's coefficients (the binomial's are nonnegative and sum
+    to C(b, t); the t factors q^k - 1 have L1 norm 2), so DomainError
+    before any factor is formed if a block's largest bound passes a digit."""
+    terms = tuple(braiding_terms(m, n, sign))
+    if max(comb(b, t) << t for *_, b, _, t in terms) > _HALF - _GUARD:
+        raise DomainError(f"braiding block on colours {m}, {n} passes a digit")
+    block = {}
+    for pair, out, e, s, b, a, t in terms:
+        term = (out, e, s * pbinom(b, t) * pfall(a, t))
+        block[pair] = block.get(pair, ()) + (term,)
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -461,8 +490,9 @@ def _closed(d, colors):
     the cut tangle is a scalar on V_a, so one matrix element times v^a
     [a+1] = 1 + q + ... + q^a, one product with the all-ones digit
     number, is the closed value (v^a undoes the kappa weight at the
-    trace cap).  A nonzero odd offset on an even-framed diagram raises
-    DomainError: it left Z[v, 1/v]."""
+    trace cap).  Zero low digits (_padd keeps them when sums cancel) are
+    stripped: the pair is pack of the value.  An odd offset on an
+    even-framed diagram raises DomainError: it left Z[v, 1/v]."""
     key = (d.slices, colors)
     value = _jones_cache.get(key)
     if value is None:
@@ -470,9 +500,11 @@ def _closed(d, colors):
         o, mag = _contract(d, colors, cut)
         if cut is not None:
             mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
+        while mag and not mag & _MASK:
+            o, mag = o + 4, mag >> _BITS
         if mag and o % 2 and all(w % 2 == 0 for w in d.writhes):
             raise DomainError("even-framed value left Z[v, 1/v]")
-        value = _jones_cache[key] = (o, mag)
+        value = _jones_cache[key] = (o, mag) if mag else PACKED_ZERO
     return value
 
 
@@ -518,6 +550,11 @@ def pprime_table(d, N):
     return {key: unpack(val) for key, val in _change_axes(table, maps).items()}
 
 
+@lru_cache(maxsize=None)
+def _packed_weight(w):
+    return pack(w)
+
+
 def colour_sum(d, weights):
     """sum over colours c of prod_i weights[i][c_i] times the V-coloured
     value of d as drawn, weights[i] one LaurentU per colour 0, 1, ... of
@@ -527,7 +564,8 @@ def colour_sum(d, weights):
     if len(weights) != d.component_count:
         raise ColorCountMismatch(
             f"{d.component_count} components, {len(weights)} weight lists")
-    lanes = [[[(a % 2, pack(w))] for a, w in enumerate(ws)] for ws in weights]
+    lanes = [[[(a % 2, _packed_weight(w))] for a, w in enumerate(ws)]
+             for ws in weights]
     table = {a: _closed(d, a) for a in product(*map(range, map(len, lanes)))}
     return sum(map(unpack, _change_axes(table, lanes).values()), ZERO)
 

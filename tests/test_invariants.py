@@ -323,3 +323,21 @@ def test_theta0():
     t = theta0(knot_borromean(1, 1, 4))
     assert t.terms[1] == -q_pow(2) + q_pow(1)
     assert t.terms[2] == q_pow(5) - q_pow(4) - q_pow(3) + q_pow(2)
+
+
+def test_repeated_wrt_packs_nothing(monkeypatch):
+    # each weight [c+1] theta_c^(f-w) is packed once (tangles caches it)
+    # and the colour values stay packed in _closed's cache, so a repeated
+    # wrt calls pack zero times
+    packs = []
+    pack = uwrt.tangles.pack
+    monkeypatch.setattr(uwrt.tangles, "pack",
+                        lambda x: packs.append(x) or pack(x))
+    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._packed_weight.cache_clear()
+    pres = borromean_presentation((1, -1, 1))
+    first = wrt(pres, 5)
+    assert packs
+    packs.clear()
+    assert wrt(pres, 5) == first
+    assert packs == []

@@ -1,5 +1,7 @@
 """The braiding blocks and twist eigenvalues of quantum sl2."""
 
+from itertools import product
+
 from uwrt.laurent import ONE, u_pow
 from uwrt.reps import braiding, twist_eigen
 
@@ -35,6 +37,14 @@ def test_braiding_inverse():
             comp = _compose(braiding(n, m, -1), braiding(m, n, 1))
             for (i, j), acc in comp.items():
                 assert acc == {(i, j): ONE}
+
+
+def test_braiding_inverse_to_colour_5():
+    # the braid relation checks the term formula that braiding and the
+    # packed blocks of tangles share (braiding_terms) on colours <= 5
+    for m, n in product(range(6), repeat=2):
+        comp = _compose(braiding(n, m, -1), braiding(m, n, 1))
+        assert all(acc == {pair: ONE} for pair, acc in comp.items()), (m, n)
 
 
 def test_twist_eigen():

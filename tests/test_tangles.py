@@ -4,6 +4,7 @@ of a link."""
 
 import re
 from itertools import product
+from math import comb
 from unittest import mock
 
 import pytest
@@ -14,9 +15,10 @@ import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                          InputError, InterfaceMismatch, NotAdmissible,
                          OpenDiagram, UnknownName, UnsupportedCrossing)
-from uwrt.laurent import ZERO, LaurentU, q_pow, qnum, u_pow, v_pow
+from uwrt.laurent import (ZERO, LaurentU, falling_q, q_pow, qbinom_q, qnum,
+                          u_pow, v_pow)
 from uwrt.repring import p_in_v
-from uwrt.reps import twist_eigen
+from uwrt.reps import braiding, braiding_terms, twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
                           colour_sum, linking_data, pack, parse_diagram,
                           pprime_table, unpack, _padd, _pmul)
@@ -528,3 +530,79 @@ def test_colour_sum_matches_the_laurent_sum(braid, r):
         weights = [[qnum(c + 1) * twist_eigen(c, f - w) for c in range(r - 1)]
                    for f, w in zip(fr, d.writhes)]
         assert colour_sum(d, weights) == want, fr
+
+
+def test_packed_blocks_match_the_laurent_blocks():
+    # the blocks built from packed q-factors against pack of each term of
+    # reps.braiding, on every colour pair <= 8 and both signs: the same
+    # pairs and, for each, the same terms in order, offsets and digits
+    for m, n, s in product(range(9), range(9), (1, -1)):
+        want = {pair: tuple(((j2, i2),) + pack(c) for j2, i2, c in terms)
+                for pair, terms in braiding(m, n, s).items()}
+        assert uwrt.tangles._packed_block(m, n, s) == want, (m, n, s)
+
+
+def test_block_bound_refuses_a_block_before_building_it(monkeypatch):
+    tangles = uwrt.tangles
+    # C(b, t) 2^t bounds every coefficient of every term to colour 8
+    for m, n, s in product(range(9), range(9), (1, -1)):
+        for *_, b, a, t in braiding_terms(m, n, s):
+            c = qbinom_q(b, t) * falling_q(a, t)
+            assert max(map(abs, c.coeffs)) <= comb(b, t) << t
+    # and first passes the digit's edge in the colour-42 blocks
+    edge = tangles._HALF - tangles._GUARD
+    assert max(comb(b, t) << t for b in range(42)
+               for t in range(b + 1)) <= edge
+
+    def fail(*args):
+        raise AssertionError("packed factor formed")
+
+    build = tangles._packed_block.__wrapped__
+    monkeypatch.setattr(tangles, "pfall", fail)
+    monkeypatch.setattr(tangles, "pbinom", fail)
+    for s in (1, -1):
+        with pytest.raises(DomainError, match="colours 42, 42"):
+            build(42, 42, s)
+    # with the edge at 1000, a colour-8 block (C(8, 4) 2^4 = 1120) is
+    # refused before any factor exists, and a colour-4 one is not
+    monkeypatch.undo()
+    want = tangles._packed_block(4, 4, 1)
+    monkeypatch.setattr(tangles, "_GUARD", tangles._HALF - 1000)
+    assert build(4, 4, 1) == want
+    monkeypatch.setattr(tangles, "pfall", fail)
+    monkeypatch.setattr(tangles, "pbinom", fail)
+    for s in (1, -1):
+        with pytest.raises(DomainError, match="colours 8, 8"):
+            build(8, 8, s)
+
+
+def test_closed_pairs_are_canonical():
+    # cancelling low digits leave zeros that _padd keeps, and where they
+    # appear depends on the split; _closed strips them, so every split
+    # gives pack of the value, on a conjugated Borromean word (where the
+    # raw pairs differ) at colours <= 3
+    d = closure_of_braid(3, [(1, 1), (1, 1), (2, -1), (1, 1), (2, -1),
+                             (1, 1), (2, -1), (1, -1)])
+    steps = max(len(s) for s in d.cuts.values())
+    for cs in product(range(4), repeat=3):
+        pairs = set()
+        for h in range(steps + 1):
+            with mock.patch.object(uwrt.tangles, "_split",
+                                   lambda s: min(h, len(s))), \
+                    mock.patch.object(uwrt.tangles, "_jones_cache", {}):
+                pairs.add(uwrt.tangles._closed(d, cs))
+        (value,) = pairs
+        assert value == pack(unpack(value)), cs
+
+
+@settings(deadline=None, max_examples=40)
+@given(braids(4, min_strands=1, max_letters=6),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=4,
+                max_size=4))
+def test_closed_pairs_are_canonical_on_any_closure(braid, colors):
+    d = closure_of_braid(*braid)
+    cs = tuple(colors[:d.component_count])
+    with mock.patch.object(uwrt.tangles, "_jones_cache", {}):
+        value = uwrt.tangles._closed(d, cs)
+        assert value == pack(unpack(value))
+        assert not value[1] or value[1] & uwrt.tangles._MASK
