@@ -16,8 +16,9 @@ import sys
 
 from . import accept
 from .errors import DomainError, InputError, UnknownName
-from .evaluate import (check_modp, check_padic, check_rational, eval_padic,
-                       eval_rational, modp_nonvanishing, modp_value)
+from .evaluate import (check_modp, eval_padic, eval_rational,
+                       modp_nonvanishing, modp_value, padic_point,
+                       rational_point, truncation_index)
 from .invariants import (SurgeryPresentation, jm_from_surgery,
                          knot_borromean, ohtsuki, read_text, theta0, wrt)
 from .qhat import eval_root, reduce, taylor
@@ -74,15 +75,10 @@ def _emit(args, human_lines, payload):
     return 0
 
 
-def _habiro_lines(x, depth):
-    lines = []
-    for n, c in enumerate(x.terms):
-        if not c.is_zero():
-            lines.append(f"slot {n}: {c.to_str()}")
-    if not lines:
-        lines.append("0")
-    lines.append(f"reduced mod (q)_{depth}: {reduce(x, depth).to_str()}")
-    return lines
+def _habiro_lines(x, depth, reduced):
+    lines = [f"slot {n}: {c.to_str()}" for n, c in enumerate(x.terms)
+             if not c.is_zero()] or ["0"]
+    return lines + [f"reduced mod (q)_{depth}: {reduced.to_str()}"]
 
 
 def _modpoly_str(m):
@@ -101,33 +97,35 @@ def cmd_jones(args):
 def cmd_jm(args):
     pres = _load_presentation(args)
     x = jm_from_surgery(pres, args.depth)
-    return _emit(args, _habiro_lines(x, args.depth),
+    reduced = reduce(x, args.depth)
+    return _emit(args, _habiro_lines(x, args.depth, reduced),
                  {"command": "jm", "element": x.to_json(),
-                  "reduced": reduce(x, args.depth).to_json()})
+                  "reduced": reduced.to_json()})
 
 
-# per eval mode: the parameter count, what the mode rejects in its
-# parameters alone (checked before the surgery sum is paid for), and the
-# parameter r, if any, that J_M must reach: its value at an r-th root
-# reads r terms
-_EVAL_MODES = {"root": (1, lambda r: _check_positive("r", r), 0),
-               "rational": (3, check_rational, None),
-               "padic": (3, check_padic, None),
-               "modp": (2, check_modp, 1),
-               "modp-scan": (2, lambda p, rmax: check_modp(p, 1), 1)}
+# per eval mode: the parameter count, and the number of terms of J_M the
+# value reads, found after the checks of the parameters alone (so that
+# they run before the surgery sum is paid for): r at an r-th root, and at
+# a point s mod m the first n <= --depth with (s)_n = 0 mod m
+_EVAL_MODES = {
+    "root": (1, lambda r, depth: _check_positive("r", r) or r),
+    "rational": (3, lambda a, b, m, depth:
+                 truncation_index(*rational_point(a, b, m), depth)),
+    "padic": (3, lambda s, p, e, depth:
+              truncation_index(*padic_point(s, p, e), depth)),
+    "modp": (2, lambda p, r, depth: check_modp(p, r) or r),
+    "modp-scan": (2, lambda p, rmax, depth: check_modp(p, 1) or rmax)}
 
 
 def cmd_eval(args):
     mode = args.mode
     params = args.params
-    need, check, r_index = _EVAL_MODES[mode]
+    need, reads = _EVAL_MODES[mode]
     if len(params) != need:
         raise UnknownName(f"mode {mode} takes {need} parameters")
     pres = _load_presentation(args)
-    check(*params)
-    depth = args.depth if r_index is None else max(args.depth,
-                                                   params[r_index])
-    x = jm_from_surgery(pres, depth)
+    # an element has depth >= 1, also where the value reads no term
+    x = jm_from_surgery(pres, max(reads(*params, args.depth), 1))
     if mode == "root":
         val = eval_root(x, params[0])
         human = str(val) if isinstance(val, int) else _modpoly_str(val)
@@ -198,7 +196,7 @@ def cmd_wrt(args):
 
 def cmd_kashaev(args):
     x = theta0(knot_borromean(args.i, args.j, args.depth))
-    return _emit(args, _habiro_lines(x, args.depth),
+    return _emit(args, _habiro_lines(x, args.depth, reduce(x, args.depth)),
                  {"command": "kashaev", "i": args.i, "j": args.j,
                   "element": x.to_json()})
 
@@ -218,7 +216,9 @@ def build_parser():
 
     def common(p, surgery=False, diagram=False):
         p.add_argument("--depth", type=int, default=10,
-                       help="truncation depth (default 10)")
+                       help="truncation depth (default 10); caps eval "
+                            "rational and padic, unused by eval root, modp, "
+                            "modp-scan, ohtsuki and taylor")
         p.add_argument("--format", choices=("human", "json"),
                        default="human")
         if surgery:

@@ -74,24 +74,26 @@ def is_prime(n):
     return True
 
 
-def _truncated_value(x, s, m, point):
-    """sum_n c_n (s)_n modulo m, for s a unit mod m.
-
-    Every term from the first n with (s)_n = 0 mod m on carries that
-    factor, so the value is the q-polynomial x.expand(n) at q = s,
-    taken by Horner mod m.  point names q and the modulus as the caller
-    gave them, for DepthExceeded: m itself may have too many digits to
-    print.
-    """
+def truncation_index(s, m, point, depth):
+    """The first n <= depth with (s)_n = 0 mod m, s a unit mod m: every
+    term of sum_n c_n (s)_n from there on vanishes, so its value reads n
+    terms.  point names q and the modulus as the caller gave them, for
+    DepthExceeded: m itself may have too many digits to print."""
     n = 0
     poch = 1 % m          # (s)_n mod m
     while poch:
-        if n >= x.depth:
+        if n >= depth:
             raise DepthExceeded(
-                f"(q)_n at {point} does not vanish within depth {x.depth}")
+                f"(q)_n at {point} does not vanish within depth {depth}")
         n += 1
         poch = poch * (1 - pow(s, n, m)) % m
-    lo, run = x.expand(n)
+    return n
+
+
+def _truncated_value(x, s, m, point):
+    """sum_n c_n (s)_n modulo m: the q-polynomial x.expand(n) at q = s,
+    taken by Horner mod m, n the truncation index."""
+    lo, run = x.expand(truncation_index(s, m, point, x.depth))
     acc = 0
     for c in reversed(run):
         acc = (acc * s + c) % m
@@ -105,10 +107,8 @@ def eval_rational(x, a, b, m):
     latest the multiplicative order r of a/b mod m, since (a/b)_r
     contains the factor 1 - (a/b)^r = 0 mod m.
     """
-    check_rational(a, b, m)
     return ResidueValue("int", m,
-                        _truncated_value(x, a * pow(b, -1, m) % m, m,
-                                         f"q = {a}/{b} mod {m}"))
+                        _truncated_value(x, *rational_point(a, b, m)))
 
 
 def eval_padic(x, s, p, e):
@@ -116,10 +116,8 @@ def eval_padic(x, s, p, e):
 
     The sum truncates at the first n with (s)_n = 0 mod p^e.
     """
-    check_padic(s, p, e)
     return ResidueValue("prime-power", (p, e),
-                        _truncated_value(x, s % p ** e, p ** e,
-                                         f"q = {s} mod {p}^{e}"))
+                        _truncated_value(x, *padic_point(s, p, e)))
 
 
 def modp_value(x, p, r):
@@ -142,20 +140,24 @@ def modp_nonvanishing(value):
 # -- parameter checks, which need no element and so run before one is built
 
 
-def check_rational(a, b, m):
+def rational_point(a, b, m):
+    """(s, m, point) for q = a/b mod m, after checking m, a and b."""
     if m < 1:
         raise ValueError("modulus must be positive")
     if math.gcd(m, a * b) != 1:
         raise NotCoprime(f"gcd({m}, {a}*{b}) != 1")
+    return a * pow(b, -1, m) % m, m, f"q = {a}/{b} mod {m}"
 
 
-def check_padic(s, p, e):
+def padic_point(s, p, e):
+    """(s mod p^e, p^e, point) for q = s mod p^e, after checking s, p, e."""
     if e < 1:
         raise ValueError("precision must be positive")
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if s % p == 0:
         raise NotAUnit(f"{s} is not a unit modulo {p}")
+    return s % p ** e, p ** e, f"q = {s} mod {p}^{e}"
 
 
 def check_modp(p, r):

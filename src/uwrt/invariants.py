@@ -202,14 +202,16 @@ def jm_borromean(i, j, k, N=DEFAULT_DEPTH):
     out = []
     for l in range(N):
         c = omega_coeff(i, l) * omega_coeff(j, l) * omega_coeff(k, l)
-        if c.is_zero():
-            out.append(ZERO)
-            continue
-        if l % 2:
-            c = -c
-        bb = falling_bal(2 * l + 1, l + 1).exact_div(qint_bal(1))
-        out.append((c * bb).exact_div(pochhammer(l)))
+        out.append(ZERO if c.is_zero() else c * _borromean_factor(l))
     return HabiroElem(N, out)
+
+
+@lru_cache(maxsize=None)
+def _borromean_factor(l):
+    """(-1)^l {2l+1}_{l+1} / ({1} (q)_l), a Laurent polynomial: up to a
+    unit, [2l+1 choose l+1]_q (q^(l+1) - 1) / (q - 1)."""
+    f = falling_bal(2 * l + 1, l + 1).exact_div(qint_bal(1) * pochhammer(l))
+    return -f if l % 2 else f
 
 
 def poincare_series(N=DEFAULT_DEPTH):

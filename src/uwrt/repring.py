@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import InputError
 from .laurent import (ONE, ZERO, q_pow, qbinom_bal, qbinom_q, qfact_bal,
                       qnum, v_pow)
 
@@ -118,6 +119,12 @@ def pairing(x, y):
 # -- the twist element and its powers ---------------------------------------
 
 
+# omega_coeff(p, n) takes time ~ p^2 (n^4 + 8); timed at |p| <= 4000 and
+# n <= 16, a call at this bound takes 25-60 s on one shared Intel Xeon
+# core (CPython 3.11).  Past it, the call is refused before any work.
+_OMEGA_WORK = 150_000_000
+
+
 @lru_cache(maxsize=None)
 def omega_coeff(p, n):
     """Coefficient of P'_n in omega^p, by one pass over l = 1..|p|.
@@ -128,8 +135,11 @@ def omega_coeff(p, n):
     for p < 0, by q^(-(s_l - s_(l-1)) s_(l-1)).  The prefactor is
     v^(n(n+3)/2) for p > 0 and (-1)^n v^(-n(n+3)/2) for p < 0.
     """
-    if p == 0:
+    if p == 0 or n == 0:
         return ONE if n == 0 else ZERO
+    if p * p * (n ** 4 + 8) > _OMEGA_WORK:
+        raise InputError(f"omega^{p} at P'_{n}: work p^2 (n^4 + 8) passes "
+                         f"{_OMEGA_WORK:,}")
     sign = 1 if p > 0 else -1
 
     def step(c, s, t):

@@ -85,7 +85,7 @@ from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, NonExactDivision,
                      NotAdmissible, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
-from .laurent import ZERO, LaurentU
+from .laurent import LaurentU
 from .repring import p_in_v
 from .reps import braiding_terms, twist_eigen
 
@@ -115,9 +115,9 @@ def pack(x):
     return (x.min, sum(c << (_BITS * k) for k, c in enumerate(x.coeffs[::4])))
 
 
-def unpack(value):
+def _decode(value, coeffs):
+    """coeffs (u-exponent: coefficient) with the digits of value in."""
     e, m = value
-    coeffs = {}
     while m:
         d = m & _MASK
         if d >= _HALF:
@@ -127,7 +127,11 @@ def unpack(value):
         coeffs[e] = d
         e += 4
         m = (m - d) >> _BITS
-    return LaurentU.from_dict(coeffs)
+    return coeffs
+
+
+def unpack(value):
+    return LaurentU.from_dict(_decode(value, {}))
 
 
 def _padd(a, b):
@@ -558,8 +562,9 @@ def _packed_weight(w):
 def colour_sum(d, weights):
     """sum over colours c of prod_i weights[i][c_i] times the V-coloured
     value of d as drawn, weights[i] one LaurentU per colour 0, 1, ... of
-    component i: packed, summed into the lanes c mod 2, then unpacked
-    and added.  Split diagrams, weights like wrt's (module docstring)."""
+    component i: packed, summed into the lanes c mod 2, the lanes of one
+    residue mod 4 added packed, and every residue decoded into one dict.
+    Split diagrams, weights like wrt's (module docstring)."""
     check_split(d)
     if len(weights) != d.component_count:
         raise ColorCountMismatch(
@@ -567,7 +572,12 @@ def colour_sum(d, weights):
     lanes = [[[(a % 2, _packed_weight(w))] for a, w in enumerate(ws)]
              for ws in weights]
     table = {a: _closed(d, a) for a in product(*map(range, map(len, lanes)))}
-    return sum(map(unpack, _change_axes(table, lanes).values()), ZERO)
+    sums = _change_axes(table, lanes).values()
+    coeffs = {}
+    for r in range(4):
+        _decode(reduce(_padd, [v for v in sums if v[0] % 4 == r],
+                       PACKED_ZERO), coeffs)
+    return LaurentU.from_dict(coeffs)
 
 
 # -- builtin diagrams -------------------------------------------------------

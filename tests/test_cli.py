@@ -3,14 +3,15 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uwrt import cli, evaluate, invariants, tangles
+from uwrt import cli, evaluate, invariants, repring, tangles
 from uwrt.invariants import jm_borromean
 from uwrt.qhat import eval_root
 from uwrt.tangles import builtin, colored_jones
@@ -179,6 +180,21 @@ def test_kashaev_large_twist_parameter(capsys):
     assert out.splitlines()[0] == "slot 0: 1"
 
 
+def test_large_twist_refused_at_once(capsys, monkeypatch):
+    # omega^100000 at P'_1 would run for hours; it is refused before any
+    # q-binomial is formed
+    def fail(*args):
+        raise AssertionError("omega^p work started")
+
+    monkeypatch.setattr(repring, "qbinom_q", fail)
+    for argv in (["kashaev", "100000", "1"],
+                 ["jm", "--surgery",
+                  '{"family": "borromean", "params": [100000, 1, 1]}']):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err.startswith("input error: omega^100000 at P'_1")
+
+
 def test_padic_modulus_too_long_to_print(capsys):
     # 3^100000 has 47,713 digits, beyond int's default conversion limit
     code, out, err = run(capsys, ["eval", "--surgery", BORR,
@@ -292,6 +308,127 @@ def test_taylor_depth_is_what_it_reads(capsys, monkeypatch):
                           "2", "3"], 6)):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out and depths[-1] == depth
+
+
+def test_eval_depth_is_what_it_reads(capsys, monkeypatch):
+    # root and modp read r terms and modp-scan rmax, whatever --depth says;
+    # at a point s mod m the value reads up to the first n with
+    # (s)_n = 0 mod m, and --depth only caps n
+    depths = []
+
+    def record(pres, depth):
+        depths.append(depth)
+        return jm_borromean(*pres.params, depth)
+
+    monkeypatch.setattr(cli, "jm_from_surgery", record)
+    for params, depth in ((["root", "5"], 5),
+                          (["rational", "3", "1", "7"], 6),
+                          (["padic", "5", "2", "5"], 2),
+                          (["modp-scan", "5", "6"], 6),
+                          (["modp", "7", "3"], 3),
+                          (["rational", "2", "1", "1"], 1)):    # n = 0
+        for extra in ([], ["--depth", "8"], ["--depth", "6"]):
+            code, out, _ = run(capsys, ["eval", *extra, "--surgery", BORR,
+                                        *params])
+            assert code == 0 and out and depths[-1] == depth
+
+
+def test_truncation_past_depth_refused_before_the_surgery_sum(
+        capsys, monkeypatch):
+    def fail(pres, depth):
+        raise AssertionError("surgery sum started")
+
+    monkeypatch.setattr(cli, "jm_from_surgery", fail)
+    for params, message in (
+            (["rational", "3", "1", "7"],
+             "(q)_n at q = 3/1 mod 7 does not vanish within depth 5"),
+            (["padic", "3", "2", "6"],
+             "(q)_n at q = 3 mod 2^6 does not vanish within depth 3")):
+        depth = message.split()[-1]
+        code, out, err = run(capsys, ["eval", "--depth", depth, "--surgery",
+                                      BORR, *params])
+        assert (code, out, err) == (1, "", f"domain error: {message}\n")
+
+
+def _value_at(x, s, m):
+    """sum_n c_n (s)_n mod m over every term of x, by the q-polynomial of
+    the whole element: no truncation index involved."""
+    lo, run_ = x.expand(x.depth)
+    return sum(c * pow(s, lo + i, m) for i, c in enumerate(run_)) % m
+
+
+_eval_cases = st.one_of(
+    st.tuples(st.just("root"), st.tuples(st.integers(1, 9))),
+    st.tuples(st.just("modp"), st.tuples(st.sampled_from([2, 3, 7]),
+                                         st.integers(1, 9))),
+    st.tuples(st.just("modp-scan"), st.tuples(st.sampled_from([2, 3, 7]),
+                                              st.integers(1, 9))),
+    st.tuples(st.just("rational"),
+              st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3]),
+                        st.sampled_from([1, 5, 7, 11]))),
+    st.tuples(st.just("padic"),
+              st.tuples(st.integers(-6, 6), st.sampled_from([2, 3]),
+                        st.integers(1, 3))))
+
+
+def _root_line(x, r, p):
+    """The coefficient list that eval prints for x at an r-th root, mod p
+    when p > 0."""
+    val = eval_root(x, r)
+    coeffs = [val] if r == 1 else list(val.coeffs)
+    return [c % p for c in coeffs] if p else coeffs
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(-2, 2), min_size=3, max_size=3), _eval_cases)
+@example([1, -1, 1], ("root", (5,)))
+@example([-1, 2, 1], ("modp", (7, 5)))
+@example([2, -2, 1], ("modp-scan", (3, 8)))
+@example([-1, 2, 1], ("rational", (3, 1, 7)))
+@example([-2, -1, 1], ("padic", (5, 2, 5)))
+def test_eval_matches_a_deeper_element(params, case):
+    # every mode prints the value of J_M built at depth 12, read without
+    # the truncation the command computes; at a root with +-1 parameters,
+    # also the WRT value of the diagram form
+    mode, values = case
+    x = jm_borromean(*params, 12)
+    surgery = json.dumps({"family": "borromean", "params": params})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--depth", "12", "--surgery", surgery, mode,
+                         "--", *map(str, values)])
+    lines = out.getvalue().splitlines()
+    if mode in ("rational", "padic"):
+        s, b, m = values if mode == "rational" else \
+            (values[0], 1, values[1] ** values[2])
+        if math.gcd(m, s * b) != 1:
+            assert code == 1 and not lines
+            return
+        assert code == 0, err.getvalue()
+        assert int(lines[0].split()[0]) == \
+            _value_at(x, s * pow(b, -1, m) % m, m)
+    elif mode == "root":
+        r = values[0]
+        assert code == 0, err.getvalue()
+        want = _root_line(x, r, 0)
+        assert lines == [str(want[0]) if r == 1 else
+                         cli._modpoly_str(eval_root(x, r))]
+        if 1 < r <= 6 and set(params) <= {1, -1}:
+            pres = invariants.borromean_presentation([-i for i in params])
+            assert list(invariants.wrt(pres, r).coeffs) == want
+    elif mode == "modp":
+        p, r = values
+        if r % p == 0:
+            assert code == 1 and not lines
+            return
+        assert code == 0, err.getvalue()
+        assert lines[0].split(" with modulus")[0] == str(_root_line(x, r, p))
+    else:
+        p, rmax = values
+        assert code == 0, err.getvalue()
+        assert [[int(c) for c in line.split(",")[3].split(";")]
+                for line in lines[1:]] == \
+            [_root_line(x, r, p) for r in range(1, rmax + 1) if r % p]
 
 
 def test_upward_crossing_refused_before_any_contraction(capsys, monkeypatch):

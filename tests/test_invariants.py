@@ -18,8 +18,10 @@ from uwrt.invariants import (SurgeryPresentation, borromean_presentation,
                              poincare_series, reduced_jones, s3_presentations,
                              theta, theta0, tilde_tau8_check, unlink_diagram,
                              wrt)
-from uwrt.laurent import ONE, ZERO, q_pow
+from uwrt.laurent import (ONE, ZERO, falling_bal, pochhammer, q_pow,
+                          qint_bal)
 from uwrt.qhat import HabiroElem, equals_at_depth
+from uwrt.repring import omega_coeff
 from uwrt.tangles import builtin, closure_of_braid
 
 BORROMEAN_WORD = [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)]
@@ -185,6 +187,21 @@ def test_jm_borromean_degenerate_and_symmetric():
     a = jm_borromean(2, 1, -1, 6)
     for perm in ((1, 2, -1), (-1, 1, 2), (1, -1, 2)):
         assert equals_at_depth(a, jm_borromean(*perm, 6), 6)
+
+
+def test_borromean_slots_match_the_divided_product():
+    # jm_borromean against the closed form as first written: each slot's
+    # full product (-1)^l w_i w_j w_k {2l+1}_{l+1} / {1}, divided exactly
+    # by (q)_l; every |p| <= 3 of both signs in every position
+    triples = [(1, 1, 1), (-1, -1, -1)] + list(zip(
+        range(-3, 4), (3, -1, 2, 0, -2, 1, -3), (-2, 3, 0, 1, -3, 2, -1)))
+    for i, j, k in triples:
+        x = jm_borromean(i, j, k, 12)
+        for l in range(12):
+            c = omega_coeff(i, l) * omega_coeff(j, l) * omega_coeff(k, l)
+            bb = falling_bal(2 * l + 1, l + 1).exact_div(qint_bal(1))
+            want = (c * bb).exact_div(pochhammer(l))
+            assert x.terms[l] == (-want if l % 2 else want), (i, j, k, l)
 
 
 def test_mirror_and_connected_sum():

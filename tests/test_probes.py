@@ -4,7 +4,7 @@ engine, so none of them can turn a cold workload warm unnoticed."""
 import importlib.util
 from pathlib import Path
 
-from uwrt.invariants import borromean_presentation, wrt
+from uwrt.invariants import borromean_presentation, jm_borromean, wrt
 
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
@@ -34,3 +34,14 @@ def test_probes_find_and_clear_the_packed_caches():
         assert _size(found[name]), name
     probes.reset_caches(caches)
     assert [name for name in CACHES if _size(found[name])] == []
+
+
+def test_probes_find_and_clear_the_borromean_factor():
+    probes = _load_probes()
+    caches = probes.find_caches()
+    factor = dict(caches)["uwrt.invariants._borromean_factor"]
+    probes.reset_caches(caches)
+    jm_borromean(1, -1, 2, 4)
+    assert _size(factor) == 4
+    probes.reset_caches(caches)
+    assert _size(factor) == 0

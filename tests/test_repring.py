@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from uwrt.errors import NonExactDivision
+import uwrt.repring
+from uwrt.errors import InputError, NonExactDivision
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import (ONE, ZERO, falling_bal, q_pow, qfact_bal, qfact_q,
                           qnum, v_pow)
@@ -148,3 +149,23 @@ def test_values_trivial_at_r_dividing_2k_for_large_k():
             for r in range(1, 11):
                 if (2 * k) % r == 0:
                     assert eval_root(x, r) == 1, (i, j, k, r)
+
+
+def test_omega_work_bound_refuses_before_any_work(monkeypatch):
+    # the work p^2 (n^4 + 8) of omega^37 at P'_2 is 32,856: at a bound one
+    # below it, the call is refused before any q-binomial is formed
+    def fail(*args):
+        raise AssertionError("omega^p work started")
+
+    uncached = omega_coeff.__wrapped__
+    want = uncached(37, 2)
+    monkeypatch.setattr(uwrt.repring, "_OMEGA_WORK", 37 ** 2 * 24)
+    assert uncached(37, 2) == want
+    monkeypatch.setattr(uwrt.repring, "_OMEGA_WORK", 37 ** 2 * 24 - 1)
+    monkeypatch.setattr(uwrt.repring, "qbinom_q", fail)
+    with pytest.raises(InputError, match="omega\\^37 at P'_2"):
+        uncached(37, 2)
+    with pytest.raises(InputError, match="omega\\^-37 at P'_2"):
+        uncached(-37, 2)
+    assert uncached(10 ** 9, 0) == ONE      # P'_0 costs nothing
+
