@@ -41,7 +41,7 @@ def criterion_1():
 
 
 def _borromean_closed(i, j, k):
-    acc = LaurentU.zero()
+    acc = ZERO
     for p in range(min(i, j, k) + 1):
         c = ONE
         for n in (i, j, k):
@@ -227,7 +227,7 @@ def _apply_braiding(state, colors, pos, sign):
             new = list(key)
             new[pos], new[pos + 1] = j2, i2
             new = tuple(new)
-            val = out.get(new, LaurentU.zero()) + coeff * c
+            val = out.get(new, ZERO) + coeff * c
             out[new] = val
     swapped = list(colors)
     swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]

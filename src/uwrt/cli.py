@@ -114,7 +114,8 @@ _EVAL_MODES = {
     "padic": (3, lambda s, p, e, depth:
               truncation_index(*padic_point(s, p, e), depth)),
     "modp": (2, lambda p, r, depth: check_modp(p, r) or r),
-    "modp-scan": (2, lambda p, rmax, depth: check_modp(p, 1) or rmax)}
+    "modp-scan": (2, lambda p, rmax, depth: check_modp(p, 1)
+                  or _check_positive("rmax", rmax) or rmax)}
 
 
 def cmd_eval(args):
@@ -276,10 +277,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "depth", 1) < 1:
-        print("error: depth must be >= 1", file=sys.stderr)
-        return 2
     try:
+        _check_positive("depth", getattr(args, "depth", 1))
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

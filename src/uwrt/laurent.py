@@ -17,7 +17,33 @@ from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
                      ShapeMismatch)
 
 
-class LaurentU:
+class RingElem:
+    """Subtraction for the ring element types, from their addition and
+    negation."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+def _power(base, one, n):
+    """base ** n by square-and-multiply, one the ring's unit; n >= 0."""
+    if n < 0:
+        raise ValueError("powers must be >= 0")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class LaurentU(RingElem):
     """Laurent polynomial in u, stored as (min exponent, coefficient run).
 
     Canonical form: the first and last stored coefficients are nonzero;
@@ -45,10 +71,6 @@ class LaurentU:
             self.coeffs = tuple(coeffs[lo:hi])
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return _ZERO
 
     @staticmethod
     def monomial(exponent, coefficient=1):
@@ -93,9 +115,6 @@ class LaurentU:
         """Coefficient of q^k."""
         return self[4 * k]
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -121,14 +140,6 @@ class LaurentU:
     def __neg__(self):
         return LaurentU(self.min, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentU.integer(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
@@ -152,23 +163,7 @@ class LaurentU:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            if not self.is_monomial() or abs(self.coeffs[0]) != 1:
-                raise NonExactDivision("negative power of a non-unit")
-            c = self.coeffs[0] if n % 2 else 1
-            return LaurentU.monomial(self.min * n, c)
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conj(self):
-        """The bar involution u -> u^(-1) (hence q -> q^(-1))."""
-        return LaurentU(-self.max, tuple(reversed(self.coeffs)))
+        return _power(self, _ONE, n)
 
     def exact_div(self, other):
         """Exact quotient self / other in Z[u, u^-1].
@@ -374,7 +369,7 @@ def qnum(i):
 # -- quotient rings over Z and F_p ---------------------------------------
 
 
-class ModPoly:
+class ModPoly(RingElem):
     """Element of Z[x]/(f) (p = 0) or F_p[x]/(f) (p > 0).
 
     The modulus f is a coefficient tuple, constant term first.  Over Z
@@ -427,12 +422,6 @@ class ModPoly:
     def __neg__(self):
         return self._like([-a for a in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self._like([a * other for a in self.coeffs])
@@ -447,16 +436,7 @@ class ModPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("ModPoly powers must be >= 0")
-        result = self._like([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, self._like([1]), n)
 
     def is_zero(self):
         return not any(self.coeffs)

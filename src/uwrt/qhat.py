@@ -24,13 +24,13 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DepthExceeded, InputError, NotInQ
-from .laurent import (LaurentU, ZERO, ModPoly, cyclotomic, cyclotomic_coeffs,
-                      pochhammer, q_pow, remainder)
+from .laurent import (LaurentU, ZERO, ModPoly, RingElem, cyclotomic,
+                      cyclotomic_coeffs, pochhammer, remainder)
 
 DEFAULT_DEPTH = 10
 
 
-class HabiroElem:
+class HabiroElem(RingElem):
     __slots__ = ("depth", "terms")
 
     def __init__(self, depth, terms=()):
@@ -66,12 +66,6 @@ class HabiroElem:
     def __neg__(self):
         return HabiroElem(self.depth, [-c for c in self.terms])
 
-    def __sub__(self, other):
-        return self + (-_as_elem(other, self.depth))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, LaurentU):
             if not other.is_in_q():
@@ -97,17 +91,6 @@ class HabiroElem:
         return HabiroElem(d, out)
 
     __rmul__ = __mul__
-
-    def conj(self):
-        """The bar involution q -> q^(-1), using
-        conj((q)_n) = (-1)^n q^(-n(n+1)/2) (q)_n."""
-        out = []
-        for n, c in enumerate(self.terms):
-            c = c.conj() * q_pow(-n * (n + 1) // 2)
-            if n % 2:
-                c = -c
-            out.append(c)
-        return HabiroElem(self.depth, out)
 
     def expand(self, d):
         """The q-run (lo, run) of sum_{n<d} c_n (q)_n, the polynomial

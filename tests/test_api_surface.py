@@ -3,13 +3,15 @@
 A public (no leading underscore) module-level function or class must be
 referenced, as a name or an attribute, by some other top-level statement
 of a module in src/uwrt.  A public method's name must be referenced as
-an attribute somewhere in src/uwrt other than by a call on self in its
-own body: a bare name is a local or a global, never the method, so a
-local variable of the same name does not hide an unused method.  An
-attribute read off a class defined in src/uwrt, K.m, counts only toward
-K.m, so it does not hide an unused method m of another class.  Imports
-do not count, and neither do docstrings, so a definition that only
-tests call fails here.  Nor does src/uwrt hold an assert statement, or
+an attribute somewhere in src/uwrt outside its own body: there, an
+attribute of that name is a recursive call, or the same method of
+another operand (x.m() inside m, as a method of a container calls the
+method of its elements), never a use.  A bare name is a local or a
+global, never the method, so a local variable of the same name does not
+hide an unused method.  An attribute read off a class defined in
+src/uwrt, K.m, counts only toward K.m, so it does not hide an unused
+method m of another class.  Imports do not count, and neither do
+docstrings, so a definition that only tests call fails here.  Nor does src/uwrt hold an assert statement, or
 import a leading-underscore name from another uwrt module.
 """
 
@@ -22,21 +24,19 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _referenced(nodes, classes, method=None):
-    """(bare names, attributes) under nodes, except self.method: an
-    attribute is its name, or (K, name) when read off a class K in
-    classes."""
+    """(bare names, attributes) under nodes, except every attribute
+    named method: an attribute is its name, or (K, name) when read off a
+    class K in classes."""
     names, attributes = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
+            elif isinstance(sub, ast.Attribute) and sub.attr != method:
                 owner = sub.value.id if isinstance(sub.value, ast.Name) \
                     else None
-                if owner in classes:
-                    attributes.add((owner, sub.attr))
-                elif not (sub.attr == method and owner == "self"):
-                    attributes.add(sub.attr)
+                attributes.add((owner, sub.attr) if owner in classes
+                               else sub.attr)
     return names, attributes
 
 
@@ -44,7 +44,7 @@ def unreferenced_public_definitions(src=SRC):
     """Sorted "module.name" of every public module-level def or class
     that no other top-level statement under src references, and
     "module.Class.name" of every public method whose name nothing under
-    src references but a call on self in its own body."""
+    src references outside its own body."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
     classes = {node.name for tree in trees.values() for node in tree.body
@@ -167,6 +167,8 @@ def test_detector_flags_a_test_only_method(tmp_path):
         "    def used(self):\n        return 2\n\n"
         "    def recursive(self, n):\n"
         "        return self.recursive(n - 1) if n else 0\n\n"
+        "    def mapped(self, items):\n"
+        "        return [item.mapped(self) for item in items]\n\n"
         "    @staticmethod\n"
         "    def make():\n        return Box()\n\n"
         "    def shadowed(self):\n        return 3\n\n\n"
@@ -176,8 +178,9 @@ def test_detector_flags_a_test_only_method(tmp_path):
         "def outer():\n    shadowed = 4\n    return shadowed\n\n\n"
         "VALUE = Box().used() + outer() + len([Crate.make()])\n",
         encoding="utf-8")
-    # the local variable shadowed is not the method Box.shadowed, and
-    # Crate.make reaches Crate's make, not Box's
+    # the local variable shadowed is not the method Box.shadowed,
+    # Crate.make reaches Crate's make, not Box's, and item.mapped inside
+    # mapped is no use of mapped
     assert unreferenced_public_definitions(tmp_path) == \
-        ["c.Box.make", "c.Box.recursive", "c.Box.shadowed"]
+        ["c.Box.make", "c.Box.mapped", "c.Box.recursive", "c.Box.shadowed"]
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uwrt import cli, evaluate, invariants, repring, tangles
+from uwrt import accept, cli, evaluate, invariants, repring, tangles
 from uwrt.invariants import jm_borromean
 from uwrt.qhat import eval_root
 from uwrt.tangles import builtin, colored_jones
@@ -223,7 +223,9 @@ def test_input_errors(capsys):
                        ["eval", "--surgery", BORR, "rational", "2"])
     assert code == 2
     code, _, err = run(capsys, ["jm", "--depth", "0", "--surgery", BORR])
-    assert code == 2
+    assert code == 2 and err == "input error: depth must be >= 1, got 0\n"
+    code, _, err = run(capsys, ["jones", "1"])
+    assert code == 2 and "input error: no diagram given" in err
     code, _, err = run(capsys, ["check", "bogus-suite"])
     assert code == 2
     code, _, err = run(capsys, ["jones", "--builtin", "hopf", "--",
@@ -264,6 +266,17 @@ def test_input_errors(capsys):
         assert "a surgery presentation is a JSON object" in err
 
 
+def test_check_exit_code_follows_the_criteria(capsys, monkeypatch):
+    monkeypatch.setattr(accept, "CRITERIA", [lambda: (True, "holds"),
+                                            lambda: (False, "fails")])
+    code, out, _ = run(capsys, ["check"])
+    assert code == 1
+    assert out.splitlines() == ["PASS criterion 1: holds",
+                                "FAIL criterion 2: fails"]
+    monkeypatch.setattr(accept, "CRITERIA", [lambda: (True, "holds")])
+    assert run(capsys, ["check", "spec-accept"])[0] == 0
+
+
 def test_counts_checked_before_the_surgery_sum(capsys, monkeypatch):
     def fail(pres, depth):
         raise AssertionError("surgery sum started")
@@ -281,7 +294,9 @@ def test_counts_checked_before_the_surgery_sum(capsys, monkeypatch):
                  ["eval", "--surgery", surgery, "modp", "5", "-3"],
                  ["eval", "--surgery", surgery, "modp-scan", "4", "5"],
                  ["eval", "--surgery", surgery, "modp-scan", "0", "2"],
-                 ["eval", "--surgery", surgery, "modp-scan", "1", "5"]):
+                 ["eval", "--surgery", surgery, "modp-scan", "1", "5"],
+                 ["eval", "--surgery", surgery, "modp-scan", "7", "0"],
+                 ["eval", "--surgery", surgery, "modp-scan", "7", "-2"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and "input error" in err and not out
     for argv in (["eval", "--surgery", surgery, "rational", "2", "1", "4"],

@@ -24,6 +24,8 @@ from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.repring import omega_coeff
 from uwrt.tangles import builtin, closure_of_braid
 
+from mirror import bar
+
 BORROMEAN_WORD = [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)]
 FIGURE_EIGHT = builtin("figure8")
 # the right-handed trefoil, writhe +3
@@ -205,9 +207,8 @@ def test_borromean_slots_match_the_divided_product():
 
 
 def test_mirror_and_connected_sum():
-    assert equals_at_depth(M111.conj(),
-                           jm_borromean(-1, -1, -1, 8), 8)
-    cs = M111 * M111.conj()
+    assert equals_at_depth(bar(M111), jm_borromean(-1, -1, -1, 8), 8)
+    cs = M111 * bar(M111)
     lams = ohtsuki(cs, 3)
     assert lams[0] == 1 and lams[1] == 0    # Casson invariant cancels
 
@@ -242,6 +243,8 @@ def test_tilde_tau8():
     rep = tilde_tau8_check(M111, ohtsuki(M111, 2)[1])
     assert rep["difference"] == [0, 2, 0, -2]     # the value 2*sqrt2
     assert rep["in_lattice"] and rep["conjectured_span"]
+    with pytest.raises(DepthExceeded, match="depth 7 < 8"):
+        tilde_tau8_check(HabiroElem.from_polynomial(1, 7), 0)
 
 
 def test_wrt_trivial_values():
@@ -280,6 +283,8 @@ def test_not_admissible():
                                             framings=(1, 1)), 4)
     with pytest.raises(NotAdmissible):
         wrt(SurgeryPresentation(family="borromean", params=(2, 1, 1)), 2)
+    with pytest.raises(NotAdmissible, match="empty link"):
+        jm_from_surgery(SurgeryPresentation(framings=(1,)), 2)
     # a kink is blackboard framing, not surgery framing: +1 surgery on
     # the unknot drawn with writhe +1 is still the 3-sphere
     x = jm_from_surgery(SurgeryPresentation(diagram=builtin("unknot+1"),
@@ -293,6 +298,9 @@ def test_from_json():
     assert pres.family == "borromean" and pres.params == (1, 1, 1)
     with pytest.raises(UnknownName):
         SurgeryPresentation.from_json({"family": "whitehead"})
+    with pytest.raises(UnknownName, match="three parameters"):
+        SurgeryPresentation.from_json({"family": "borromean",
+                                       "params": [1, 1]})
     with pytest.raises(InputError):
         SurgeryPresentation.from_json([{"family": "borromean"}])
     for obj in ({}, {"diagram": None, "framings": None}):

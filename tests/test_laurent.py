@@ -14,6 +14,8 @@ from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           qfact_q, qint_bal, qnum, reduce_mod, u_pow,
                           v_pow)
 
+from mirror import bar
+
 laurents = st.builds(LaurentU,
                      st.integers(min_value=-8, max_value=8),
                      st.lists(st.integers(min_value=-9, max_value=9),
@@ -37,16 +39,13 @@ def test_basic_arithmetic():
 
 
 def test_negative_power_of_unit():
-    assert u_pow(3) ** -2 == u_pow(-6)
-    assert u_pow(1, -1) ** -3 == u_pow(-3, -1)
-    with pytest.raises(NonExactDivision):
-        (u_pow(1) + 1) ** -1
-
-
-def test_conj():
-    x = u_pow(-1) + 2 * u_pow(3)
-    assert x.conj() == u_pow(1) + 2 * u_pow(-3)
-    assert x.conj().conj() == x
+    # no power type inverts, not even a unit: a negative exponent is
+    # refused in both rings
+    with pytest.raises(ValueError):
+        u_pow(3) ** -2
+    with pytest.raises(ValueError):
+        ModPoly([1, 1, 1], [0, 1]) ** -1
+    assert u_pow(1, -1) ** 0 == ONE and ModPoly([1, 1], [5]) ** 0 == 1
 
 
 def test_exact_div():
@@ -99,7 +98,7 @@ def test_binomials_integral():
             assert qbinom_bal(n, k).is_in_v()
             assert qbinom_bal(n, k) == \
                 falling_bal(n, k).exact_div(qfact_bal(k))
-    assert qbinom_q(4, 2) == qbinom_q(4, 2).conj() * q_pow(4)
+    assert qbinom_q(4, 2) == bar(qbinom_q(4, 2)) * q_pow(4)
 
 
 def test_falling_and_multinomial():
@@ -241,13 +240,6 @@ def test_ring_axioms(a, b, c):
 
 @settings(deadline=None, max_examples=60)
 @given(laurents, laurents)
-def test_conj_is_ring_map(a, b):
-    assert (a * b).conj() == a.conj() * b.conj()
-    assert (a + b).conj() == a.conj() + b.conj()
-
-
-@settings(deadline=None, max_examples=60)
-@given(laurents, laurents)
 def test_exact_div_round_trip(a, b):
     if a.is_zero() or b.is_zero():
         return
@@ -258,4 +250,4 @@ def test_to_json_literal():
     # the CLI's JSON form of a Laurent polynomial: its canonical run in u
     assert (u_pow(-3, 2) - u_pow(1)).to_json() == \
         {"var": "u", "min": -3, "coeffs": [2, 0, 0, 0, -1]}
-    assert LaurentU.zero().to_json() == {"var": "u", "min": 0, "coeffs": []}
+    assert ZERO.to_json() == {"var": "u", "min": 0, "coeffs": []}

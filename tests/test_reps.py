@@ -2,8 +2,10 @@
 
 from itertools import product
 
+import pytest
+
 from uwrt.laurent import ONE, u_pow
-from uwrt.reps import braiding, twist_eigen
+from uwrt.reps import braiding, braiding_terms, twist_eigen
 
 
 def _compose(b2, b1):
@@ -53,3 +55,7 @@ def test_twist_eigen():
     for n in range(4):
         assert twist_eigen(n, 2) * twist_eigen(n, -2) == ONE
 
+
+def test_braiding_terms_refuse_a_zero_sign():
+    with pytest.raises(ValueError):
+        list(braiding_terms(1, 1, 0))

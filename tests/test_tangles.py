@@ -23,6 +23,8 @@ from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
                           colour_sum, linking_data, pack, parse_diagram,
                           pprime_table, unpack, _padd, _pmul)
 
+from mirror import bar
+
 # Packed values are u^s * Z[q, 1/q]: a shift s and a Laurent polynomial in q
 shifts = st.integers(min_value=-6, max_value=6)
 q_polys = st.builds(LaurentU.from_q_coeffs,
@@ -82,6 +84,14 @@ def test_validation_errors():
         parse_diagram("U(2)\nA(2)\n")             # ids not contiguous
     with pytest.raises(InterfaceMismatch):
         parse_diagram("U(1)\n|1^ |1_\nA(1)\n")    # orientation mismatch
+    for text, message in (
+            ("U(1) U(2)\n|1_ A(1) |2^\nA(1)\n", "over components 1, 2"),
+            ("U(1) U'(1)\n|1_ A(1) |1_\nA(1)\n", "opposite orientations"),
+            ("U(1) U(2)\n|1_ X+(2,2) |2^\n|1_ A(2) |2^\nA(1)\n",
+             "crossing labels"),
+            ("U(1)\nA(1)\nU(1)\nA(1)\n", "forms 2 loops")):
+        with pytest.raises(InterfaceMismatch, match=message):
+            parse_diagram(text)
 
 
 def test_unknot_values():
@@ -105,7 +115,7 @@ def test_hopf_values():
     assert colored_jones(h, (0, 3)) == qnum(4)
     assert colored_jones(h, (1, 1)) == qnum(4)
     assert colored_jones(h, (2, 2)) == sum(
-        (q_pow(k) for k in range(-4, 5)), LaurentU.zero())
+        (q_pow(k) for k in range(-4, 5)), ZERO)
     assert colored_jones(h, (1, 2)) == colored_jones(h, (2, 1))
 
 
@@ -127,11 +137,18 @@ def test_linking_data():
     stabilised = closure_of_braid(
         4, [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1), (3, -1)])
     assert stabilised.writhes == (0, 0, -1)
+    # a closed diagram crosses two components an even number of times,
+    # so only crossing sums made by hand reach the parity check
+    odd = mock.Mock(crossing_sums=((0, 1), (1, 0)), writhes=(0, 0))
+    with pytest.raises(InterfaceMismatch, match="odd mixed crossing count"):
+        linking_data(odd)
 
 
 def test_color_count_mismatch():
     with pytest.raises(ColorCountMismatch):
         colored_jones(builtin("hopf"), (1,))
+    with pytest.raises(ColorCountMismatch):
+        colour_sum(builtin("unknot"), [[qnum(1)], [qnum(1)]])
 
 
 def test_integrality_check_survives_optimize(monkeypatch):
@@ -173,7 +190,7 @@ def test_figure8_builtin():
     assert d == closure_of_braid(3, [(1, 1), (2, -1), (1, 1), (2, -1)])
     assert d.component_count == 1 and d.writhes == (0,)
     # amphichiral: the value is bar-invariant
-    assert colored_jones(d, (2,)) == colored_jones(d, (2,)).conj()
+    assert colored_jones(d, (2,)) == bar(colored_jones(d, (2,)))
 
 
 def test_closure_components():
@@ -254,7 +271,7 @@ def test_braid_closure_invariance(braid, color, data):
     strands, word = braid
     value = _closure_value(strands, word, color)
     mirror = [(p, -s) for p, s in word]
-    assert _closure_value(strands, mirror, color) == value.conj()
+    assert _closure_value(strands, mirror, color) == bar(value)
     g = (data.draw(st.integers(min_value=1, max_value=strands - 1)),
          data.draw(st.sampled_from((1, -1))))
     conjugate = [g] + word + [(g[0], -g[1])]
