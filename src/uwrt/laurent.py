@@ -2,8 +2,10 @@
 quotient rings Z[x]/(f) and F_p[x]/(f).
 
 Everything downstream is expressed in the single variable u; v = u^2 and
-q = u^4 are notational subrings.  Coefficients are Python ints, so they
-are arbitrary precision by construction.  All values are immutable.
+q = u^4 are its subrings, and each value is stored as a run in steps of
+q, v or u, the coarsest its terms allow.  Coefficients are Python ints,
+so they are arbitrary precision by construction.  All values are
+immutable.
 Every quotient is by a modulus with unit leading coefficient, so
 remainders are taken over Z and reduced mod p afterwards; no fraction
 is ever formed.
@@ -12,6 +14,8 @@ is ever formed.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
+from operator import add, neg
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
                      ShapeMismatch)
@@ -44,76 +48,107 @@ def _power(base, one, n):
 
 
 class LaurentU(RingElem):
-    """Laurent polynomial in u, stored as (min exponent, coefficient run).
+    """Laurent polynomial in u, stored by its grading as (lo, step, run):
+    the value sum_i run[i] u^(lo + step*i).
 
-    Canonical form: the first and last stored coefficients are nonzero;
-    the zero polynomial is the empty run with min exponent 0.
+    step is the largest of 4, 2 and 1 that divides every exponent gap
+    between nonzero terms, so u^r times a polynomial in q is a run in
+    steps of q.  Canonical form: the first and last entries of run are
+    nonzero and step is as coarse as it can be; zero is (0, 4, ()).
+    min and coeffs view the value as a run in u with its zeros.
     """
 
-    __slots__ = ("min", "coeffs")
+    __slots__ = ("_lo", "_step", "_run")
     # __getitem__ reads 0 past the run, so the sequence protocol would
     # iterate forever (say, a LaurentU passed where coefficients belong)
     __iter__ = None
 
-    def __init__(self, min_exponent=0, coeffs=()):
-        coeffs = list(coeffs)
-        lo = 0
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
+    def __init__(self, min_exponent=0, coeffs=(), step=1):
+        """sum_i coeffs[i] u^(min_exponent + step*i), step 1, 2 or 4, in
+        canonical form: zero ends stripped, then step doubled while every
+        odd entry is 0."""
+        run = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
+        hi = len(run)
+        while hi and not run[hi - 1]:
             hi -= 1
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-        if lo == hi:
-            self.min = 0
-            self.coeffs = ()
-        else:
-            self.min = min_exponent + lo
-            self.coeffs = tuple(coeffs[lo:hi])
+        start = 0
+        while start < hi and not run[start]:
+            start += 1
+        if start or hi < len(run):
+            run = run[start:hi]
+        min_exponent += step * start
+        while step < 4 and not any(run[1::2]):
+            run = run[::2]
+            step *= 2
+        self._lo = min_exponent if run else 0
+        self._step = step
+        self._run = tuple(run)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def monomial(exponent, coefficient=1):
-        return LaurentU(exponent, (coefficient,))
+        return LaurentU(exponent, (coefficient,), 4)
 
     @staticmethod
     def integer(n):
-        return LaurentU(0, (n,))
+        return LaurentU.monomial(0, n)
 
     @staticmethod
     def from_q_coeffs(min_q_exponent, coeffs):
         """Polynomial in q with the given q-coefficient run."""
-        out = [0] * (4 * len(coeffs))
-        for i, c in enumerate(coeffs):
-            out[4 * i] = c
-        return LaurentU(4 * min_q_exponent, out)
+        return LaurentU(4 * min_q_exponent, coeffs, 4)
+
+    @staticmethod
+    def from_dict(d):
+        lo = min(d, default=0)
+        step = gcd(4, *(e - lo for e in d))
+        out = [0] * ((max(d, default=lo) - lo) // step + 1)
+        for e, c in d.items():
+            out[(e - lo) // step] = c
+        return LaurentU(lo, out, step)
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._run
+
+    @property
+    def min(self):
+        return self._lo
 
     @property
     def max(self):
-        return self.min + len(self.coeffs) - 1
+        if not self._run:
+            return -1
+        return self._lo + self._step * (len(self._run) - 1)
+
+    @property
+    def coeffs(self):
+        """The coefficients of u^min, u^(min+1), ..., u^max."""
+        return tuple(_spread(self._run, self._step))
 
     def __getitem__(self, exponent):
-        i = exponent - self.min
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+        i, r = divmod(exponent - self._lo, self._step)
+        return self._run[i] if not r and 0 <= i < len(self._run) else 0
 
     def is_in_q(self):
-        return all(c == 0 or (self.min + i) % 4 == 0
-                   for i, c in enumerate(self.coeffs))
+        return self._step == 4 and not self._lo % 4
 
     def is_in_v(self):
-        return all(c == 0 or (self.min + i) % 2 == 0
-                   for i, c in enumerate(self.coeffs))
+        return self._step != 1 and not self._lo % 2
 
     def q_coeff(self, k):
         """Coefficient of q^k."""
         return self[4 * k]
+
+    def q_run(self):
+        """(lo, run) with self = u^lo * sum_i run[i] q^i, the inverse of
+        LaurentU(lo, run, 4); NotInQ when the u-exponents lie in several
+        residues mod 4."""
+        if self._step != 4:
+            raise NotInQ("u-exponents in several residues mod 4")
+        return self._lo, self._run
 
     # -- ring operations ----------------------------------------------
 
@@ -122,43 +157,49 @@ class LaurentU(RingElem):
             other = LaurentU.integer(other)
         if not isinstance(other, LaurentU):
             return NotImplemented
-        if self.is_zero():
+        if not self._run:
             return other
-        if other.is_zero():
+        if not other._run:
             return self
-        lo = min(self.min, other.min)
-        hi = max(self.max, other.max)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min - lo + i] += c
-        return LaurentU(lo, out)
+        if self._lo > other._lo:
+            self, other = other, self
+        lo, gap = self._lo, other._lo - self._lo
+        step = gcd(self._step, other._step, gap)
+        out = _spread(self._run, self._step // step)
+        b = _spread(other._run, other._step // step)
+        at = gap // step
+        out += [0] * (at + len(b) - len(out))
+        out[at:at + len(b)] = map(add, out[at:at + len(b)], b)
+        return LaurentU(lo, out, step)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentU(self.min, tuple(-c for c in self.coeffs))
+        return LaurentU(self._lo, tuple(map(neg, self._run)), self._step)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            return LaurentU(self.min, tuple(other * c for c in self.coeffs))
+            return LaurentU(self._lo, [other * c for c in self._run],
+                            self._step)
         if not isinstance(other, LaurentU):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self._run, other._run
+        if not a or not b:
             return _ZERO
-        a, b = self.coeffs, other.coeffs
+        ka, kb = self._step, other._step
         if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        a = [(i, ca) for i, ca in enumerate(a) if ca]
+            a, b, ka, kb = b, a, kb, ka
+        step = min(ka, kb)
+        ka //= step
+        kb //= step
+        out = [0] * (ka * (len(a) - 1) + kb * (len(b) - 1) + 1)
+        a = [(ka * i, ca) for i, ca in enumerate(a) if ca]
         for j, cb in enumerate(b):
             if cb:
+                j *= kb
                 for i, ca in a:
                     out[i + j] += ca * cb
-        return LaurentU(self.min + other.min, out)
+        return LaurentU(self._lo + other._lo, out, step)
 
     __rmul__ = __mul__
 
@@ -170,45 +211,35 @@ class LaurentU(RingElem):
 
         Raises NonExactDivision when the quotient does not exist; this is
         a hard error everywhere it is used as an integrality assertion.
+        Two values graded mod 4 (or 2) have a quotient graded mod 4 (or 2).
         """
         if not isinstance(other, LaurentU):
             other = LaurentU.integer(other)
-        if other.is_zero():
+        if not other._run:
             raise NonExactDivision("division by zero")
-        if self.is_zero():
+        if not self._run:
             return _ZERO
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dlead = div[-1]
-        n = len(rem) - len(div)
+        step = min(self._step, other._step)
+        rem = _spread(self._run, self._step // step)
+        sd = other._step // step
+        div = [(sd * i, d) for i, d in enumerate(other._run) if d]
+        top, dlead = div[-1]
+        n = len(rem) - 1 - top
         if n < 0:
             raise NonExactDivision("degree too small")
-        # q-valued divisors have three zero u-coefficients in every four
-        nonzero = [(i, d) for i, d in enumerate(div) if d]
         quot = [0] * (n + 1)
         for k in range(n, -1, -1):
-            c = rem[k + len(div) - 1]
+            c = rem[k + top]
             if c % dlead:
                 raise NonExactDivision("leading coefficient does not divide")
             f = c // dlead
             quot[k] = f
             if f:
-                for i, d in nonzero:
+                for i, d in div:
                     rem[k + i] -= f * d
         if any(rem):
             raise NonExactDivision("nonzero remainder")
-        return LaurentU(self.min - other.min, quot)
-
-    @staticmethod
-    def from_dict(d):
-        if not d:
-            return _ZERO
-        lo = min(d)
-        hi = max(d)
-        out = [0] * (hi - lo + 1)
-        for e, c in d.items():
-            out[e - lo] = c
-        return LaurentU(lo, out)
+        return LaurentU(self._lo - other._lo, quot, step)
 
     # -- comparisons / hashing -----------------------------------------
 
@@ -217,10 +248,11 @@ class LaurentU(RingElem):
             other = LaurentU.integer(other)
         if not isinstance(other, LaurentU):
             return NotImplemented
-        return self.min == other.min and self.coeffs == other.coeffs
+        return (self._lo == other._lo and self._step == other._step
+                and self._run == other._run)
 
     def __hash__(self):
-        return hash((self.min, self.coeffs))
+        return hash((self._lo, self._step, self._run))
 
     # -- rendering ------------------------------------------------------
 
@@ -228,20 +260,16 @@ class LaurentU(RingElem):
         return f"LaurentU({self.to_str()!r})"
 
     def to_str(self):
-        if self.is_zero():
+        if not self._run:
             return "0"
-        if self.is_in_q():
-            var, step = "q", 4
-        elif self.is_in_v():
-            var, step = "v", 2
-        else:
-            var, step = "u", 1
+        var, unit = (("q", 4) if self.is_in_q() else
+                     ("v", 2) if self.is_in_v() else ("u", 1))
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(self._run) - 1, -1, -1):
+            c = self._run[i]
             if not c:
                 continue
-            e = (self.min + i) // step
+            e = (self._lo + self._step * i) // unit
             if e == 0:
                 term = str(abs(c))
             else:
@@ -258,7 +286,14 @@ class LaurentU(RingElem):
         return {"var": "u", "min": self.min, "coeffs": list(self.coeffs)}
 
 
-_ZERO = LaurentU(0, ())
+def _spread(run, k):
+    """A new list of run's entries with k - 1 zeros between them."""
+    out = [0] * (k * len(run) - k + 1)
+    out[::k] = run
+    return out
+
+
+_ZERO = LaurentU()
 _ONE = LaurentU(0, (1,))
 
 
@@ -363,7 +398,7 @@ def qnum(i):
     """Balanced quantum integer [i] = {i}/{1}; [-i] = -[i]."""
     if i < 0:
         return -qnum(-i)
-    return LaurentU(2 * (1 - i), (1, 0, 0, 0) * i)
+    return LaurentU(2 * (1 - i), [1] * i, 4)
 
 
 # -- quotient rings over Z and F_p ---------------------------------------
@@ -543,10 +578,8 @@ def reduce_mod(a, f, p=0, var="q"):
     have both.  Z -> F_p is a ring map, so reducing that remainder mod p
     gives the reduction over F_p.
     """
-    step = {"q": 4, "u": 1}[var]
-    start = -a.min % step
-    for i, c in enumerate(a.coeffs):
-        if c and (i - start) % step:
-            raise NotInQ(f"exponent {a.min + i} not a multiple of {step}")
-    rem = remainder((a.min + start) // step, a.coeffs[start::step], f)
-    return ModPoly(f, rem, p)
+    if var == "u":
+        return ModPoly(f, remainder(a._lo, _spread(a._run, a._step), f), p)
+    if not a.is_in_q():
+        raise NotInQ("value is not a polynomial in q")
+    return ModPoly(f, remainder(a._lo // 4, a._run, f), p)

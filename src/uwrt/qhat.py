@@ -100,14 +100,13 @@ class HabiroElem(RingElem):
             if run:
                 pad = [0] * (n + 1)
                 run = [a - b for a, b in zip(run + pad, pad + run)]
-            c = self.terms[n]
-            if c.coeffs:
-                clo = c.min // 4
+            clo, crun = self.terms[n].q_run()
+            if crun:
+                clo //= 4
                 if clo < lo:
                     run = [0] * (lo - clo) + run
                     lo = clo
                 at = clo - lo
-                crun = c.coeffs[::4]
                 run += [0] * (at + len(crun) - len(run))
                 for i, a in enumerate(crun, at):
                     run[i] += a
@@ -139,7 +138,7 @@ def reduce(x, d):
     """Canonical representative of x in Z[q]/((q)_d)."""
     if d > x.depth:
         raise DepthExceeded(f"requested depth {d} > element depth {x.depth}")
-    rem = remainder(*x.expand(d), pochhammer(d).coeffs[::4])
+    rem = remainder(*x.expand(d), pochhammer(d).q_run()[1])
     return LaurentU.from_q_coeffs(0, rem)
 
 
@@ -179,7 +178,7 @@ def taylor(x, r, d):
         raise InputError(f"coefficient count must be >= 1, got {d}")
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
-    rem = remainder(*x.expand(r * d), (cyclotomic(r) ** d).coeffs[::4])
+    rem = remainder(*x.expand(r * d), (cyclotomic(r) ** d).q_run()[1])
     mod = cyclotomic_coeffs(r)
     return [ModPoly(mod, [comb(j, k) * rem[j] for j in range(k, len(rem))])
             for k in range(d)]

@@ -76,9 +76,10 @@ packing, and _padd still raises DomainError if a residue ever mixed.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import comb
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
@@ -98,9 +99,8 @@ from .reps import braiding_terms, twist_eigen
 # grow; unpack raises DomainError near the digit boundary.
 
 _BITS = 64
-_BASE = 1 << _BITS
 _HALF = 1 << (_BITS - 1)
-_MASK = _BASE - 1
+_MASK = (1 << _BITS) - 1
 _GUARD = 1 << (_BITS - 8)
 
 PACKED_ZERO = (0, 0)
@@ -108,30 +108,27 @@ PACKED_ONE = (0, 1)
 
 
 def pack(x):
-    if any(c for i, c in enumerate(x.coeffs) if i % 4):
-        raise DomainError("packed value spans several residues mod 4")
-    if x.coeffs and max(max(x.coeffs), -min(x.coeffs)) > _HALF - _GUARD:
+    lo, run = x.q_run()
+    if run and max(max(run), -min(run)) > _HALF - _GUARD:
         raise DomainError("coefficient too large for a packed digit")
-    return (x.min, sum(c << (_BITS * k) for k, c in enumerate(x.coeffs[::4])))
+    return (lo, sum(c << (_BITS * k) for k, c in enumerate(run)))
 
 
-def _decode(value, coeffs):
-    """coeffs (u-exponent: coefficient) with the digits of value in."""
-    e, m = value
-    while m:
-        d = m & _MASK
-        if d >= _HALF:
-            d -= _BASE
-        if abs(d) > _HALF - _GUARD:
-            raise DomainError("packed coefficient near digit boundary")
-        coeffs[e] = d
-        e += 4
-        m = (m - d) >> _BITS
-    return coeffs
+def _decode(mag):
+    """The balanced digits of mag, lowest first, zeros on top.  Adding
+    HALF to each of n digits, HALF (2^(64n) - 1)/(2^64 - 1) to mag, makes
+    them the 8-byte words of one to_bytes (so _BITS is 64 here)."""
+    n = mag.bit_length() // _BITS + 2
+    biased = mag + _HALF * ((1 << (_BITS * n)) - 1) // _MASK
+    raw = memoryview(biased.to_bytes(8 * n, sys.byteorder)).cast("Q")
+    digits = [d - _HALF for d in raw]
+    if max(digits) > _HALF - _GUARD or min(digits) < _GUARD - _HALF:
+        raise DomainError("packed coefficient near digit boundary")
+    return digits
 
 
 def unpack(value):
-    return LaurentU.from_dict(_decode(value, {}))
+    return LaurentU(value[0], _decode(value[1]), 4)
 
 
 def _padd(a, b):
@@ -574,9 +571,9 @@ def colour_sum(d, weights):
     table = {a: _closed(d, a) for a in product(*map(range, map(len, lanes)))}
     sums = _change_axes(table, lanes).values()
     coeffs = {}
-    for r in range(4):
-        _decode(reduce(_padd, [v for v in sums if v[0] % 4 == r],
-                       PACKED_ZERO), coeffs)
+    for r in range(4):     # an empty residue r adds zeros at keys r + 4k
+        e, mag = reduce(_padd, [v for v in sums if v[0] % 4 == r], (r, 0))
+        coeffs.update(zip(count(e, 4), _decode(mag)))
     return LaurentU.from_dict(coeffs)
 
 

@@ -12,7 +12,9 @@ hide an unused method.  An attribute read off a class defined in
 src/uwrt, K.m, counts only toward K.m, so it does not hide an unused
 method m of another class.  Imports do not count, and neither do
 docstrings, so a definition that only tests call fails here.  Nor does src/uwrt hold an assert statement, or
-import a leading-underscore name from another uwrt module.
+import a leading-underscore name from another uwrt module.  The storage
+of a LaurentU stays inside laurent: no other module reads its slots or
+slices a run out of its coeffs view.
 """
 
 import ast
@@ -184,3 +186,57 @@ def test_detector_flags_a_test_only_method(tmp_path):
     assert unreferenced_public_definitions(tmp_path) == \
         ["c.Box.make", "c.Box.mapped", "c.Box.recursive", "c.Box.shadowed"]
 
+
+
+def _laurent_slots():
+    """The __slots__ of laurent.LaurentU, read from its source."""
+    tree = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "LaurentU")
+    return set(next(ast.literal_eval(stmt.value) for stmt in cls.body
+                    if isinstance(stmt, ast.Assign)
+                    and stmt.targets[0].id == "__slots__"))
+
+
+def storage_reads(src=SRC):
+    """Sorted "module:line what" of every LaurentU slot read (.slot) and
+    every strided slice of a coeffs view (.coeffs[::k]) in a module under
+    src other than laurent."""
+    slots = _laurent_slots()
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "laurent":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in slots:
+                found.append(f"{path.stem}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "coeffs"
+                  and isinstance(node.slice, ast.Slice)
+                  and node.slice.step is not None):
+                found.append(f"{path.stem}:{node.lineno} .coeffs[::k]")
+    return sorted(found)
+
+
+def test_laurent_storage_stays_in_laurent():
+    # other modules read a value through q_run, so the storage format
+    # can change in one module
+    assert _laurent_slots() and storage_reads() == []
+
+
+def test_storage_read_detector(tmp_path):
+    slot = sorted(_laurent_slots())[0]
+    (tmp_path / "a.py").write_text(
+        "def expand(c, d):\n"
+        "    crun = c.coeffs[::4]\n"
+        "    return remainder(0, crun, d.coeffs[1::4])\n\n\n"
+        f"def peek(x):\n    return x.{slot}\n\n\n"
+        "def fine(m, x):\n"
+        "    return m.coeffs[0], m.coeffs[1:], x.q_run()\n",
+        encoding="utf-8")
+    (tmp_path / "laurent.py").write_text(
+        f"def own(x):\n    return x.{slot}, x.coeffs[::2]\n",
+        encoding="utf-8")
+    assert storage_reads(tmp_path) == [
+        "a:2 .coeffs[::k]", "a:3 .coeffs[::k]", f"a:7 .{slot}"]

@@ -251,3 +251,106 @@ def test_to_json_literal():
     assert (u_pow(-3, 2) - u_pow(1)).to_json() == \
         {"var": "u", "min": -3, "coeffs": [2, 0, 0, 0, -1]}
     assert ZERO.to_json() == {"var": "u", "min": 0, "coeffs": []}
+
+
+# The same four value shapes as the parent's output: a q-graded value with
+# gaps, one in u^2 Z[q, 1/q], one of step 2 and one mixing residues.  The
+# JSON form is the run in u with its zeros, whatever the stored step.
+_SHAPES = [
+    (lambda: q_pow(-2) - 3 * q_pow(3), -8, [1] + [0] * 19 + [-3],
+     "-3*q^3 + q^-2"),
+    (lambda: qnum(4), -6, [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+     "v^3 + v + v^-1 + v^-3"),
+    (lambda: qnum(2) + qnum(3), -4, [1, 0, 1, 0, 1, 0, 1, 0, 1],
+     "v^2 + v + 1 + v^-1 + v^-2"),
+    (lambda: u_pow(1) + q_pow(1), 1, [1, 0, 0, 1], "u^4 + u"),
+]
+
+
+@pytest.mark.parametrize("make, lo, run, text", _SHAPES)
+def test_to_json_literal_of_each_grading(make, lo, run, text):
+    x = make()
+    assert x.to_json() == {"var": "u", "min": lo, "coeffs": run}
+    assert (x.min, x.coeffs) == (lo, tuple(run))
+    assert x.to_str() == text
+    assert x == LaurentU(lo, run) and hash(x) == hash(LaurentU(lo, run))
+
+
+# An independent reference: {u-exponent: coefficient} dicts, built from
+# terms graded in q, v or u.
+_UNIT = {"q": 4, "v": 2, "u": 1}
+graded_terms = st.lists(st.tuples(st.sampled_from("qvu"),
+                                  st.integers(min_value=-6, max_value=6),
+                                  st.integers(min_value=-4, max_value=4)),
+                        max_size=5)
+gradings = st.sampled_from(["q", "qv", "qvu", "v", "u"])
+
+
+def _graded_pair(terms, allowed):
+    """(LaurentU, reference dict) of a sum of monomials in q, v or u; a
+    variable not in allowed is read as allowed[0], so allowed bounds the
+    gradings that occur."""
+    x, ref = ZERO, {}
+    for var, k, c in terms:
+        var = var if var in allowed else allowed[0]
+        e = _UNIT[var] * k
+        x = x + {"q": q_pow, "v": v_pow, "u": u_pow}[var](k, c)
+        ref[e] = ref.get(e, 0) + c
+    return x, {e: c for e, c in ref.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _matches(x, ref):
+    """x equals the reference in its views, by ==, by hash and in its
+    gradings."""
+    lo = min(ref, default=0)
+    run = tuple(ref.get(e, 0) for e in range(lo, max(ref, default=-1) + 1))
+    same = LaurentU.from_dict(ref)
+    return ((x.min, x.coeffs) == (lo, run) and x == same
+            and hash(x) == hash(same) == hash(LaurentU(lo, run))
+            and x.is_in_q() == all(e % 4 == 0 for e in ref)
+            and x.is_in_v() == all(e % 2 == 0 for e in ref)
+            and all(x[e] == c for e, c in ref.items()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(graded_terms, gradings, graded_terms, gradings)
+def test_graded_arithmetic_matches_dict_reference(ta, ga, tb, gb):
+    a, ra = _graded_pair(ta, ga)
+    b, rb = _graded_pair(tb, gb)
+    assert _matches(a, ra) and _matches(b, rb)
+    assert _matches(a + b, _ref_add(ra, rb))
+    assert _matches(a - b, _ref_add(ra, rb, -1))
+    assert _matches(a * b, _ref_mul(ra, rb))
+    assert _matches(a * 3 - b, _ref_add(_ref_mul(ra, {0: 3}), rb, -1))
+    assert (a == b) == (ra == rb)
+    if rb:
+        assert _matches((a * b).exact_div(b), ra)
+        # a value built from its terms in another order is the same value
+        assert a + b - b == a and hash(a + b - b) == hash(a)
+
+
+def test_cancellation_coarsens_the_step():
+    # a u-term that cancels leaves a value in q, equal and equally hashed
+    x = (q_pow(1) + u_pow(1)) - u_pow(1)
+    assert x == q_pow(1) and hash(x) == hash(q_pow(1)) and x.is_in_q()
+    y = (qnum(2) + qnum(3)) - qnum(3)
+    assert y == qnum(2) and hash(y) == hash(qnum(2))
+    # a product whose odd terms cancel: (1 + u)(1 - u) = 1 - v
+    z = (1 + u_pow(1)) * (1 - u_pow(1))
+    assert z == 1 - v_pow(1) and z.is_in_v() and z.to_str() == "-v + 1"
+    assert (v_pow(1) - q_pow(1)).exact_div(1 - u_pow(2)) == v_pow(1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from uwrt.errors import DepthExceeded, NotInQ
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import (ONE, ZERO, LaurentU, ModPoly, cyclotomic_coeffs,
-                          pochhammer, q_pow, u_pow)
+                          pochhammer, q_pow, qnum, u_pow, v_pow)
 from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
                        phi_order, reduce, taylor)
 
@@ -192,3 +192,26 @@ def test_expand_matches_definition(x, d, barred):
     want = sum((x.terms[n] * pochhammer(n) for n in range(d)), ZERO)
     lo, run = x.expand(d)
     assert LaurentU.from_q_coeffs(lo, run) == want
+
+
+def test_to_json_literal_of_each_grading():
+    # slots in q reached from each grading: gaps, u^2 times [4], a step-2
+    # product whose odd terms cancel, a u-term that cancels; the JSON is
+    # the run in u with its zeros, as before the graded storage
+    x = HabiroElem(4, {0: q_pow(-2) - 3 * q_pow(3),
+                       1: v_pow(3) * qnum(4),
+                       2: (v_pow(1) + q_pow(1)) * (v_pow(1) - q_pow(1)),
+                       3: (u_pow(1) + q_pow(1)) - u_pow(1)})
+    assert x.to_json() == {"depth": 4, "terms": [
+        {"var": "u", "min": -8, "coeffs": [1] + [0] * 19 + [-3]},
+        {"var": "u", "min": 0, "coeffs": [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0,
+                                          0, 1]},
+        {"var": "u", "min": 4, "coeffs": [1, 0, 0, 0, -1]},
+        {"var": "u", "min": 4, "coeffs": [1]}]}
+    assert repr(x) == ("HabiroElem[depth 4]((-3*q^3 + q^-2)*(q)_0 + "
+                       "(q^3 + q^2 + q + 1)*(q)_1 + (-q^2 + q)*(q)_2 + "
+                       "(q)*(q)_3)")
+    # the other three shapes are not in q, so no slot holds them
+    for y in (qnum(4), qnum(2) + qnum(3), u_pow(1) + q_pow(1)):
+        with pytest.raises(NotInQ):
+            HabiroElem(2, [y])

@@ -623,3 +623,59 @@ def test_closed_pairs_are_canonical_on_any_closure(braid, colors):
         value = uwrt.tangles._closed(d, cs)
         assert value == pack(unpack(value))
         assert not value[1] or value[1] & uwrt.tangles._MASK
+
+
+def _decode_by_digit(value):
+    """The reference decoder: one digit at a time off the bottom of the
+    magnitude, each a shift of the whole integer ({u-exponent: digit})."""
+    tangles = uwrt.tangles
+    e, m = value
+    coeffs = {}
+    while m:
+        d = m & ((1 << tangles._BITS) - 1)
+        if d >= tangles._HALF:
+            d -= 1 << tangles._BITS
+        if abs(d) > tangles._HALF - tangles._GUARD:
+            raise DomainError("packed coefficient near digit boundary")
+        coeffs[e] = d
+        e += 4
+        m = (m - d) >> tangles._BITS
+    return coeffs
+
+
+def _edge():
+    return uwrt.tangles._HALF - uwrt.tangles._GUARD
+
+
+digit_lists = st.lists(st.one_of(
+    st.integers(min_value=-99, max_value=99),
+    st.sampled_from(["edge", "-edge", "past", "-past", "half", "-half"]),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)),
+    max_size=12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(shifts, digit_lists)
+def test_decoder_matches_the_digit_by_digit_loop(s, digits):
+    # digits at the edge +-(HALF - GUARD) decode; one past it, or at
+    # -HALF, raises DomainError in both decoders
+    edge = _edge()
+    named = {"edge": edge, "-edge": -edge, "past": edge + 1,
+             "-past": -edge - 1, "half": uwrt.tangles._HALF - 1,
+             "-half": -uwrt.tangles._HALF}
+    digits = [named.get(d, d) for d in digits]
+    mag = sum(d << (64 * k) for k, d in enumerate(digits))
+    if any(abs(d) > edge for d in digits):
+        with pytest.raises(DomainError):
+            _decode_by_digit((s, mag))
+        with pytest.raises(DomainError):
+            unpack((s, mag))
+        return
+    assert unpack((s, mag)) == LaurentU.from_dict(_decode_by_digit((s, mag)))
+    assert unpack((s, mag)) == sum((u_pow(s + 4 * k, d)
+                                    for k, d in enumerate(digits)), ZERO)
+
+
+def test_large_unknot_matches_the_closed_form():
+    # 20,001 packed digits: the decoder is linear in their number
+    assert colored_jones(builtin("unknot"), (20000,)) == qnum(20001)
