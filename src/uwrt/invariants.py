@@ -449,10 +449,9 @@ def tilde_tau8_check(x, lam1):
     Evaluates q^(-lambda_1) x at a primitive 8th root of unity, subtracts
     1 and reports whether the difference lies in the rank-4 lattice
     2(z-1)Z[z] (a theorem) and in the smaller span of 4 and 2*sqrt2
-    (a conjecture; reported, never asserted).
+    (a conjecture; reported, never asserted).  Below depth 8, eval_root
+    raises DepthExceeded.
     """
-    if x.depth < 8:
-        raise DepthExceeded(f"depth {x.depth} < 8")
     val = eval_root(x * q_pow(-lam1), 8)
     diff = [int(c) for c in val.coeffs]
     diff[0] -= 1

@@ -99,15 +99,6 @@ class LaurentU(RingElem):
         """Polynomial in q with the given q-coefficient run."""
         return LaurentU(4 * min_q_exponent, coeffs, 4)
 
-    @staticmethod
-    def from_dict(d):
-        lo = min(d, default=0)
-        step = gcd(4, *(e - lo for e in d))
-        out = [0] * ((max(d, default=lo) - lo) // step + 1)
-        for e, c in d.items():
-            out[(e - lo) // step] = c
-        return LaurentU(lo, out, step)
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
@@ -118,14 +109,8 @@ class LaurentU(RingElem):
         return self._lo
 
     @property
-    def max(self):
-        if not self._run:
-            return -1
-        return self._lo + self._step * (len(self._run) - 1)
-
-    @property
     def coeffs(self):
-        """The coefficients of u^min, u^(min+1), ..., u^max."""
+        """The coefficients of u^min, u^(min+1), ..., up to the top term."""
         return tuple(_spread(self._run, self._step))
 
     def __getitem__(self, exponent):
@@ -137,10 +122,6 @@ class LaurentU(RingElem):
 
     def is_in_v(self):
         return self._step != 1 and not self._lo % 2
-
-    def q_coeff(self, k):
-        """Coefficient of q^k."""
-        return self[4 * k]
 
     def q_run(self):
         """(lo, run) with self = u^lo * sum_i run[i] q^i, the inverse of
@@ -328,12 +309,10 @@ def cyclotomic(n):
     return acc
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_coeffs(n):
     """q-coefficients of the n-th cyclotomic polynomial, constant term
-    first."""
-    phi = cyclotomic(n)
-    return tuple(phi.q_coeff(k) for k in range(phi.max // 4 + 1))
+    first: its q-run, which starts at q^0 since Phi_n(0) = +-1."""
+    return cyclotomic(n).q_run()[1]
 
 
 # -- q-combinatorics ------------------------------------------------------

@@ -68,25 +68,27 @@ pprime_table, theta_a^(-w) = u^(-w a(a+2)) leaves 2a, and p_in_v(k)[a]
 lies in u^(2(a+k)) Z[q, 1/q]: the term for V_a and P_k has residue 2k.
 In colour_sum, wrt's weight [a+1] theta_a^(f-w) adds -2a + (f - w)
 a(a+2), for f a(a+2) in all: 0 mod 4 for even a, -f for odd a, so each
-lane a mod 2 has one residue.  Both sums are one packed product per axis
-(_change_axes); check_split refuses a nonzero linking number before any
-packing, and _padd still raises DomainError if a residue ever mixed.
+lane a mod 2 lies in one residue, and the lanes are added as LaurentU
+after unpacking.  Both sums are _table_sum, one packed product per axis;
+check_split refuses a nonzero linking number before any packing, and
+_padd still raises DomainError if a residue ever mixed.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from array import array
 from collections.abc import Sequence
 from functools import lru_cache, reduce
-from itertools import combinations, count, product
+from itertools import combinations, product
 from math import comb
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, NonExactDivision,
                      NotAdmissible, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
-from .laurent import LaurentU
+from .laurent import ZERO, LaurentU
 from .repring import p_in_v
 from .reps import braiding_terms, twist_eigen
 
@@ -107,28 +109,31 @@ PACKED_ZERO = (0, 0)
 PACKED_ONE = (0, 1)
 
 
+def _bias(n):
+    """HALF in each of n digits, HALF (2^(64n) - 1)/(2^64 - 1): adding it
+    turns n balanced digits into the 8-byte words of one bytes string
+    (so _BITS is 64 here)."""
+    return _HALF * ((1 << (_BITS * n)) - 1) // _MASK
+
+
 def pack(x):
     lo, run = x.q_run()
     if run and max(max(run), -min(run)) > _HALF - _GUARD:
         raise DomainError("coefficient too large for a packed digit")
-    return (lo, sum(c << (_BITS * k) for k, c in enumerate(run)))
+    words = array("Q", [c + _HALF for c in run])
+    return (lo, int.from_bytes(words, sys.byteorder) - _bias(len(run)))
 
 
-def _decode(mag):
-    """The balanced digits of mag, lowest first, zeros on top.  Adding
-    HALF to each of n digits, HALF (2^(64n) - 1)/(2^64 - 1) to mag, makes
-    them the 8-byte words of one to_bytes (so _BITS is 64 here)."""
-    n = mag.bit_length() // _BITS + 2
-    biased = mag + _HALF * ((1 << (_BITS * n)) - 1) // _MASK
+def unpack(value):
+    """The LaurentU of a packed value, its balanced digits read off one
+    to_bytes of the magnitude plus _bias."""
+    n = value[1].bit_length() // _BITS + 2
+    biased = value[1] + _bias(n)
     raw = memoryview(biased.to_bytes(8 * n, sys.byteorder)).cast("Q")
     digits = [d - _HALF for d in raw]
     if max(digits) > _HALF - _GUARD or min(digits) < _GUARD - _HALF:
         raise DomainError("packed coefficient near digit boundary")
-    return digits
-
-
-def unpack(value):
-    return LaurentU(value[0], _decode(value[1]), 4)
+    return LaurentU(value[0], digits, 4)
 
 
 def _padd(a, b):
@@ -523,58 +528,53 @@ def colored_jones(d, colors):
     return unpack(_closed(d, colors))
 
 
-def _change_axes(table, maps):
-    """Packed table with the index a on each axis replaced by every
-    (b, packed coefficient) of maps[axis][a], times that coefficient,
-    summed over a: one mode-n product per axis."""
+@lru_cache(maxsize=None)
+def _packed_weight(w):
+    return pack(w)
+
+
+def _table_sum(d, maps):
+    """{(k_1, ..., k_m): LaurentU} summing, over the V-colours a that maps
+    covers, the value of _closed(d, a) times w_1 ... w_m, where (k_i, w_i)
+    runs over the pairs of maps[i][a_i]: one packed mode-n product per
+    axis, each weight packed once (_packed_weight), each sum decoded
+    once.  check_split runs first, as the residues of the module docstring
+    need zero linking numbers; then maps needs one list per component."""
+    check_split(d)
+    if len(maps) != d.component_count:
+        raise ColorCountMismatch(
+            f"{d.component_count} components, {len(maps)} weight lists")
+    table = {a: _closed(d, a) for a in product(*map(range, map(len, maps)))}
     for axis, to in enumerate(maps):
+        to = [[(k, _packed_weight(w)) for k, w in pairs] for pairs in to]
         new = {}
         for key, val in table.items():
-            for b, c in to[key[axis]]:
-                nk = key[:axis] + (b,) + key[axis + 1:]
+            for k, c in to[key[axis]]:
+                nk = key[:axis] + (k,) + key[axis + 1:]
                 new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
         table = new
-    return table
+    return {key: unpack(val) for key, val in table.items()}
 
 
 @lru_cache(maxsize=None)
 def pprime_table(d, N):
     """J of the 0-framed link of d with colors P_{k_1}, ..., P_{k_m} as
     LaurentU, keyed by (k_1, ..., k_m) in range(N)^m, cached: the values
-    of _closed changed to the P basis one axis at a time, with each V_a
+    of _closed changed to the P basis (_table_sum), with each V_a
     coefficient of P_k times theta_a^(-w), w its component's writhe."""
-    check_split(d)
-    maps = [[[(k, pack(p_in_v(k)[a] * twist_eigen(a, -w)))
-              for k in range(N) if a in p_in_v(k)] for a in range(N)]
-            for w in d.writhes]
-    table = {a: _closed(d, a) for a in product(range(N), repeat=len(maps))}
-    return {key: unpack(val) for key, val in _change_axes(table, maps).items()}
-
-
-@lru_cache(maxsize=None)
-def _packed_weight(w):
-    return pack(w)
+    return _table_sum(d, [[[(k, p_in_v(k)[a] * twist_eigen(a, -w))
+                             for k in range(N) if a in p_in_v(k)]
+                            for a in range(N)] for w in d.writhes])
 
 
 def colour_sum(d, weights):
     """sum over colours c of prod_i weights[i][c_i] times the V-coloured
     value of d as drawn, weights[i] one LaurentU per colour 0, 1, ... of
-    component i: packed, summed into the lanes c mod 2, the lanes of one
-    residue mod 4 added packed, and every residue decoded into one dict.
-    Split diagrams, weights like wrt's (module docstring)."""
-    check_split(d)
-    if len(weights) != d.component_count:
-        raise ColorCountMismatch(
-            f"{d.component_count} components, {len(weights)} weight lists")
-    lanes = [[[(a % 2, _packed_weight(w))] for a, w in enumerate(ws)]
-             for ws in weights]
-    table = {a: _closed(d, a) for a in product(*map(range, map(len, lanes)))}
-    sums = _change_axes(table, lanes).values()
-    coeffs = {}
-    for r in range(4):     # an empty residue r adds zeros at keys r + 4k
-        e, mag = reduce(_padd, [v for v in sums if v[0] % 4 == r], (r, 0))
-        coeffs.update(zip(count(e, 4), _decode(mag)))
-    return LaurentU.from_dict(coeffs)
+    component i: _table_sum into the lanes c mod 2, each lane in one
+    residue mod 4, and the lanes added after unpacking.  Split diagrams,
+    weights like wrt's (module docstring)."""
+    return sum(_table_sum(d, [[[(a % 2, w)] for a, w in enumerate(ws)]
+                              for ws in weights]).values(), ZERO)
 
 
 # -- builtin diagrams -------------------------------------------------------

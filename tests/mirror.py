@@ -13,4 +13,4 @@ def bar(x):
         return HabiroElem(x.depth, [
             bar(c) * q_pow(-n * (n + 1) // 2, (-1) ** n)
             for n, c in enumerate(x.terms)])
-    return LaurentU(-x.max, reversed(x.coeffs))
+    return LaurentU(1 - x.min - len(x.coeffs), reversed(x.coeffs))

@@ -14,7 +14,8 @@ method m of another class.  Imports do not count, and neither do
 docstrings, so a definition that only tests call fails here.  Nor does src/uwrt hold an assert statement, or
 import a leading-underscore name from another uwrt module.  The storage
 of a LaurentU stays inside laurent: no other module reads its slots or
-slices a run out of its coeffs view.
+slices a run out of its coeffs view.  The packed format stays inside
+tangles: no other module imports its codec or its packed constants.
 """
 
 import ast
@@ -113,18 +114,32 @@ def test_no_assert_in_src():
     assert found == []
 
 
-def private_imports(src=SRC):
-    """Sorted "module: name" of every leading-underscore name that a
-    module under src imports from a uwrt module, relative or absolute."""
-    found = []
+def _uwrt_imports(src):
+    """(module, name) of every name that a module under src imports from
+    a uwrt module, relative or absolute."""
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.ImportFrom)
                     and (node.level or (node.module or "").split(".")[0]
                          == "uwrt")):
-                found += [f"{path.stem}: {alias.name}" for alias in node.names
-                          if alias.name.startswith("_")]
-    return sorted(found)
+                yield from ((path.stem, alias.name) for alias in node.names)
+
+
+def private_imports(src=SRC):
+    """Sorted "module: name" of every leading-underscore name that a
+    module under src imports from a uwrt module, relative or absolute."""
+    return sorted(f"{stem}: {name}" for stem, name in _uwrt_imports(src)
+                  if name.startswith("_"))
+
+
+_PACKED = {"pack", "unpack", "PACKED_ZERO", "PACKED_ONE"}
+
+
+def packed_imports(src=SRC):
+    """Sorted "module: name" of every import of the packed codec or a
+    packed constant into a module under src other than tangles."""
+    return sorted(f"{stem}: {name}" for stem, name in _uwrt_imports(src)
+                  if name in _PACKED and stem != "tangles")
 
 
 def test_no_private_import_across_modules():
@@ -140,6 +155,26 @@ def test_private_import_detector(tmp_path):
         "from os import _exit\n",
         encoding="utf-8")
     assert private_imports(tmp_path) == ["a: _hidden", "a: _other"]
+
+
+def test_packed_format_stays_in_tangles():
+    # the digit width and bias of a packed value may change in one module
+    assert packed_imports() == []
+
+
+def test_packed_import_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .tangles import colored_jones, unpack\n"
+        "from uwrt.tangles import PACKED_ONE\n"
+        "from struct import pack\n",
+        encoding="utf-8")
+    (tmp_path / "tangles.py").write_text(
+        "from .reps import pack\n\nPACKED_ZERO = (0, 0)\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from .tangles import PACKED_ZERO, pack\n", encoding="utf-8")
+    assert packed_imports(tmp_path) == [
+        "a: PACKED_ONE", "a: unpack", "b: PACKED_ZERO", "b: pack"]
 
 
 def test_detector_flags_a_test_only_function(tmp_path):

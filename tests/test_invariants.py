@@ -85,9 +85,11 @@ def test_knot_surgery_matches_closed_form():
     for pres, ijk in _knot_surgeries():
         assert equals_at_depth(jm_from_surgery(pres, 8),
                                jm_borromean(*ijk, 8), 8), (pres, ijk)
+    # the large r reach colour 22 and long packed lanes of colour_sum
     for pres, ijk in _knot_surgeries():
-        for r in range(2, 8):
-            assert wrt(pres, r) == eval_root_q(jm_borromean(*ijk, r), r)
+        large = (12,) if pres.diagram is FIGURE_EIGHT else (16, 24)
+        for r in (*range(2, 8), *large):
+            assert wrt(pres, r) == eval_root_q(jm_borromean(*ijk, r), r), r
 
 
 def test_stabilised_borromean_matches_builtin():
@@ -243,7 +245,7 @@ def test_tilde_tau8():
     rep = tilde_tau8_check(M111, ohtsuki(M111, 2)[1])
     assert rep["difference"] == [0, 2, 0, -2]     # the value 2*sqrt2
     assert rep["in_lattice"] and rep["conjectured_span"]
-    with pytest.raises(DepthExceeded, match="depth 7 < 8"):
+    with pytest.raises(DepthExceeded, match="depth 7 < r = 8"):
         tilde_tau8_check(HabiroElem.from_polynomial(1, 7), 0)
 
 

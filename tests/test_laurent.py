@@ -15,6 +15,7 @@ from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           v_pow)
 
 from mirror import bar
+from terms import from_dict
 
 laurents = st.builds(LaurentU,
                      st.integers(min_value=-8, max_value=8),
@@ -59,14 +60,16 @@ def test_exact_div():
     assert ((q_pow(1) - 1) * sparse).exact_div(sparse) == q_pow(1) - 1
     with pytest.raises(NonExactDivision):
         (q_pow(3) + 1).exact_div(sparse)
+    with pytest.raises(NonExactDivision, match="leading coefficient"):
+        (q_pow(1) + 1).exact_div(q_pow(1, 2))
 
 
 def test_variable_membership():
     assert q_pow(-2).is_in_q()
     assert v_pow(3).is_in_v() and not v_pow(3).is_in_q()
     assert not u_pow(1).is_in_v()
-    assert (q_pow(2) + 5).q_coeff(2) == 1
-    assert (q_pow(2) + 5).q_coeff(0) == 5
+    assert (q_pow(2) + 5)[4 * 2] == 1
+    assert (q_pow(2) + 5)[4 * 0] == 5
 
 
 def test_qint_conventions():
@@ -221,7 +224,7 @@ def test_reduce_mod_matches_definition(p, var, n, terms):
     for k, c in terms.items():
         want = want + x ** (k % n) * c
     step = _STEPS[var]
-    a = LaurentU.from_dict({step * k: c for k, c in terms.items()})
+    a = from_dict({step * k: c for k, c in terms.items()})
     assert reduce_mod(a, f, p, var) == want
     if var != "u":
         with pytest.raises(NotInQ):
@@ -319,7 +322,7 @@ def _matches(x, ref):
     gradings."""
     lo = min(ref, default=0)
     run = tuple(ref.get(e, 0) for e in range(lo, max(ref, default=-1) + 1))
-    same = LaurentU.from_dict(ref)
+    same = from_dict(ref)
     return ((x.min, x.coeffs) == (lo, run) and x == same
             and hash(x) == hash(same) == hash(LaurentU(lo, run))
             and x.is_in_q() == all(e % 4 == 0 for e in ref)

@@ -55,7 +55,8 @@ def test_reduce_by_characterisation(params):
             r = reduce(y, d)
             assert r.is_in_q()
             assert r.is_zero() or (r.min >= 0
-                                   and r.max // 4 < d * (d + 1) // 2)
+                                   and (r.min + len(r.coeffs) - 1) // 4
+                                   < d * (d + 1) // 2)
             (full - r).exact_div(pochhammer(d))
 
 
@@ -159,6 +160,7 @@ def test_reduce_is_canonical(x):
 @given(elems(), elems(), st.integers(min_value=1, max_value=5))
 def test_eval_root_is_ring_map(x, y, r):
     assert eval_root(x + y, r) == eval_root(x, r) + eval_root(y, r)
+    assert eval_root(x - y, r) == eval_root(x, r) - eval_root(y, r)
     assert eval_root(x * y, r) == eval_root(x, r) * eval_root(y, r)
 
 

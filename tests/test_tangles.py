@@ -24,6 +24,7 @@ from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
                           pprime_table, unpack, _padd, _pmul)
 
 from mirror import bar
+from terms import from_dict
 
 # Packed values are u^s * Z[q, 1/q]: a shift s and a Laurent polynomial in q
 shifts = st.integers(min_value=-6, max_value=6)
@@ -671,11 +672,17 @@ def test_decoder_matches_the_digit_by_digit_loop(s, digits):
         with pytest.raises(DomainError):
             unpack((s, mag))
         return
-    assert unpack((s, mag)) == LaurentU.from_dict(_decode_by_digit((s, mag)))
+    assert unpack((s, mag)) == from_dict(_decode_by_digit((s, mag)))
     assert unpack((s, mag)) == sum((u_pow(s + 4 * k, d)
                                     for k, d in enumerate(digits)), ZERO)
+    # and pack matches the shifted sum of its digits, the reference encoder
+    lo, run = unpack((s, mag)).q_run()
+    assert pack(unpack((s, mag))) == (
+        lo, sum(c << (64 * k) for k, c in enumerate(run)))
 
 
 def test_large_unknot_matches_the_closed_form():
-    # 20,001 packed digits: the decoder is linear in their number
+    # 20,001 packed digits: the decoder is linear in their number, and
+    # the encoder in the 40,001 of a round trip
     assert colored_jones(builtin("unknot"), (20000,)) == qnum(20001)
+    assert unpack(pack(qnum(40001))) == qnum(40001)
