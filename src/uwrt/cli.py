@@ -15,13 +15,13 @@ import os
 import sys
 
 from . import accept
-from .errors import DomainError, InputError, UnknownName
+from .errors import DomainError, InputError, UnknownName, require_positive
 from .evaluate import (check_modp, eval_padic, eval_rational,
                        modp_nonvanishing, modp_value, padic_point,
                        rational_point, truncation_index)
 from .invariants import (SurgeryPresentation, jm_from_surgery,
                          knot_borromean, ohtsuki, read_text, theta0, wrt)
-from .qhat import eval_root, reduce, taylor
+from .qhat import DEFAULT_DEPTH, eval_root, reduce, taylor
 from .tangles import BUILTIN_NAMES, builtin, colored_jones, parse_diagram
 
 
@@ -58,12 +58,6 @@ def _is_inline_json(raw):
     except json.JSONDecodeError:
         return False
     return True
-
-
-def _check_positive(name, value):
-    """Reject a bad count or order before any surgery sum is paid for."""
-    if value < 1:
-        raise InputError(f"{name} must be >= 1, got {value}")
 
 
 def _emit(args, human_lines, payload):
@@ -108,14 +102,14 @@ def cmd_jm(args):
 # they run before the surgery sum is paid for): r at an r-th root, and at
 # a point s mod m the first n <= --depth with (s)_n = 0 mod m
 _EVAL_MODES = {
-    "root": (1, lambda r, depth: _check_positive("r", r) or r),
+    "root": (1, lambda r, depth: require_positive("r", r)),
     "rational": (3, lambda a, b, m, depth:
                  truncation_index(*rational_point(a, b, m), depth)),
     "padic": (3, lambda s, p, e, depth:
               truncation_index(*padic_point(s, p, e), depth)),
     "modp": (2, lambda p, r, depth: check_modp(p, r) or r),
     "modp-scan": (2, lambda p, rmax, depth: check_modp(p, 1)
-                  or _check_positive("rmax", rmax) or rmax)}
+                  or require_positive("rmax", rmax))}
 
 
 def cmd_eval(args):
@@ -166,7 +160,7 @@ def cmd_eval(args):
 
 
 def cmd_ohtsuki(args):
-    _check_positive("coefficient count", args.count)
+    require_positive("coefficient count", args.count)
     pres = _load_presentation(args)
     x = jm_from_surgery(pres, args.count)
     lams = ohtsuki(x, args.count)
@@ -175,8 +169,8 @@ def cmd_ohtsuki(args):
 
 
 def cmd_taylor(args):
-    _check_positive("r", args.r)
-    _check_positive("coefficient count", args.count)
+    require_positive("r", args.r)
+    require_positive("coefficient count", args.count)
     pres = _load_presentation(args)
     x = jm_from_surgery(pres, args.r * args.count)
     coeffs = taylor(x, args.r, args.count)
@@ -216,10 +210,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, surgery=False, diagram=False):
-        p.add_argument("--depth", type=int, default=10,
-                       help="truncation depth (default 10); caps eval "
-                            "rational and padic, unused by eval root, modp, "
-                            "modp-scan, ohtsuki and taylor")
+        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+                       help="truncation depth (default %(default)s); caps "
+                            "eval rational and padic, unused by eval root, "
+                            "modp, modp-scan, ohtsuki and taylor")
         p.add_argument("--format", choices=("human", "json"),
                        default="human")
         if surgery:
@@ -278,12 +272,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_positive("depth", getattr(args, "depth", 1))
+        require_positive("depth", getattr(args, "depth", 1))
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:   # ValueError: undecodable input
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -18,6 +18,13 @@ class InputError(UwrtError):
     pass
 
 
+def require_positive(name, value):
+    """Return value, refusing a count or order below 1 (exit code 2)."""
+    if value < 1:
+        raise InputError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 class NonExactDivision(DomainError):
     """Division left a nonzero remainder.  Never swallowed: where an
     integrality theorem promises exactness this signals a genuine bug."""

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import DepthExceeded, InputError, NotAUnit, NotCoprime
-from .laurent import ModPoly, cyclotomic_coeffs, is_unit, remainder
+from .errors import (DepthExceeded, InputError, NotAUnit, NotCoprime,
+                     require_positive)
+from .laurent import ModPoly, cyclotomic_coeffs, is_unit
+from .qhat import eval_root
 
 
 class ResidueValue:
@@ -124,11 +126,9 @@ def modp_value(x, p, r):
     """The element evaluated over F_p[q]/(Phi_r mod p): the mod-p WRT
     value at every primitive r-th root of unity simultaneously."""
     check_modp(p, r)
-    if x.depth < r:
-        raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    f = cyclotomic_coeffs(r)
-    acc = ModPoly(f, remainder(*x.expand(r), f), p)
-    return ResidueValue("modp-poly", (p, r), acc)
+    val = eval_root(x, r)          # over Z; reducing mod p is a ring map
+    return ResidueValue("modp-poly", (p, r), ModPoly(
+        cyclotomic_coeffs(r), [val] if r == 1 else val.coeffs, p))
 
 
 def modp_nonvanishing(value):
@@ -142,8 +142,7 @@ def modp_nonvanishing(value):
 
 def rational_point(a, b, m):
     """(s, m, point) for q = a/b mod m, after checking m, a and b."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    require_positive("modulus", m)
     if math.gcd(m, a * b) != 1:
         raise NotCoprime(f"gcd({m}, {a}*{b}) != 1")
     return a * pow(b, -1, m) % m, m, f"q = {a}/{b} mod {m}"
@@ -151,8 +150,7 @@ def rational_point(a, b, m):
 
 def padic_point(s, p, e):
     """(s mod p^e, p^e, point) for q = s mod p^e, after checking s, p, e."""
-    if e < 1:
-        raise ValueError("precision must be positive")
+    require_positive("precision", e)
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if s % p == 0:
@@ -161,9 +159,8 @@ def padic_point(s, p, e):
 
 
 def check_modp(p, r):
+    require_positive("r", r)
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if math.gcd(p, r) != 1:
         raise NotCoprime(f"gcd({p}, {r}) != 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")

@@ -22,12 +22,12 @@ from functools import lru_cache
 
 from .errors import (DepthExceeded, InputError, NonExactDivision,
                      NotAdmissible, NotAKnot, NotInQSubring, UnknownName,
-                     ZeroDenominator)
+                     ZeroDenominator, require_positive)
 from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
                       qnum, reduce_mod)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
-from .repring import omega_coeff
+from .repring import check_omega_work, omega_coeff
 from .reps import twist_eigen
 from .tangles import (BUILTIN_NAMES, Diagram, builtin, check_split,
                       colour_sum, parse_diagram, pprime_table)
@@ -197,13 +197,19 @@ def jm_from_surgery(pres, N=DEFAULT_DEPTH):
     return HabiroElem(N, out)
 
 
+def _omega_products(params, N):
+    """[prod_p omega_coeff(p, l) for l < N]; the largest |p| is checked
+    against the work bound at each l first, so a refusal computes no slot."""
+    for l in range(1, N):
+        check_omega_work(max(params, key=abs), l)
+    return [math.prod(omega_coeff(p, l) for p in params) for l in range(N)]
+
+
 def jm_borromean(i, j, k, N=DEFAULT_DEPTH):
     """J of M_{i,j,k} by the closed formula, at depth N."""
-    out = []
-    for l in range(N):
-        c = omega_coeff(i, l) * omega_coeff(j, l) * omega_coeff(k, l)
-        out.append(ZERO if c.is_zero() else c * _borromean_factor(l))
-    return HabiroElem(N, out)
+    cs = _omega_products((i, j, k), N)
+    return HabiroElem(N, [ZERO if c.is_zero() else c * _borromean_factor(l)
+                          for l, c in enumerate(cs)])
 
 
 @lru_cache(maxsize=None)
@@ -237,11 +243,8 @@ def poincare_series(N=DEFAULT_DEPTH):
 def knot_borromean(i, j, N=DEFAULT_DEPTH):
     """The knot K_{i,j} (from the Borromean rings by -1/i and -1/j
     surgery on two components): coefficient l is (-1)^l w_{i,l} w_{j,l}."""
-    out = []
-    for l in range(N):
-        c = omega_coeff(i, l) * omega_coeff(j, l)
-        out.append(-c if l % 2 else c)
-    return tuple(out)
+    return tuple(-c if l % 2 else c
+                 for l, c in enumerate(_omega_products((i, j), N)))
 
 
 def reduced_jones(d, N=DEFAULT_DEPTH):
@@ -292,7 +295,7 @@ def _unknot_I(r, sign):
     acc = ZERO
     for c in range(r - 1):
         acc = acc + qnum(c + 1) * qnum(c + 1) * twist_eigen(c, sign)
-    return reduce_mod(acc, cyclotomic_coeffs(4 * r), 0, "u")
+    return reduce_mod(acc, cyclotomic_coeffs(4 * r), "u")
 
 
 def _solve_rational(cols, target, rows, nvars):
@@ -338,8 +341,7 @@ def wrt(pres, r):
     so a denominator in y raises NonExactDivision; no solution raises
     NotInQSubring.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    require_positive("r", r)
     if r == 1:
         return 1
     d, fr = _diagram_form(pres)
@@ -361,7 +363,7 @@ def wrt(pres, r):
     for _ in range(len(phir) - 1):
         cols.append(denom.coeffs)
         denom = denom * x4
-    sol = _solve_rational(cols, reduce_mod(total, mod4, 0, "u").coeffs,
+    sol = _solve_rational(cols, reduce_mod(total, mod4, "u").coeffs,
                           len(mod4) - 1, len(phir) - 1)
     if sol is None:
         raise NotInQSubring("value is not a polynomial in q = x^4")

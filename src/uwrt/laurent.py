@@ -18,7 +18,7 @@ from math import gcd
 from operator import add, neg
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
-                     ShapeMismatch)
+                     ShapeMismatch, require_positive)
 
 
 class RingElem:
@@ -87,14 +87,6 @@ class LaurentU(RingElem):
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def monomial(exponent, coefficient=1):
-        return LaurentU(exponent, (coefficient,), 4)
-
-    @staticmethod
-    def integer(n):
-        return LaurentU.monomial(0, n)
-
-    @staticmethod
     def from_q_coeffs(min_q_exponent, coeffs):
         """Polynomial in q with the given q-coefficient run."""
         return LaurentU(4 * min_q_exponent, coeffs, 4)
@@ -135,7 +127,7 @@ class LaurentU(RingElem):
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentU.integer(other)
+            other = u_pow(0, other)
         if not isinstance(other, LaurentU):
             return NotImplemented
         if not self._run:
@@ -166,7 +158,7 @@ class LaurentU(RingElem):
             return NotImplemented
         a, b = self._run, other._run
         if not a or not b:
-            return _ZERO
+            return ZERO
         ka, kb = self._step, other._step
         if len(a) < len(b):
             a, b, ka, kb = b, a, kb, ka
@@ -185,7 +177,7 @@ class LaurentU(RingElem):
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _power(self, _ONE, n)
+        return _power(self, ONE, n)
 
     def exact_div(self, other):
         """Exact quotient self / other in Z[u, u^-1].
@@ -195,11 +187,11 @@ class LaurentU(RingElem):
         Two values graded mod 4 (or 2) have a quotient graded mod 4 (or 2).
         """
         if not isinstance(other, LaurentU):
-            other = LaurentU.integer(other)
+            other = u_pow(0, other)
         if not other._run:
             raise NonExactDivision("division by zero")
         if not self._run:
-            return _ZERO
+            return ZERO
         step = min(self._step, other._step)
         rem = _spread(self._run, self._step // step)
         sd = other._step // step
@@ -226,7 +218,7 @@ class LaurentU(RingElem):
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentU.integer(other)
+            other = u_pow(0, other)
         if not isinstance(other, LaurentU):
             return NotImplemented
         return (self._lo == other._lo and self._step == other._step
@@ -274,24 +266,21 @@ def _spread(run, k):
     return out
 
 
-_ZERO = LaurentU()
-_ONE = LaurentU(0, (1,))
-
-
 def u_pow(k, coefficient=1):
-    return LaurentU.monomial(k, coefficient)
+    """The monomial coefficient * u^k, the one monomial constructor."""
+    return LaurentU(k, (coefficient,), 4)
 
 
 def v_pow(k, coefficient=1):
-    return LaurentU.monomial(2 * k, coefficient)
+    return u_pow(2 * k, coefficient)
 
 
 def q_pow(k, coefficient=1):
-    return LaurentU.monomial(4 * k, coefficient)
+    return u_pow(4 * k, coefficient)
 
 
-ONE = _ONE
-ZERO = _ZERO
+ZERO = LaurentU()
+ONE = u_pow(0)
 
 
 # -- cyclotomic polynomials ----------------------------------------------
@@ -300,8 +289,7 @@ ZERO = _ZERO
 @lru_cache(maxsize=None)
 def cyclotomic(n):
     """n-th cyclotomic polynomial in q, by the divisor recursion."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_positive("n", n)
     acc = q_pow(n) - 1
     for d in range(1, n):
         if n % d == 0:
@@ -325,13 +313,15 @@ def cyclotomic_coeffs(n):
 # binomials are exact divisions, and a failure there is an internal
 # fault, not a caller error.
 
-_falling_cache = {}      # i -> [{i}_{q,0}, {i}_{q,1}, ...]
+@lru_cache(maxsize=None)
+def _falling_row(i):
+    return [ONE]          # [{i}_{q,0}, {i}_{q,1}, ...], grown by falling_q
 
 
 def falling_q(i, n):
     """{i}_{q,n} = {i}_q {i-1}_q ... {i-n+1}_q (1 for n <= 0); each new
     length is one product with the longest kept for this i."""
-    row = _falling_cache.setdefault(i, [_ONE])
+    row = _falling_row(i)
     while len(row) <= n:
         row.append(row[-1] * (q_pow(i - len(row) + 1) - 1))
     return row[max(n, 0)]
@@ -546,19 +536,19 @@ def remainder(lo, run, f):
     return r
 
 
-def reduce_mod(a, f, p=0, var="q"):
+def reduce_mod(a, f, var="q"):
     """Reduce a LaurentU modulo a polynomial f in q (var "q") or in u
-    (var "u"), over Z (p = 0) or F_p.
+    (var "u"), over Z.
 
     f is the coefficient sequence of the modulus, constant term first
     (cyclotomic_coeffs gives it for Phi_n).  The remainder is taken over
     Z in one pass (remainder), so f must have leading coefficient +-1,
     and also f(0) = +-1 when a has negative exponents; cyclotomic moduli
-    have both.  Z -> F_p is a ring map, so reducing that remainder mod p
-    gives the reduction over F_p.
+    have both.  Z -> F_p is a ring map, so ModPoly(f, coeffs, p) of the
+    result is the reduction over F_p.
     """
     if var == "u":
-        return ModPoly(f, remainder(a._lo, _spread(a._run, a._step), f), p)
+        return ModPoly(f, remainder(a._lo, _spread(a._run, a._step), f))
     if not a.is_in_q():
         raise NotInQ("value is not a polynomial in q")
-    return ModPoly(f, remainder(a._lo // 4, a._run, f), p)
+    return ModPoly(f, remainder(a._lo // 4, a._run, f))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DepthExceeded, InputError, NotInQ
+from .errors import DepthExceeded, NotInQ, require_positive
 from .laurent import (LaurentU, ZERO, ModPoly, RingElem, cyclotomic,
                       cyclotomic_coeffs, pochhammer, remainder)
 
@@ -34,25 +34,19 @@ class HabiroElem(RingElem):
     __slots__ = ("depth", "terms")
 
     def __init__(self, depth, terms=()):
-        if depth < 1:
-            raise ValueError("depth must be positive")
-        self.depth = depth
+        self.depth = require_positive("depth", depth)
         out = [ZERO] * depth
         for n, c in (terms.items() if isinstance(terms, dict)
                      else enumerate(terms)):
             if n >= depth:
                 continue
-            if not c.is_in_q():
+            out[n] = out[n] + c           # an int becomes a LaurentU
+            if not out[n].is_in_q():
                 raise NotInQ(f"term {n} involves fractional powers of q")
-            out[n] = out[n] + c
         self.terms = tuple(out)
 
     @staticmethod
     def from_polynomial(p, depth=DEFAULT_DEPTH):
-        if isinstance(p, int):
-            p = LaurentU.integer(p)
-        if not p.is_in_q():
-            raise NotInQ(p.to_str())
         return HabiroElem(depth, {0: p})
 
     def __add__(self, other):
@@ -67,14 +61,10 @@ class HabiroElem(RingElem):
         return HabiroElem(self.depth, [-c for c in self.terms])
 
     def __mul__(self, other):
-        if isinstance(other, LaurentU):
-            if not other.is_in_q():
-                raise NotInQ(other.to_str())
-            return HabiroElem(self.depth,
-                              [c * other for c in self.terms])
-        if isinstance(other, int):
-            return HabiroElem(self.depth,
-                              [c * other for c in self.terms])
+        if isinstance(other, LaurentU) and not other.is_in_q():
+            raise NotInQ(other.to_str())    # for the zero element too
+        if isinstance(other, (int, LaurentU)):
+            return HabiroElem(self.depth, [c * other for c in self.terms])
         d = min(self.depth, other.depth)
         out = [ZERO] * d
         for m in range(d):
@@ -152,8 +142,7 @@ def equals_at_depth(x, y, d):
 def eval_root(x, r):
     """s_zeta at a primitive r-th root of unity, as an element of
     Z[q]/(Phi_r); returns a plain integer when r = 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    require_positive("r", r)
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
     f = cyclotomic_coeffs(r)
@@ -174,8 +163,8 @@ def taylor(x, r, d):
     ideal, gives rem with P = sum_j rem_j q^j mod Phi_r^d, and jet k is
     sum_j C(j, k) rem_j x^(j-k) mod Phi_r.
     """
-    if d < 1:
-        raise InputError(f"coefficient count must be >= 1, got {d}")
+    require_positive("r", r)
+    require_positive("coefficient count", d)
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
     rem = remainder(*x.expand(r * d), (cyclotomic(r) ** d).q_run()[1])

@@ -125,6 +125,13 @@ def pairing(x, y):
 _OMEGA_WORK = 150_000_000
 
 
+def check_omega_work(p, n):
+    """Refuse omega^p_n if its work p^2 (n^4 + 8) passes _OMEGA_WORK."""
+    if p * p * (n ** 4 + 8) > _OMEGA_WORK:
+        raise InputError(f"omega^{p} at P'_{n}: work p^2 (n^4 + 8) passes "
+                         f"{_OMEGA_WORK:,}")
+
+
 @lru_cache(maxsize=None)
 def omega_coeff(p, n):
     """Coefficient of P'_n in omega^p, by one pass over l = 1..|p|.
@@ -137,9 +144,7 @@ def omega_coeff(p, n):
     """
     if p == 0 or n == 0:
         return ONE if n == 0 else ZERO
-    if p * p * (n ** 4 + 8) > _OMEGA_WORK:
-        raise InputError(f"omega^{p} at P'_{n}: work p^2 (n^4 + 8) passes "
-                         f"{_OMEGA_WORK:,}")
+    check_omega_work(p, n)
     sign = 1 if p > 0 else -1
 
     def step(c, s, t):

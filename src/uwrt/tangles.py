@@ -486,32 +486,27 @@ def _contract(d, colors, cut=None):
                           if key in bra), PACKED_ZERO)
 
 
-_jones_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _closed(d, colors):
     """Packed value of the closed diagram with V-weights, cached (the one
-    V-value cache).  Cut open at the outer cup of the component in d.cuts
-    of largest colour a (the lowest on a tie), for 1/(a+1) of the work:
-    the cut tangle is a scalar on V_a, so one matrix element times v^a
-    [a+1] = 1 + q + ... + q^a, one product with the all-ones digit
-    number, is the closed value (v^a undoes the kappa weight at the
-    trace cap).  Zero low digits (_padd keeps them when sums cancel) are
-    stripped: the pair is pack of the value.  An odd offset on an
-    even-framed diagram raises DomainError: it left Z[v, 1/v]."""
-    key = (d.slices, colors)
-    value = _jones_cache.get(key)
-    if value is None:
-        cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
-        o, mag = _contract(d, colors, cut)
-        if cut is not None:
-            mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
-        while mag and not mag & _MASK:
-            o, mag = o + 4, mag >> _BITS
-        if mag and o % 2 and all(w % 2 == 0 for w in d.writhes):
-            raise DomainError("even-framed value left Z[v, 1/v]")
-        value = _jones_cache[key] = (o, mag) if mag else PACKED_ZERO
-    return value
+    V-value cache; a Diagram hashes by its slices).  Cut open at the
+    outer cup of the component in d.cuts of largest colour a (the lowest
+    on a tie), for 1/(a+1) of the work: the cut tangle is a scalar on
+    V_a, so one matrix element times v^a [a+1] = 1 + q + ... + q^a, one
+    product with the all-ones digit number, is the closed value (v^a
+    undoes the kappa weight at the trace cap).  Zero low digits (_padd
+    keeps them when sums cancel) are stripped: the pair is pack of the
+    value.  An odd offset on an even-framed diagram raises DomainError:
+    it left Z[v, 1/v]."""
+    cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
+    o, mag = _contract(d, colors, cut)
+    if cut is not None:
+        mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
+    while mag and not mag & _MASK:
+        o, mag = o + 4, mag >> _BITS
+    if mag and o % 2 and all(w % 2 == 0 for w in d.writhes):
+        raise DomainError("even-framed value left Z[v, 1/v]")
+    return (o, mag) if mag else PACKED_ZERO
 
 
 def colored_jones(d, colors):

@@ -16,9 +16,13 @@ import a leading-underscore name from another uwrt module.  The storage
 of a LaurentU stays inside laurent: no other module reads its slots or
 slices a run out of its coeffs view.  The packed format stays inside
 tangles: no other module imports its codec or its packed constants.
+Every memo is an lru_cache, so none is a module-level container named
+for a cache, and a count or order below 1 is refused in one place,
+errors.require_positive: no other raise builds a "must be >= 1" message.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uwrt"
@@ -221,6 +225,96 @@ def test_detector_flags_a_test_only_method(tmp_path):
     assert unreferenced_public_definitions(tmp_path) == \
         ["c.Box.make", "c.Box.mapped", "c.Box.recursive", "c.Box.shadowed"]
 
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.Tuple, ast.DictComp,
+               ast.ListComp, ast.SetComp, ast.Call)
+
+
+def cache_containers(src=SRC):
+    """Sorted "module: name" of every module-level name containing "cache"
+    that is bound to a container display, comprehension or call."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, _CONTAINERS)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                found += [f"{path.stem}: {name.id}" for target in targets
+                          for name in ast.walk(target)
+                          if isinstance(name, ast.Name)
+                          and "cache" in name.id.lower()]
+    return sorted(found)
+
+
+def test_every_cache_is_an_lru_cache():
+    # each memo has cache_clear and cache_info, so the benchmark resets it
+    # and its hits and misses can be counted
+    assert cache_containers() == []
+
+
+def test_cache_container_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from collections import defaultdict\n"
+        "from functools import lru_cache\n\n"
+        "_jones_cache = {}\n"
+        "rows_CACHE: dict = dict()\n"
+        "_seen = cache_limit = 3\n"
+        "_memo = {}\n\n\n"
+        "def f():\n    local_cache = {}\n    return local_cache\n\n\n"
+        "@lru_cache(maxsize=None)\n"
+        "def cached(n):\n    return n\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from collections import defaultdict\n\n"
+        "left, cache_b = [], defaultdict(list)\n", encoding="utf-8")
+    assert cache_containers(tmp_path) == [
+        "a: _jones_cache", "a: rows_CACHE", "b: cache_b"]
+
+
+_POSITIVE = re.compile(r"must be (>= 1|positive)")
+
+
+def positive_refusals(src=SRC):
+    """Sorted "module:line" of every raise outside errors whose message
+    holds a literal "must be >= 1" or "must be positive"."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(sub, ast.Constant)
+                    and _POSITIVE.search(str(sub.value))
+                    for sub in ast.walk(node)):
+                found.append(f"{path.stem}:{node.lineno}")
+    return sorted(found)
+
+
+def test_one_refusal_of_a_count_below_1():
+    # errors.require_positive words and types the refusal, so every
+    # count, order, depth, modulus and precision exits 2 the same way
+    assert positive_refusals() == []
+
+
+def test_positive_refusal_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(r, n):\n"
+        "    if r < 1:\n"
+        "        raise ValueError('r must be >= 1')\n"
+        "    if n < 1:\n"
+        "        raise InputError(f'{n} must be >= 1, got {n}')\n"
+        "    if n < 0:\n"
+        "        raise ValueError('powers must be >= 0')\n"
+        "    require_positive('r', r)\n"
+        "    raise ValueError('modulus must be positive')\n",
+        encoding="utf-8")
+    (tmp_path / "errors.py").write_text(
+        "def require_positive(name, value):\n"
+        "    if value < 1:\n"
+        "        raise InputError(f'{name} must be >= 1, got {value}')\n",
+        encoding="utf-8")
+    assert positive_refusals(tmp_path) == ["a:3", "a:5", "a:9"]
 
 
 def _laurent_slots():

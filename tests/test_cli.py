@@ -195,6 +195,78 @@ def test_large_twist_refused_at_once(capsys, monkeypatch):
         assert err.startswith("input error: omega^100000 at P'_1")
 
 
+def test_closed_form_past_the_omega_bound_refused_before_any_slot(
+        capsys, monkeypatch):
+    # a closed form whose largest |p| passes the omega work bound at some
+    # slot is refused before the shallower slots, or their factors, are
+    # computed (each of these ran for about two minutes before)
+    def fail(*args):
+        raise AssertionError("slot work started")
+
+    monkeypatch.setattr(repring, "qbinom_q", fail)
+    monkeypatch.setattr(invariants, "_borromean_factor", fail)
+    for argv, refused in (
+            (["eval", "--surgery",
+              '{"family": "borromean", "params": [1, 1, 1]}',
+              "modp", "3", "400"], "omega^1 at P'_111"),
+            (["jm", "--surgery",
+              '{"family": "borromean", "params": [2, 1, 1]}',
+              "--depth", "100"], "omega^2 at P'_79"),
+            (["kashaev", "--depth", "100", "2", "1"], "omega^2 at P'_79")):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err.startswith(f"input error: {refused}: work"), err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["wrt", "--surgery", BORR, "0"], "r must be >= 1, got 0"),
+    (["eval", "--surgery", BORR, "modp", "5", "0"], "r must be >= 1, got 0"),
+    (["eval", "--surgery", BORR, "modp", "5", "-1"],
+     "r must be >= 1, got -1"),
+    (["eval", "--surgery", BORR, "rational", "2", "1", "0"],
+     "modulus must be >= 1, got 0"),
+    (["eval", "--surgery", BORR, "padic", "2", "3", "0"],
+     "precision must be >= 1, got 0")],
+    ids=["wrt-r", "modp-r-0", "modp-r-neg", "rational-m", "padic-e"])
+def test_an_order_below_1_is_refused_in_one_wording(capsys, argv, want):
+    # the order is checked before the gcd: gcd(5, 0) = 5 must not turn
+    # modp 5 0 into a domain error
+    assert run(capsys, argv) == (2, "", f"input error: {want}\n")
+
+
+def test_non_utf8_diagram_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"\xff\xfeU(1)\nA(1)\n")
+    code, out, err = run(capsys, ["jones", "--diagram", str(path), "1"])
+    assert code == 2 and not out
+    assert err.startswith("input error: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_surgery_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"diagram": "unknot", "framings": [1]}\xff')
+    code, out, err = run(capsys, ["wrt", "--surgery", str(path), "2"])
+    assert code == 2 and not out
+    assert err.startswith("input error: 'utf-8' codec can't decode")
+
+
+def test_surgery_integer_past_the_digit_limit_is_an_input_error(capsys):
+    surgery = '{"diagram": "unknot", "framings": [%s]}' % ("1" * 5000)
+    code, out, err = run(capsys, ["wrt", "--surgery", surgery, "2"])
+    assert code == 2 and not out
+    assert err.startswith("input error: Exceeds the limit")
+
+
+def test_diagram_label_past_the_digit_limit_is_an_input_error(capsys,
+                                                               tmp_path):
+    label = "1" * 5000
+    path = tmp_path / "d.txt"
+    path.write_text(f"U({label})\nA({label})\n", encoding="utf-8")
+    code, out, err = run(capsys, ["jones", "--diagram", str(path), "1"])
+    assert code == 2 and not out
+    assert err.startswith("input error: Exceeds the limit")
+
+
 def test_padic_modulus_too_long_to_print(capsys):
     # 3^100000 has 47,713 digits, beyond int's default conversion limit
     code, out, err = run(capsys, ["eval", "--surgery", BORR,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uwrt.errors import DepthExceeded, NotAUnit, NotCoprime
+from uwrt.errors import DepthExceeded, InputError, NotAUnit, NotCoprime
 from uwrt.evaluate import (ResidueValue, eval_padic, eval_rational,
                            is_prime, modp_nonvanishing, modp_value)
 from uwrt.invariants import jm_borromean
@@ -81,9 +81,9 @@ def test_errors():
         eval_rational(jm_borromean(1, 1, 1, 4), 2, 1, 1000000007)
     with pytest.raises(DepthExceeded):
         modp_value(HabiroElem(2), 5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^modulus must be >= 1, got 0$"):
         eval_rational(M111, 2, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^precision must be >= 1, got 0$"):
         eval_padic(M111, 2, 3, 0)
 
 

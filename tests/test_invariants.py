@@ -134,7 +134,7 @@ def test_pprime_table_is_reused(monkeypatch):
         return contract(d, colors, cut)
 
     monkeypatch.setattr(uwrt.tangles, "_contract", counting)
-    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._closed.cache_clear()
     uwrt.tangles.pprime_table.cache_clear()
     d = builtin("borromean")
     x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=(1, -1, 1)),
@@ -167,7 +167,7 @@ def test_wrt_shares_its_contractions(monkeypatch):
         return contract(d, colors, cut)
 
     monkeypatch.setattr(uwrt.tangles, "_contract", counting)
-    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._closed.cache_clear()
     uwrt.tangles.pprime_table.cache_clear()
     fr = (1, -1, 1)
     assert wrt(borromean_presentation(fr), 5) == \
@@ -313,6 +313,30 @@ def test_from_json():
     assert pres.diagram.name == "trefoil" and pres.framings == (-1,)
 
 
+def test_presentation_repr():
+    # accept prints it in its failure details
+    family = SurgeryPresentation.from_json(
+        {"family": "borromean", "params": [1, -1, 2]})
+    knot = SurgeryPresentation.from_json(
+        {"diagram": "trefoil", "framings": [-1]})
+    assert repr(family) == "SurgeryPresentation(borromean, (1, -1, 2))"
+    assert repr(knot) == \
+        "SurgeryPresentation(Diagram(trefoil, 7 slices), framings=(-1,))"
+    assert repr(SurgeryPresentation.from_json({})) == \
+        "SurgeryPresentation(empty, framings=())"
+
+
+def test_solve_rational_on_singular_systems():
+    # columns (1, 2) and (2, 4) span one line: (3, 6) lies on it and
+    # (3, 7) does not
+    cols = [[1, 2], [2, 4]]
+    sol = uwrt.invariants._solve_rational(cols, [3, 6], 2, 2)
+    assert [sum(c[i] * t for c, t in zip(cols, sol)) for i in range(2)] \
+        == [3, 6]
+    assert sol == [3, 0]          # the free unknown is set to 0
+    assert uwrt.invariants._solve_rational(cols, [3, 7], 2, 2) is None
+
+
 def test_knot_borromean_goldens():
     k = knot_borromean(1, 1, 6)
     assert [c.to_str() for c in k] == \
@@ -360,7 +384,7 @@ def test_repeated_wrt_packs_nothing(monkeypatch):
     pack = uwrt.tangles.pack
     monkeypatch.setattr(uwrt.tangles, "pack",
                         lambda x: packs.append(x) or pack(x))
-    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._closed.cache_clear()
     uwrt.tangles._packed_weight.cache_clear()
     pres = borromean_presentation((1, -1, 1))
     first = wrt(pres, 5)

@@ -10,7 +10,7 @@ PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
 CACHES = ("uwrt.tangles._packed_block", "uwrt.tangles._transposed",
           "uwrt.tangles.pfall", "uwrt.tangles.pbinom",
-          "uwrt.tangles._packed_weight", "uwrt.tangles._jones_cache")
+          "uwrt.tangles._packed_weight", "uwrt.tangles._closed")
 
 
 def _load_probes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwrt.errors import DepthExceeded, NotInQ
+from uwrt.errors import DepthExceeded, InputError, NotInQ
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import (ONE, ZERO, LaurentU, ModPoly, cyclotomic_coeffs,
                           pochhammer, q_pow, qnum, u_pow, v_pow)
@@ -27,10 +27,17 @@ def elems(depth=6):
 def test_constructors():
     assert HabiroElem.from_polynomial(1).depth == DEFAULT_DEPTH
     assert HabiroElem(4, {2: ONE}).terms[2] == ONE
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^depth must be >= 1, got 0$"):
         HabiroElem(0)
     with pytest.raises(NotInQ):
         HabiroElem.from_polynomial(q_pow(1) + u_pow(1))
+
+
+def test_times_an_integer():
+    x = HabiroElem(4, {0: q_pow(1), 2: ONE - q_pow(-1)})
+    assert (x * 3).terms == (x + x + x).terms
+    assert (3 * x).terms == (x * 3).terms and (x * 3).depth == 4
+    assert (x * 0).terms == (ZERO,) * 4
 
 
 def test_reduce_goldens():

@@ -58,6 +58,13 @@ def test_parse_and_print_round_trip():
         assert parse_diagram(text) == builtin(name)
 
 
+def test_diagram_repr_names_the_diagram():
+    # accept prints it in its failure details
+    assert repr(builtin("hopf")) == "Diagram(hopf, 6 slices)"
+    assert repr(parse_diagram("U(1)\nA(1)\n")) == \
+        "Diagram(1 components, 2 slices)"
+
+
 def test_parse_comments_and_blanks():
     d = parse_diagram("# a round unknot\nU(1)\n\nA(1)  # done\n")
     assert d.component_count == 1
@@ -154,7 +161,7 @@ def test_color_count_mismatch():
 
 def test_integrality_check_survives_optimize(monkeypatch):
     # an odd power of u on an even-framed diagram must raise, not assert
-    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._closed.cache_clear()
     # the fake contraction's packed value is u^1
     monkeypatch.setattr(uwrt.tangles, "_contract",
                         lambda d, colors, cut=None: (1, 1))
@@ -392,7 +399,7 @@ def test_largest_colour_is_cut(monkeypatch):
 
     contract = uwrt.tangles._contract
     monkeypatch.setattr(uwrt.tangles, "_contract", recording)
-    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._closed.cache_clear()
     d = builtin("borromean")
     for colors, cut in (((1, 4, 1), 1), ((4, 1, 1), 0), ((1, 1, 4), 2),
                         ((1, 1, 1), 0), ((1, 4, 4), 1), ((2, 1, 2), 0)):
@@ -495,7 +502,7 @@ def test_sums_refuse_a_linked_diagram_before_packing(monkeypatch):
         raise AssertionError("contraction started")
 
     monkeypatch.setattr(uwrt.tangles, "_contract", fail)
-    monkeypatch.setattr(uwrt.tangles, "_jones_cache", {})
+    uwrt.tangles._closed.cache_clear()
     hopf = closure_of_braid(2, [(1, 1), (1, 1)])
     weights = [[qnum(c + 1) for c in range(3)]] * 2
     for call in (lambda: pprime_table(hopf, 2),
@@ -605,9 +612,9 @@ def test_closed_pairs_are_canonical():
     for cs in product(range(4), repeat=3):
         pairs = set()
         for h in range(steps + 1):
+            uwrt.tangles._closed.cache_clear()
             with mock.patch.object(uwrt.tangles, "_split",
-                                   lambda s: min(h, len(s))), \
-                    mock.patch.object(uwrt.tangles, "_jones_cache", {}):
+                                   lambda s: min(h, len(s))):
                 pairs.add(uwrt.tangles._closed(d, cs))
         (value,) = pairs
         assert value == pack(unpack(value)), cs
@@ -620,10 +627,10 @@ def test_closed_pairs_are_canonical():
 def test_closed_pairs_are_canonical_on_any_closure(braid, colors):
     d = closure_of_braid(*braid)
     cs = tuple(colors[:d.component_count])
-    with mock.patch.object(uwrt.tangles, "_jones_cache", {}):
-        value = uwrt.tangles._closed(d, cs)
-        assert value == pack(unpack(value))
-        assert not value[1] or value[1] & uwrt.tangles._MASK
+    uwrt.tangles._closed.cache_clear()
+    value = uwrt.tangles._closed(d, cs)
+    assert value == pack(unpack(value))
+    assert not value[1] or value[1] & uwrt.tangles._MASK
 
 
 def _decode_by_digit(value):
