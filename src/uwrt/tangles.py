@@ -31,6 +31,13 @@ cut, so a braid closure is also drawn with each component outermost.
 The cut's up strand crosses nothing and keeps index 0, so its cap, read
 backward, inserts (0, 0) alone.
 
+Strands of colour 0 cost nothing either.  V_0 has the one index 0, and
+in reps.braiding_terms with m or n zero only t = 0 is left, whose
+exponent +-(m - 2i)(n - 2j) vanishes: a crossing with a V_0 strand is
+the swap (i, j) -> (j, i) with offset 0 and coefficient 1.  A V_0 cup or
+cap inserts or closes (0, 0) with weight 1.  So _weighted drops these
+steps and moves every other one left past the V_0 strands to its left.
+
 Coefficients are Laurent polynomials in u packed into big integers with
 one balanced 64-bit digit per q-step, q = u^4 (Kronecker substitution),
 so that polynomial multiplication rides on native bigint multiplication.
@@ -446,44 +453,81 @@ def _block(step, colors, back, pinned):
     return p, p + 2 * close, _cup_cap(colors[rest[0]], rest[1], pinned)[close]
 
 
+@lru_cache(maxsize=None)
+def _weighted(steps, pin, blank, cut):
+    """(steps, pin, start key) with the strands of the components in
+    blank taken out (module docstring); comps holds the component of each
+    interface strand, from the cut's pair if there is a cut."""
+    comps = [] if cut is None else [cut, cut]
+    start = tuple(0 for c in comps if c not in blank)
+    kept, kept_pin = [], None
+    for k, (p, kind, *rest) in enumerate(steps):
+        shift = sum(c in blank for c in comps[:p])
+        touched = rest[1:] if kind == "x" else rest[:1]
+        if kind == "x":
+            comps[p:p + 2] = comps[p + 1], comps[p]
+        elif kind == "cup":
+            comps[p:p] = touched * 2
+        else:
+            del comps[p:p + 2]
+        if blank.isdisjoint(touched):
+            kept_pin = len(kept) if k == pin else kept_pin
+            kept.append((p - shift, kind, *rest))
+    return tuple(kept), kept_pin, start
+
+
 def _contract(d, colors, cut=None):
     """Packed value of the closed diagram, contracted from both ends.
 
     A step replaces the indices key[p:q] of each state key by each term
     (pair, offset, mag) of its block (_block): a crossing maps (i, j) to
     its output pairs (j2, i2), a cup maps () to every (i, i), a cap maps
-    (i, i) to () and drops the other keys.  The steps before the middle
-    crossing (_split) run forward from the initial key to a ket, the
-    rest backward from the empty key, each transposed, to a bra on the
-    same interface.  sum_K ket[K] bra[K], over the smaller half, is the
-    same product of step matrices associated at the middle: exact.
+    (i, i) to () and drops the other keys.  A new key is stored as is;
+    a merge runs _padd and deletes a sum that cancels to 0 on the spot.
+    The steps before the middle crossing (_split) run forward from the
+    initial key to a ket, the rest backward from the empty key, each
+    transposed, to a bra on the same interface.  sum_K ket[K] bra[K],
+    over the smaller half, is the same product of step matrices
+    associated at the middle: exact.  Its products are summed as plain
+    ints per offset, and _padd folds the few offsets.
 
     With cut=c the steps are d.cuts[c][1:] from the key (0, 0): the (0,0)
     element of the link cut open at the outer cup of c (see _closed),
     whose up strand keeps index 0: its cap d.pins[c] has (0, 0) alone.
+    _weighted first takes out the strands of colour 0, a cut's pair too.
     """
-    steps = d.steps if cut is None else d.cuts[cut][1:]
-    pin, h = d.pins.get(cut), _split(steps)
+    blank = frozenset(c for c, n in enumerate(colors) if not n)
+    steps, pin, start = _weighted(d.steps if cut is None else d.cuts[cut][1:],
+                                  d.pins.get(cut), blank, cut)
+    h = _split(steps)
     halves = []
     for back, order, state in (
-            (False, range(h), {() if cut is None else (0, 0): PACKED_ONE}),
+            (False, range(h), {start: PACKED_ONE}),
             (True, range(len(steps) - 1, h - 1, -1), {(): PACKED_ONE})):
         for k in order:
             p, q, block = _block(steps[k], colors, back, k == pin)
             new = {}
             for key, (o, mag) in state.items():
+                terms = block.get(key[p:q])
+                if terms is None:
+                    continue
                 head, tail = key[:p], key[q:]
-                for pair, off, m in block.get(key[p:q], ()):
+                for pair, off, m in terms:
                     nk = head + pair + tail
                     v = (o + off, mag * m)
-                    old = new.get(nk)
-                    new[nk] = v if old is None else _padd(old, v)
-            # only merges can cancel: inserted pairs land on distinct keys
-            state = new if p == q else {nk: v for nk, v in new.items() if v[1]}
+                    old = new.setdefault(nk, v)
+                    if old is not v:
+                        new[nk] = v = _padd(old, v)
+                        if not v[1]:
+                            del new[nk]
+            state = new
         halves.append(state)
     ket, bra = sorted(halves, key=len)
-    return reduce(_padd, (_pmul(v, bra[key]) for key, v in ket.items()
-                          if key in bra), PACKED_ZERO)
+    sums = {}
+    for key, (o, mag) in ket.items():
+        if (b := bra.get(key)) is not None:
+            sums[o + b[0]] = sums.get(o + b[0], 0) + mag * b[1]
+    return reduce(_padd, sums.items(), PACKED_ZERO)
 
 
 @lru_cache(maxsize=None)

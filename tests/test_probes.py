@@ -10,7 +10,8 @@ PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
 CACHES = ("uwrt.tangles._packed_block", "uwrt.tangles._transposed",
           "uwrt.tangles.pfall", "uwrt.tangles.pbinom",
-          "uwrt.tangles._packed_weight", "uwrt.tangles._closed")
+          "uwrt.tangles._packed_weight", "uwrt.tangles._closed",
+          "uwrt.tangles._weighted")
 
 
 def _load_probes():

@@ -15,8 +15,8 @@ import uwrt.tangles
 from uwrt.errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                          InputError, InterfaceMismatch, NotAdmissible,
                          OpenDiagram, UnknownName, UnsupportedCrossing)
-from uwrt.laurent import (ZERO, LaurentU, falling_q, q_pow, qbinom_q, qnum,
-                          u_pow, v_pow)
+from uwrt.laurent import (ONE, ZERO, LaurentU, falling_q, q_pow, qbinom_q,
+                          qnum, u_pow, v_pow)
 from uwrt.repring import p_in_v
 from uwrt.reps import braiding, braiding_terms, twist_eigen
 from uwrt.tangles import (builtin, closure_of_braid, colored_jones,
@@ -479,7 +479,8 @@ def test_contraction_is_the_same_at_every_split(braid, colors):
         steps = d.steps if cut is None else d.cuts[cut][1:]
         scale = 1 if cut is None else v_pow(cs[cut]) * qnum(cs[cut] + 1)
         for h in range(len(steps) + 1):
-            with mock.patch.object(uwrt.tangles, "_split", lambda s: h):
+            with mock.patch.object(uwrt.tangles, "_split",
+                                   lambda s: min(h, len(s))):
                 value = unpack(uwrt.tangles._contract(d, cs, cut))
             assert value * scale == want, (cut, h)
 
@@ -492,6 +493,55 @@ def test_pins_find_the_cap_of_the_cut_up_strand():
         assert steps[1:][d.pins[c]][1] == "cap"
         assert len(steps) - 2 - d.pins[c] == c
     assert parse_diagram(BUILTIN_TEXT["hopf"]).pins == {0: 4}
+
+
+def _strip(strands, word, gone):
+    """(strands, word) of the braid with the strands of the components in
+    gone deleted: their letters go and every other letter moves left past
+    the deleted strands to its left.  Components are numbered as in
+    closure_of_braid, by the smallest top position of their cycle of the
+    braid permutation, so the others keep their order."""
+    after = list(range(strands))
+    for p, _ in word:
+        after[p - 1], after[p] = after[p], after[p - 1]
+    low = list(range(strands))
+    for _ in range(strands):
+        for k, top in enumerate(after):
+            low[top] = low[k] = min(low[top], low[k])
+    dead = [sorted(set(low)).index(x) in gone for x in low]
+    current, kept = list(range(strands)), []
+    for p, sign in word:
+        a, b = current[p - 1], current[p]
+        if not (dead[a] or dead[b]):
+            kept.append((p - sum(dead[i] for i in current[:p - 1]), sign))
+        current[p - 1], current[p] = b, a
+    return strands - sum(dead), kept
+
+
+@settings(deadline=None, max_examples=100)
+@given(braids(4, min_strands=1, max_letters=7),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=4,
+                max_size=4),
+       st.integers(min_value=0, max_value=3))
+def test_blank_components_are_deleted_strands(braid, colors, zero):
+    # V_0 is the trivial module, so a component of colour 0 counts as
+    # absent: the value is that of the braid with its strands deleted,
+    # on the other colours, and 1 when no strand is left
+    d = closure_of_braid(*braid)
+    cs = colors[:d.component_count]
+    cs[zero % len(cs)] = 0
+    strands, word = _strip(*braid, {c for c, n in enumerate(cs) if not n})
+    rest = tuple(n for n in cs if n)
+    want = colored_jones(closure_of_braid(strands, word), rest) \
+        if strands else ONE
+    assert colored_jones(d, tuple(cs)) == want, (braid, cs)
+
+
+def test_borromean_rings_less_a_blank_component_are_an_unlink():
+    d = builtin("borromean")
+    for a, b in product(range(7), repeat=2):
+        for cs in ((a, b, 0), (a, 0, b), (0, a, b)):
+            assert colored_jones(d, cs) == qnum(a + 1) * qnum(b + 1), cs
 
 
 def test_sums_refuse_a_linked_diagram_before_packing(monkeypatch):
