@@ -85,10 +85,6 @@ class NotAKnot(DomainError):
     pass
 
 
-class ZeroDenominator(DomainError):
-    pass
-
-
 class NotInQSubring(DomainError):
     pass
 

@@ -10,7 +10,9 @@ coefficient -1/p on a component contributes omega^p_k, and a framing
 f = +-1 is the case p = -f.  Specializations provided here: the
 classical WRT value at a root of unity, the Ohtsuki series with its
 congruence checks, and the two-variable knot invariant with its
-theta-specializations.
+theta-specializations.  The WRT value is the colour sum divided by the
+framed unknots U_f, one exact division by (2r)^b through the Gauss-sum
+identity U_f (-U_(-f) {1}^2) = 2r, read off in the subring Z[q].
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (DepthExceeded, InputError, NonExactDivision,
-                     NotAdmissible, NotAKnot, NotInQSubring, UnknownName,
-                     ZeroDenominator, require_positive)
+from .errors import (DepthExceeded, DomainError, InputError,
+                     NonExactDivision, NotAdmissible, NotAKnot, NotInQSubring,
+                     UnknownName, require_positive)
 from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
                       qnum, reduce_mod)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import check_omega_work, omega_coeff
 from .reps import twist_eigen
-from .tangles import (BUILTIN_NAMES, Diagram, builtin, check_split,
-                      colour_sum, parse_diagram, pprime_table)
+from .tangles import (BUILTIN_NAMES, Diagram, builtin, colour_sum,
+                      parse_diagram, pprime_table)
 
 # -- surgery presentations ---------------------------------------------------
 
@@ -143,7 +145,8 @@ def borromean_presentation(framings):
 
 
 def _check_admissible(d, framings):
-    """One +-1 framing per component and zero linking numbers."""
+    """One +-1 framing per component; the linking numbers are checked
+    where the colour sums need them (tangles.check_split)."""
     if d is None:
         if framings:
             raise NotAdmissible("framings given for the empty link")
@@ -153,7 +156,6 @@ def _check_admissible(d, framings):
             f"{d.component_count} components but {len(framings)} framings")
     if any(f not in (1, -1) for f in framings):
         raise NotAdmissible("surgery framings must be +1 or -1")
-    check_split(d)
 
 
 def _diagram_form(pres):
@@ -298,34 +300,17 @@ def _unknot_I(r, sign):
     return reduce_mod(acc, cyclotomic_coeffs(4 * r), "u")
 
 
-def _solve_rational(cols, target, rows, nvars):
-    """Solve sum_j cols[j] * t_j = target over Q; None if inconsistent."""
-    a = [[Fraction(cols[j][i]) for j in range(nvars)] + [Fraction(target[i])]
-         for i in range(rows)]
-    pivots = []
-    rank = 0
-    for col in range(nvars):
-        piv = next((r for r in range(rank, rows) if a[r][col] != 0), None)
-        if piv is None:
-            pivots.append(None)
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for rr in range(rows):
-            if rr != rank and a[rr][col] != 0:
-                f = a[rr][col]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[rank])]
-        pivots.append(rank)
-        rank += 1
-    for r in range(rows):
-        if all(a[r][j] == 0 for j in range(nvars)) and a[r][nvars] != 0:
-            return None
-    sol = [Fraction(0)] * nvars
-    for col, pr in enumerate(pivots):
-        if pr is not None:
-            sol[col] = a[pr][nvars]
-    return sol
+@lru_cache(maxsize=None)
+def _unknot_inverse(r, f):
+    """-U_(-f) {1}^2 mod Phi_4r, U_f = _unknot_I(r, f): by the Gauss-sum
+    identity U_f (-U_(-f) {1}^2) = 2r (Kirby-Melvin), 2r times the
+    inverse of U_f.  The product is checked: DomainError if it is not 2r."""
+    mod4 = cyclotomic_coeffs(4 * r)
+    inv = -_unknot_I(r, -f) * reduce_mod(qint_bal(1) ** 2, mod4, "u")
+    if _unknot_I(r, f) * inv != 2 * r:
+        raise DomainError(f"U_{f:+d} (-U_{-f:+d} {{1}}^2) is not {2 * r} "
+                          f"mod Phi_{4 * r}")
+    return inv
 
 
 def wrt(pres, r):
@@ -334,42 +319,43 @@ def wrt(pres, r):
 
     With x = q^(1/4), the colour sum T (tangles.colour_sum, colour c of
     a component of framing f and writhe w weighted by [c+1]
-    theta_c^(f-w)) and the framed unknot values U_+, U_- are reduced
-    mod Phi_4r over Z, and the value y is the one
-    solution over Q of y(x^4) * U_+^b_+ * U_-^b_- = T in Q[x]/(Phi_4r),
-    b_+- the number of +-1 framings.  The value is an algebraic integer,
-    so a denominator in y raises NonExactDivision; no solution raises
-    NotInQSubring.
+    theta_c^(f-w)) is reduced mod Phi_4r over Z and divided by the
+    framed unknot values U_f, one per framing.  As U_f (-U_(-f) {1}^2)
+    = 2r (_unknot_inverse), the value is T prod_f (-U_(-f) {1}^2)
+    / (2r)^b, b the number of framings: one exact division of the
+    coordinates in the integral basis 1, x, x^2, ... of Z[x]/(Phi_4r).
+    The value is an algebraic integer, so a remainder raises
+    NonExactDivision.  It lies in the subring Z[q]: for even r,
+    Phi_4r(x) = Phi_r(x^4) and its q-coordinates y are every fourth
+    x-coordinate; for odd r, Phi_4r(x) = Phi_r(w) with w = -x^2, the
+    even coordinates give A(w) and, since q = w^2, y(q) = A(q^((r+1)/2)).
+    Any other nonzero coordinate raises NotInQSubring.
     """
     require_positive("r", r)
     if r == 1:
         return 1
     d, fr = _diagram_form(pres)
     _check_admissible(d, fr)
-    mod4 = cyclotomic_coeffs(4 * r)
     total = ONE if d is None else colour_sum(d, [
         [qnum(c + 1) * twist_eigen(c, f - w) for c in range(r - 1)]
         for f, w in zip(fr, d.writhes)])
-    denom = ModPoly(mod4, [1])
-    for sign in set(fr):
-        uval = _unknot_I(r, sign)
-        if uval.is_zero():
-            raise ZeroDenominator(
-                f"framed unknot value vanishes mod Phi_{4 * r}")
-        denom = denom * uval ** fr.count(sign)
-    phir = cyclotomic_coeffs(r)
-    x4 = ModPoly(mod4, [0, 0, 0, 0, 1])
-    cols = []
-    for _ in range(len(phir) - 1):
-        cols.append(denom.coeffs)
-        denom = denom * x4
-    sol = _solve_rational(cols, reduce_mod(total, mod4, "u").coeffs,
-                          len(mod4) - 1, len(phir) - 1)
-    if sol is None:
-        raise NotInQSubring("value is not a polynomial in q = x^4")
-    if any(y.denominator != 1 for y in sol):
+    value = reduce_mod(total, cyclotomic_coeffs(4 * r), "u")
+    for f in fr:
+        value = value * _unknot_inverse(r, f)
+    scale = (2 * r) ** len(fr)
+    if any(c % scale for c in value.coeffs):
         raise NonExactDivision(f"WRT value at r = {r} is not integral")
-    return ModPoly(phir, [y.numerator for y in sol])
+    step = 4 if r % 2 == 0 else 2
+    if any(c for i, c in enumerate(value.coeffs) if i % step):
+        raise NotInQSubring("value is not a polynomial in q = x^4")
+    ys = [c // scale for i, c in enumerate(value.coeffs) if not i % step]
+    if step == 2:
+        # x^(2j) = (-w)^j and w = q^h, h = (r+1)/2, with q^r = 1 mod Phi_r
+        h, a = (r + 1) // 2, [0] * r
+        for j, c in enumerate(ys):
+            a[j * h % r] += -c if j % 2 else c
+        ys = a
+    return ModPoly(cyclotomic_coeffs(r), ys)
 
 
 # eval_root already lies in the ring wrt returns; the benchmark's wrt
@@ -439,30 +425,23 @@ def congruence_report(lams):
     return report
 
 
-# 2(z-1)Z[z] at a primitive 8th root z, in the basis (1, z, z^2, z^3):
-# the columns are 4, 2*sqrt2 = 2z - 2z^3, 2 + 2i = 2 + 2z^2, and
-# 2 + sqrt2 + sqrt(-2) = 2 + 2z.
-_TAU8_LATTICE = ((4, 0, 0, 0), (0, 2, 0, -2), (2, 0, 2, 0), (2, 2, 0, 0))
-
-
 def tilde_tau8_check(x, lam1):
     """Check the order-8 value against its known lattice constraint.
 
     Evaluates q^(-lambda_1) x at a primitive 8th root of unity, subtracts
     1 and reports whether the difference lies in the rank-4 lattice
     2(z-1)Z[z] (a theorem) and in the smaller span of 4 and 2*sqrt2
-    (a conjecture; reported, never asserted).  Below depth 8, eval_root
-    raises DepthExceeded.
+    (a conjecture; reported, never asserted).  In the basis 1, z, z^2,
+    z^3, 2(z-1)(a + bz + cz^2 + dz^3) = 2(-a-d, a-b, b-c, c-d), so the
+    lattice is the even vectors whose entries sum to 0 mod 4.  Below
+    depth 8, eval_root raises DepthExceeded.
     """
     val = eval_root(x * q_pow(-lam1), 8)
     diff = [int(c) for c in val.coeffs]
     diff[0] -= 1
-    coords = _solve_rational([list(g) for g in _TAU8_LATTICE], diff, 4, 4)
-    in_lattice = coords is not None and all(c.denominator == 1
-                                            for c in coords)
+    in_lattice = all(c % 2 == 0 for c in diff) and sum(diff) % 4 == 0
     in_span = (diff[2] == 0 and diff[1] == -diff[3]
                and diff[1] % 2 == 0 and diff[0] % 4 == 0)
     return {"difference": diff,
-            "coords": coords if in_lattice else None,
             "in_lattice": in_lattice,
             "conjectured_span": in_span}

@@ -66,17 +66,26 @@ class BasisCombo:
 
 
 @lru_cache(maxsize=None)
+def _p_rows():
+    return [{0: ONE}]     # [V-coefficients of P_0, P_1, ...], grown by p_in_v
+
+
 def p_in_v(n):
-    """V-basis coefficients of P_n; each is an exact Laurent polynomial."""
-    coeffs = {}
-    for i in range(n + 1):
-        num = qnum(2 * i + 2) * qbinom_bal(2 * n + 1, n + 1 + i)
-        c = num.exact_div(qnum(n + i + 2))
-        if (n - i) % 2:
-            c = -c
-        if not c.is_zero():
-            coeffs[i] = c
-    return coeffs
+    """V-basis coefficients of P_n, from its definition: P_n = P_(n-1)
+    (V_1 - v^(2n-1) - v^(1-2n)) with V_1 V_i = V_(i-1) + V_(i+1), so
+    each new row takes additions and monomial products only.  The rows
+    are kept, and each new n is one step from the longest kept."""
+    rows = _p_rows()
+    while len(rows) <= n:
+        k = len(rows)
+        shift = v_pow(2 * k - 1) + v_pow(1 - 2 * k)
+        row = {}
+        for i, c in rows[-1].items():
+            for j, t in ((i - 1, c), (i + 1, c), (i, -c * shift)):
+                if j >= 0:
+                    row[j] = row.get(j, ZERO) + t
+        rows.append({i: c for i, c in sorted(row.items()) if not c.is_zero()})
+    return rows[n]
 
 
 @lru_cache(maxsize=None)

@@ -156,9 +156,9 @@ def test_wrt(capsys):
 
 
 def test_wrt_not_integral_exits_1(capsys, monkeypatch):
-    original = invariants._unknot_I
-    monkeypatch.setattr(invariants, "_unknot_I",
-                        lambda r, sign: original(r, sign) * 2)
+    original = invariants._unknot_inverse
+    monkeypatch.setattr(invariants, "_unknot_inverse",
+                        lambda r, f: original(r, f) + 1)
     surgery = '{"diagram": "unknot", "framings": [1]}'
     code, out, err = run(capsys, ["wrt", "--surgery", surgery, "3"])
     assert code == 1 and not out

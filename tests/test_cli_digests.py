@@ -1,7 +1,7 @@
 """Every command of the benchmark's CLI catalogue prints, byte for byte,
-what the recorded reference printed, and the contraction engine gives
-the recorded packed pairs, so no speed change can alter an output
-unnoticed."""
+what the recorded reference printed, and the contraction engine and
+wrt give the recorded packed pairs and values, so no speed change can
+alter an output unnoticed."""
 
 import importlib.util
 from hashlib import sha256
@@ -9,6 +9,8 @@ from itertools import product
 from pathlib import Path
 
 from uwrt import cli
+from uwrt.errors import UwrtError
+from uwrt.invariants import SurgeryPresentation, s3_presentations, wrt
 from uwrt.tangles import BUILTIN_NAMES, _closed, builtin, closure_of_braid
 
 WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -53,3 +55,32 @@ def test_closed_pairs_are_the_recorded_ones():
         for cs in product(range(6), repeat=d.component_count):
             digest.update(repr((cs, _closed.__wrapped__(d, cs))).encode())
     assert digest.hexdigest() == CLOSED_PAIRS
+
+
+# sha256 of the wrt values below, recorded from the rational solve that
+# divided by the framed unknots before the Gauss-sum identity did
+WRT_VALUES = \
+    "5d02b781f430c6b283688407ea8a360628d6044c65f2f2bc1c44c0b67316c887"
+
+
+def test_wrt_values_are_the_recorded_ones():
+    # every builtin under every +-1 framing at r <= 12 (the Borromean
+    # rings at r <= 6) and the presentations of S^3 at r <= 12; a refusal
+    # is recorded by its type
+    grid = []
+    for name in BUILTIN_NAMES:
+        d = builtin(name)
+        top = 7 if name == "borromean" else 13
+        grid += [((name, fr), SurgeryPresentation(diagram=d, framings=fr), r)
+                 for fr in product((1, -1), repeat=d.component_count)
+                 for r in range(1, top)]
+    grid += [(("s3", i), pres, r) for i, pres in enumerate(s3_presentations())
+             for r in range(1, 13)]
+    digest = sha256()
+    for key, pres, r in grid:
+        try:
+            value = wrt(pres, r)
+        except UwrtError as exc:
+            value = type(exc).__name__
+        digest.update(repr((key, r, value)).encode())
+    assert digest.hexdigest() == WRT_VALUES

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 import uwrt.invariants
 import uwrt.tangles
-from uwrt.errors import (DepthExceeded, InputError, NonExactDivision,
-                         NotAdmissible, NotAKnot, UnknownName)
+from uwrt.errors import (DepthExceeded, DomainError, InputError,
+                         NonExactDivision, NotAdmissible, NotAKnot,
+                         UnknownName)
 from uwrt.invariants import (SurgeryPresentation, borromean_presentation,
                              congruence_report, eval_root_q, jm_borromean,
                              jm_from_surgery, knot_borromean, ohtsuki,
                              poincare_series, reduced_jones, s3_presentations,
                              theta, theta0, tilde_tau8_check, unlink_diagram,
                              wrt)
-from uwrt.laurent import (ONE, ZERO, falling_bal, pochhammer, q_pow,
-                          qint_bal)
+from uwrt.laurent import (ONE, ZERO, cyclotomic_coeffs, falling_bal,
+                          pochhammer, q_pow, qint_bal, reduce_mod)
 from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.repring import omega_coeff
 from uwrt.tangles import builtin, closure_of_braid
@@ -263,14 +264,48 @@ def test_wrt_matches_unified_invariant():
 
 
 def test_wrt_is_checked_integral(monkeypatch):
-    # doubling the unknot value halves the solution: 1/2 at S^3
+    # an inverse of the framed unknot off by 1 leaves a remainder in the
+    # division by (2r)^b at S^3
+    original = uwrt.invariants._unknot_inverse
+    monkeypatch.setattr(uwrt.invariants, "_unknot_inverse",
+                        lambda r, f: original(r, f) + 1)
+    for pres in s3_presentations()[1:]:
+        with pytest.raises(NonExactDivision, match="not integral"):
+            wrt(pres, 3)
+    assert wrt(s3_presentations()[0], 3) == 1      # no framing, no U
+
+
+def test_unknot_inverse_is_the_gauss_sum_identity():
+    # U_f (-U_(-f) {1}^2) = 2r mod Phi_4r for both signs
+    u = uwrt.invariants._unknot_I
+    for r, f in product(range(2, 61), (1, -1)):
+        brace2 = reduce_mod(qint_bal(1) ** 2, cyclotomic_coeffs(4 * r), "u")
+        inv = -u(r, -f) * brace2
+        assert uwrt.invariants._unknot_inverse(r, f) == inv
+        assert u(r, f) * inv == 2 * r, (r, f)
+
+
+def test_unknot_inverse_checks_the_identity(monkeypatch):
+    # a doubled unknot value makes the product 8r, refused before any
+    # division
     original = uwrt.invariants._unknot_I
     monkeypatch.setattr(uwrt.invariants, "_unknot_I",
                         lambda r, sign: original(r, sign) * 2)
+    uwrt.invariants._unknot_inverse.cache_clear()
     for pres in s3_presentations()[1:]:
-        with pytest.raises(NonExactDivision):
+        with pytest.raises(DomainError, match="is not 6 mod Phi_12"):
             wrt(pres, 3)
-    assert wrt(s3_presentations()[0], 3) == 1      # no framing, no U
+
+
+def test_knot_wrt_matches_the_closed_form_at_every_r():
+    # -1 surgery on K_(i,j) is M_(i,j,1): both parities of r, against
+    # eval_root of the closed formula
+    for name, (i, j), top in (("trefoil", (1, 1), 24),
+                              ("figure8", (1, -1), 12)):
+        pres = SurgeryPresentation(diagram=builtin(name), framings=(-1,))
+        for r in range(2, top + 1):
+            assert wrt(pres, r) == eval_root_q(jm_borromean(i, j, 1, r),
+                                               r), (name, r)
 
 
 def test_not_admissible():
@@ -324,17 +359,6 @@ def test_presentation_repr():
         "SurgeryPresentation(Diagram(trefoil, 7 slices), framings=(-1,))"
     assert repr(SurgeryPresentation.from_json({})) == \
         "SurgeryPresentation(empty, framings=())"
-
-
-def test_solve_rational_on_singular_systems():
-    # columns (1, 2) and (2, 4) span one line: (3, 6) lies on it and
-    # (3, 7) does not
-    cols = [[1, 2], [2, 4]]
-    sol = uwrt.invariants._solve_rational(cols, [3, 6], 2, 2)
-    assert [sum(c[i] * t for c, t in zip(cols, sol)) for i in range(2)] \
-        == [3, 6]
-    assert sol == [3, 0]          # the free unknown is set to 0
-    assert uwrt.invariants._solve_rational(cols, [3, 7], 2, 2) is None
 
 
 def test_knot_borromean_goldens():
