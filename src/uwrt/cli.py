@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: jones, jm, eval, ohtsuki, taylor, wrt, kashaev, check.
+COMMANDS is the one command table (jones, jm, eval, ohtsuki, taylor, wrt,
+kashaev, check): each row gives a command's help, arguments and handler.
 Results go to standard output, diagnostics to standard error.  Exit
 codes: 0 success, 1 domain error (mathematically invalid request or a
 failed internal integrality assertion), 2 input error (bad files,
@@ -25,11 +26,10 @@ from .qhat import DEFAULT_DEPTH, eval_root, reduce, taylor
 from .tangles import BUILTIN_NAMES, builtin, colored_jones, parse_diagram
 
 
-
 def _load_diagram(args):
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return builtin(args.builtin)
-    if getattr(args, "diagram", None):
+    if args.diagram:
         return parse_diagram(read_text(args.diagram))
     raise UnknownName("no diagram given; use --builtin or --diagram")
 
@@ -62,7 +62,8 @@ def _is_inline_json(raw):
 
 def _emit(args, human_lines, payload):
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, default=str))
+        print(json.dumps({"command": args.command, **payload},
+                         sort_keys=True, default=str))
     else:
         for line in human_lines:
             print(line)
@@ -84,8 +85,7 @@ def _modpoly_str(m):
 def cmd_jones(args):
     d = _load_diagram(args)
     value = colored_jones(d, tuple(args.colors))
-    return _emit(args, [value.to_str()],
-                 {"command": "jones", "value": value.to_json()})
+    return _emit(args, [value.to_str()], {"value": value.to_json()})
 
 
 def cmd_jm(args):
@@ -93,8 +93,7 @@ def cmd_jm(args):
     x = jm_from_surgery(pres, args.depth)
     reduced = reduce(x, args.depth)
     return _emit(args, _habiro_lines(x, args.depth, reduced),
-                 {"command": "jm", "element": x.to_json(),
-                  "reduced": reduced.to_json()})
+                 {"element": x.to_json(), "reduced": reduced.to_json()})
 
 
 # per eval mode: the parameter count, and the number of terms of J_M the
@@ -125,8 +124,8 @@ def cmd_eval(args):
         val = eval_root(x, params[0])
         human = str(val) if isinstance(val, int) else _modpoly_str(val)
         payload = val if isinstance(val, int) else val.to_json()
-        return _emit(args, [human], {"command": "eval", "mode": mode,
-                                     "params": params, "value": payload})
+        return _emit(args, [human], {"mode": mode, "params": params,
+                                     "value": payload})
     if mode == "rational":
         rv = eval_rational(x, *params)
     elif mode == "padic":
@@ -135,8 +134,7 @@ def cmd_eval(args):
         rv = modp_value(x, *params)
         flag = modp_nonvanishing(rv.value)
         lines = [_modpoly_str(rv.value), f"nonvanishing: {flag}"]
-        return _emit(args, lines, {"command": "eval", "mode": mode,
-                                   "params": params,
+        return _emit(args, lines, {"mode": mode, "params": params,
                                    "value": rv.to_json(),
                                    "nonvanishing": flag})
     else:
@@ -152,11 +150,10 @@ def cmd_eval(args):
             lines.append(f"modp,{p},{r},{enc},{int(flag)}")
             rows.append({"p": p, "r": r, "value": enc,
                          "nonvanishing": flag})
-        return _emit(args, lines, {"command": "eval", "mode": mode,
-                                   "params": params, "rows": rows})
+        return _emit(args, lines, {"mode": mode, "params": params,
+                                   "rows": rows})
     return _emit(args, [f"{rv.value} (mod descriptor {rv.modulus})"],
-                 {"command": "eval", "mode": mode, "params": params,
-                  "value": rv.to_json()})
+                 {"mode": mode, "params": params, "value": rv.to_json()})
 
 
 def cmd_ohtsuki(args):
@@ -165,7 +162,7 @@ def cmd_ohtsuki(args):
     x = jm_from_surgery(pres, args.count)
     lams = ohtsuki(x, args.count)
     return _emit(args, [" ".join(str(v) for v in lams)],
-                 {"command": "ohtsuki", "coefficients": lams})
+                 {"coefficients": lams})
 
 
 def cmd_taylor(args):
@@ -175,9 +172,8 @@ def cmd_taylor(args):
     x = jm_from_surgery(pres, args.r * args.count)
     coeffs = taylor(x, args.r, args.count)
     lines = [f"h^{k}: {_modpoly_str(c)}" for k, c in enumerate(coeffs)]
-    return _emit(args, lines,
-                 {"command": "taylor", "r": args.r,
-                  "coefficients": [c.to_json() for c in coeffs]})
+    return _emit(args, lines, {"r": args.r, "coefficients":
+                               [c.to_json() for c in coeffs]})
 
 
 def cmd_wrt(args):
@@ -185,15 +181,13 @@ def cmd_wrt(args):
     val = wrt(pres, args.r)
     human = str(val) if isinstance(val, int) else _modpoly_str(val)
     payload = val if isinstance(val, int) else val.to_json()
-    return _emit(args, [human],
-                 {"command": "wrt", "r": args.r, "value": payload})
+    return _emit(args, [human], {"r": args.r, "value": payload})
 
 
 def cmd_kashaev(args):
     x = theta0(knot_borromean(args.i, args.j, args.depth))
     return _emit(args, _habiro_lines(x, args.depth, reduce(x, args.depth)),
-                 {"command": "kashaev", "i": args.i, "j": args.j,
-                  "element": x.to_json()})
+                 {"i": args.i, "j": args.j, "element": x.to_json()})
 
 
 def cmd_check(args):
@@ -202,75 +196,78 @@ def cmd_check(args):
     return 0 if accept.run() else 1
 
 
-def build_parser():
+def _args(*names, **options):
+    """Arguments with the same options, each a group of its own."""
+    return [[(name, options)] for name in names]
+
+
+def common(surgery=False, diagram=False):
+    """The arguments a command shares: --depth and --format, and
+    --surgery or the mutually exclusive --builtin and --diagram."""
+    args = (_args("--depth", type=int, default=DEFAULT_DEPTH,
+                  help="truncation depth (default %(default)s); caps eval "
+                       "rational and padic, unused by eval root, modp, "
+                       "modp-scan, ohtsuki and taylor")
+            + _args("--format", choices=("human", "json"), default="human"))
+    if surgery:
+        args += _args("--surgery",
+                      help="surgery presentation JSON (file or inline)")
+    if diagram:
+        args.append([("--builtin", dict(choices=BUILTIN_NAMES)),
+                     ("--diagram", dict(help="diagram file"))])
+    return args
+
+
+# The one command table: name -> (help, argument groups, handler).  A
+# group of two or more arguments is mutually exclusive.
+COMMANDS = {
+    "jones": ("colored Jones value of a diagram",
+              common(diagram=True) + _args("colors", type=int, nargs="+"),
+              cmd_jones),
+    "jm": ("unified invariant from a presentation", common(surgery=True),
+           cmd_jm),
+    "eval": ("specialize the unified invariant", common(surgery=True)
+             + _args("mode", choices=tuple(_EVAL_MODES))
+             + _args("params", type=int, nargs="*"), cmd_eval),
+    "ohtsuki": ("Taylor coefficients at q = 1",
+                common(surgery=True) + _args("count", type=int), cmd_ohtsuki),
+    "taylor": ("expansion at a root of unity",
+               common(surgery=True) + _args("r", "count", type=int),
+               cmd_taylor),
+    "wrt": ("WRT invariant at a primitive r-th root",
+            common(surgery=True) + _args("r", type=int), cmd_wrt),
+    "kashaev": ("unified Kashaev invariant of the knot K_(i,j)",
+                common() + _args("i", "j", type=int), cmd_kashaev),
+    "check": ("run a verification suite",
+              _args("suite", nargs="?", default="spec-accept"), cmd_check),
+}
+
+
+def build_parser(only=None):
+    """The parser of every command, or of `only` alone (as main builds it:
+    argparse set-up is slow next to a quick command); usage names them all."""
     parser = argparse.ArgumentParser(
         prog="uwrt",
         description="Exact quantum invariants of links and integral "
                     "homology spheres")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, surgery=False, diagram=False):
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                       help="truncation depth (default %(default)s); caps "
-                            "eval rational and padic, unused by eval root, "
-                            "modp, modp-scan, ohtsuki and taylor")
-        p.add_argument("--format", choices=("human", "json"),
-                       default="human")
-        if surgery:
-            p.add_argument("--surgery",
-                           help="surgery presentation JSON (file or inline)")
-        if diagram:
-            p.add_argument("--builtin", choices=BUILTIN_NAMES)
-            p.add_argument("--diagram", help="diagram file")
-
-    p = sub.add_parser("jones", help="colored Jones value of a diagram")
-    common(p, diagram=True)
-    p.add_argument("colors", type=int, nargs="+")
-    p.set_defaults(func=cmd_jones)
-
-    p = sub.add_parser("jm", help="unified invariant from a presentation")
-    common(p, surgery=True)
-    p.set_defaults(func=cmd_jm)
-
-    p = sub.add_parser("eval", help="specialize the unified invariant")
-    common(p, surgery=True)
-    p.add_argument("mode", choices=tuple(_EVAL_MODES))
-    p.add_argument("params", type=int, nargs="*")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ohtsuki", help="Taylor coefficients at q = 1")
-    common(p, surgery=True)
-    p.add_argument("count", type=int)
-    p.set_defaults(func=cmd_ohtsuki)
-
-    p = sub.add_parser("taylor", help="expansion at a root of unity")
-    common(p, surgery=True)
-    p.add_argument("r", type=int)
-    p.add_argument("count", type=int)
-    p.set_defaults(func=cmd_taylor)
-
-    p = sub.add_parser("wrt", help="WRT invariant at a primitive r-th root")
-    common(p, surgery=True)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=cmd_wrt)
-
-    p = sub.add_parser("kashaev",
-                       help="unified Kashaev invariant of the knot K_(i,j)")
-    common(p)
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.set_defaults(func=cmd_kashaev)
-
-    p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("suite", nargs="?", default="spec-accept")
-    p.set_defaults(func=cmd_check)
-
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in COMMANDS if only is None else (only,):
+        help_, groups, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for group in groups:
+            target = p if len(group) == 1 else p.add_mutually_exclusive_group()
+            for arg, options in group:
+                target.add_argument(arg, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         require_positive("depth", getattr(args, "depth", 1))
         return args.func(args)

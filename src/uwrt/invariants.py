@@ -27,7 +27,7 @@ from .errors import (DepthExceeded, DomainError, InputError,
                      UnknownName, require_positive)
 from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
-                      qnum, reduce_mod)
+                      qnum, reduce_mod, remainder)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import check_omega_work, omega_coeff
 from .reps import twist_eigen
@@ -293,11 +293,14 @@ def theta0(x):
 
 @lru_cache(maxsize=None)
 def _unknot_I(r, sign):
-    """sum_c [c+1]^2 * (twist on V_c)^sign, reduced mod Phi_4r over Z."""
-    acc = ZERO
+    """sum_c [c+1]^2 * (twist on V_c)^sign mod Phi_4r over Z, term by term:
+    [c+1]^2 = sum_(|k|<=c) (c+1-|k|) q^k, twist u^(sign c(c+2)), u^(4r) = 1."""
+    acc = [0] * (4 * r)
     for c in range(r - 1):
-        acc = acc + qnum(c + 1) * qnum(c + 1) * twist_eigen(c, sign)
-    return reduce_mod(acc, cyclotomic_coeffs(4 * r), "u")
+        for k in range(-c, c + 1):
+            acc[(sign * c * (c + 2) + 4 * k) % (4 * r)] += c + 1 - abs(k)
+    f = cyclotomic_coeffs(4 * r)
+    return ModPoly(f, remainder(0, acc, f))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """End-to-end command-line interface tests via cli.main."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -566,6 +568,119 @@ def test_argparse_rejections(capsys):
         cli.main(["eval", "--surgery", BORR, "complex", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_jones_takes_one_of_builtin_and_diagram(capsys, tmp_path):
+    path = tmp_path / "unknot.txt"
+    path.write_text("U(1)\nA(1)\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["jones", "--builtin", "trefoil", "--diagram", str(path),
+                  "1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert "argument --diagram: not allowed with argument --builtin" in err
+    code, out, err = run(capsys, ["jones", "1"])
+    assert code == 2 and not out
+    assert err == "input error: no diagram given; use --builtin or --diagram\n"
+
+
+# What argparse printed, recorded with CPython 3.11 when main still built
+# every subcommand: building one must not change a byte of it.
+_USAGE = ("usage: uwrt [-h] {jones,jm,eval,ohtsuki,taylor,wrt,kashaev,check}"
+          " ...\n")
+_CHOICES = ("(choose from 'jones', 'jm', 'eval', 'ohtsuki', 'taylor', "
+            "'wrt', 'kashaev', 'check')\n")
+_DEPTH_HELP = ("  --depth DEPTH         truncation depth (default 10); caps "
+               "eval rational and\n"
+               "                        padic, unused by eval root, modp, "
+               "modp-scan, ohtsuki\n"
+               "                        and taylor\n")
+_RECORDED = {
+    "": ("", _USAGE + "uwrt: error: the following arguments are required: "
+         "command\n", 2),
+    "-h": (_USAGE + "\n"
+           "Exact quantum invariants of links and integral homology spheres\n"
+           "\n"
+           "positional arguments:\n"
+           "  {jones,jm,eval,ohtsuki,taylor,wrt,kashaev,check}\n"
+           "    jones               colored Jones value of a diagram\n"
+           "    jm                  unified invariant from a presentation\n"
+           "    eval                specialize the unified invariant\n"
+           "    ohtsuki             Taylor coefficients at q = 1\n"
+           "    taylor              expansion at a root of unity\n"
+           "    wrt                 WRT invariant at a primitive r-th root\n"
+           "    kashaev             unified Kashaev invariant of the knot "
+           "K_(i,j)\n"
+           "    check               run a verification suite\n"
+           "\n"
+           "options:\n"
+           "  -h, --help            show this help message and exit\n",
+           "", 0),
+    "bogus": ("", _USAGE + "uwrt: error: argument command: invalid choice: "
+              "'bogus' " + _CHOICES, 2),
+    "jm --bogus": ("", _USAGE + "uwrt: error: unrecognized arguments: "
+                   "--bogus\n", 2),
+    "jm -h": ("usage: uwrt jm [-h] [--depth DEPTH] [--format {human,json}]\n"
+              "               [--surgery SURGERY]\n"
+              "\n"
+              "options:\n"
+              "  -h, --help            show this help message and exit\n"
+              + _DEPTH_HELP +
+              "  --format {human,json}\n"
+              "  --surgery SURGERY     surgery presentation JSON (file or "
+              "inline)\n", "", 0),
+    "check --depth 3": ("", _USAGE + "uwrt: error: unrecognized arguments: "
+                        "--depth\n", 2),
+    "--depth 3 jm": ("", _USAGE + "uwrt: error: argument command: invalid "
+                     "choice: '3' " + _CHOICES, 2),
+    "jone --builtin unknot 1": ("", _USAGE + "uwrt: error: argument command: "
+                                "invalid choice: 'jone' " + _CHOICES, 2),
+}
+
+
+@pytest.mark.parametrize("line", list(_RECORDED))
+def test_help_and_error_paths_keep_their_bytes(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")      # argparse wraps help to it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(line.split())
+    out, err = capsys.readouterr()
+    assert (out, err, exc.value.code) == _RECORDED[line]
+
+
+_NAMES = ["jones", "jm", "eval", "ohtsuki", "taylor", "wrt", "kashaev",
+          "check"]
+
+
+@pytest.mark.parametrize("line, built", [
+    *[(f"{name} -h", 1) for name in _NAMES],
+    ("jones --builtin unknot 1", 1),
+    ("-h", 8), ("bogus", 8), ("", 8), ("--depth 3 jm", 8),
+    (None, 8),                                  # build_parser() itself
+])
+def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, line,
+                                                built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **options):
+        names.append(name)
+        return add_parser(self, name, **options)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    if line is None:
+        cli.build_parser()
+    else:
+        with contextlib.suppress(SystemExit):
+            cli.main(line.split())
+    capsys.readouterr()
+    assert names == (_NAMES if built == 8 else line.split()[:1])
+
+
+def test_readme_names_every_command():
+    # the README shows a `uwrt <name>` line for every row of the table
+    text = README.read_text(encoding="utf-8")
+    assert set(re.findall(r"^uwrt ([a-z]\S*)", text, re.M)) == set(
+        cli.COMMANDS)
 
 
 # -- fuzzing over the documented grammar --------------------------------------

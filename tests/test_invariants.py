@@ -20,9 +20,10 @@ from uwrt.invariants import (SurgeryPresentation, borromean_presentation,
                              theta, theta0, tilde_tau8_check, unlink_diagram,
                              wrt)
 from uwrt.laurent import (ONE, ZERO, cyclotomic_coeffs, falling_bal,
-                          pochhammer, q_pow, qint_bal, reduce_mod)
+                          pochhammer, q_pow, qint_bal, qnum, reduce_mod)
 from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.repring import omega_coeff
+from uwrt.reps import twist_eigen
 from uwrt.tangles import builtin, closure_of_braid
 
 from mirror import bar
@@ -283,6 +284,16 @@ def test_unknot_inverse_is_the_gauss_sum_identity():
         inv = -u(r, -f) * brace2
         assert uwrt.invariants._unknot_inverse(r, f) == inv
         assert u(r, f) * inv == 2 * r, (r, f)
+
+
+def test_unknot_sum_matches_the_product_form():
+    # each [c+1]^2 theta_c^sign written down coefficient by coefficient
+    # equals the product of LaurentU factors, reduced mod Phi_4r
+    for r, sign in product(range(1, 41), (1, -1)):
+        terms = [qnum(c + 1) * qnum(c + 1) * twist_eigen(c, sign)
+                 for c in range(r - 1)]
+        want = reduce_mod(sum(terms, ZERO), cyclotomic_coeffs(4 * r), "u")
+        assert uwrt.invariants._unknot_I(r, sign) == want, (r, sign)
 
 
 def test_unknot_inverse_checks_the_identity(monkeypatch):
