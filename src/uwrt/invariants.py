@@ -26,8 +26,9 @@ from .errors import (DepthExceeded, DomainError, InputError,
                      NonExactDivision, NotAdmissible, NotAKnot, NotInQSubring,
                      UnknownName, require_positive)
 from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
-                      falling_bal, pochhammer, q_pow, qfact_bal, qint_bal,
-                      qnum, reduce_mod, remainder)
+                      cyclotomic_product, falling_bal, pochhammer, q_pow,
+                      qfact_bal, qint_bal, qnum, reduce_mod, remainder,
+                      v_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import check_omega_work, omega_coeff
 from .reps import twist_eigen
@@ -216,23 +217,24 @@ def jm_borromean(i, j, k, N=DEFAULT_DEPTH):
 
 @lru_cache(maxsize=None)
 def _borromean_factor(l):
-    """(-1)^l {2l+1}_{l+1} / ({1} (q)_l), a Laurent polynomial: up to a
-    unit, [2l+1 choose l+1]_q (q^(l+1) - 1) / (q - 1)."""
-    f = falling_bal(2 * l + 1, l + 1).exact_div(qint_bal(1) * pochhammer(l))
-    return -f if l % 2 else f
+    """(-1)^l {2l+1}_{l+1} / ({1} (q)_l) = v^(1 - (l+1)(3l+2)/2)
+    [2l+1 choose l+1]_q (1 + q + ... + q^l), with no division: one
+    cyclotomic product of the binomial's Phi_d (as in qbinom_q) and the
+    Phi_d, d > 1, dividing l + 1 (never the binomial's), its width proved by
+    its coefficient sum C(2l+1, l+1) (l+1)."""
+    i, n = 2 * l + 1, l + 1
+    return v_pow(1 - n * (3 * l + 2) // 2) * cyclotomic_product(
+        [d for d in range(2, i + 1) if i // d - n // d - l // d or n % d == 0],
+        math.comb(i, n) * n)
 
 
 def poincare_series(N=DEFAULT_DEPTH):
     """J of the Poincare homology sphere as the one-variable series
-    sum_n q^n (1-q^(n+1))...(1-q^(2n+1))/(1-q)."""
-    out = []
-    for n in range(N):
-        prod = ONE
-        for i in range(n + 1, 2 * n + 2):
-            prod = prod * (1 - q_pow(i))
-        c = (q_pow(n) * prod).exact_div(ONE - q_pow(1))
-        out.append(c.exact_div(pochhammer(n)))
-    return HabiroElem(N, out)
+    sum_n q^n (1-q^(n+1))...(1-q^(2n+1))/(1-q) / (q)_n, whose coefficient
+    q^n [2n+1 choose n]_q (1 + ... + q^n) is v^(3n(n+3)/2) times
+    _borromean_factor(n)."""
+    return HabiroElem(N, [v_pow(3 * n * (n + 3) // 2) * _borromean_factor(n)
+                          for n in range(N)])
 
 
 # -- the two-variable knot invariant ------------------------------------------

@@ -6,6 +6,13 @@ q = u^4 are its subrings, and each value is stored as a run in steps of
 q, v or u, the coarsest its terms allow.  Coefficients are Python ints,
 so they are arbitrary precision by construction.  All values are
 immutable.
+A product by a monomial scales and shifts the other run; one whose
+shorter run has fewer than _PACK_MIN entries takes the schoolbook loop;
+any other packs both runs (encode_run, the one codec) at a digit width
+that max|a| max|b| min(len a, len b) proves and multiplies them as ints.
+Packing is a ring map, so only the final digits must fit: a q-binomial is
+one packed product of cyclotomic polynomials, at the width that its
+coefficient sum proves, since no coefficient is negative.
 Every quotient is by a modulus with unit leading coefficient, so
 remainders are taken over Z and reduced mod p afterwards; no fraction
 is ever formed.
@@ -13,8 +20,10 @@ is ever formed.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, prod
 from operator import add, neg
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
@@ -148,23 +157,30 @@ class LaurentU(RingElem):
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentU(self._lo, tuple(map(neg, self._run)), self._step)
+        return _canonical(self._lo, self._step, tuple(map(neg, self._run)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentU(self._lo, [other * c for c in self._run],
-                            self._step)
+            other = u_pow(0, other)
         if not isinstance(other, LaurentU):
             return NotImplemented
+        if len(self._run) < len(other._run):
+            self, other = other, self
         a, b = self._run, other._run
-        if not a or not b:
+        if not b:
             return ZERO
-        ka, kb = self._step, other._step
-        if len(a) < len(b):
-            a, b, ka, kb = b, a, kb, ka
-        step = min(ka, kb)
-        ka //= step
-        kb //= step
+        lo = self._lo + other._lo
+        if len(b) == 1:
+            # a monomial scales and shifts a: its gaps and step stay
+            return _canonical(lo, self._step, a if b[0] == 1 else tuple(
+                [b[0] * c for c in a]))
+        step = min(self._step, other._step)
+        ka, kb = self._step // step, other._step // step
+        if len(b) >= _PACK_MIN:
+            width = _width(max(map(abs, a)) * max(map(abs, b)) * len(b))
+            mag = (encode_run(_spread(a, ka), width)
+                   * encode_run(_spread(b, kb), width))
+            return LaurentU(lo, decode_run(mag, width), step)
         out = [0] * (ka * (len(a) - 1) + kb * (len(b) - 1) + 1)
         a = [(ka * i, ca) for i, ca in enumerate(a) if ca]
         for j, cb in enumerate(b):
@@ -172,7 +188,7 @@ class LaurentU(RingElem):
                 j *= kb
                 for i, ca in a:
                     out[i + j] += ca * cb
-        return LaurentU(self._lo + other._lo, out, step)
+        return LaurentU(lo, out, step)
 
     __rmul__ = __mul__
 
@@ -259,11 +275,52 @@ class LaurentU(RingElem):
         return {"var": "u", "min": self.min, "coeffs": list(self.coeffs)}
 
 
+def _canonical(lo, step, run):
+    """The LaurentU (lo, step, run) of a tuple run already canonical."""
+    out = object.__new__(LaurentU)
+    out._lo, out._step, out._run = lo, step, run
+    return out
+
+
 def _spread(run, k):
     """A new list of run's entries with k - 1 zeros between them."""
     out = [0] * (k * len(run) - k + 1)
     out[::k] = run
     return out
+
+
+# -- the Kronecker codec: run[k] as digit k of one int in base 2^(8 width) --
+
+_PACK_MIN = 16      # the shorter run's length from which __mul__ packs
+
+
+def _width(bound):
+    """Bytes of a balanced digit past +-bound: the fewest, but at least 8."""
+    return max(8, bound.bit_length() // 8 + 1)
+
+
+def _bias(n, width):
+    """X/2 in each of n digits: added, it turns balanced digits unsigned."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def encode_run(run, width):
+    """sum_k run[k] X^k, X = 2^(8 width), each |run[k]| < X/2: the entries
+    biased into unsigned words, 8-byte ones an array, read as one int."""
+    half = 1 << 8 * width - 1
+    words = array("Q", [c + half for c in run]) if width == 8 else b"".join(
+        [(c + half).to_bytes(width, sys.byteorder) for c in run])
+    return int.from_bytes(words, sys.byteorder) - _bias(len(run), width)
+
+
+def decode_run(mag, width):
+    """The balanced base-X digits of mag, lowest first, zeros on top."""
+    n, half = mag.bit_length() // (8 * width) + 2, 1 << 8 * width - 1
+    raw = (mag + _bias(n, width)).to_bytes(width * n, sys.byteorder)
+    words = memoryview(raw).cast("Q") if width == 8 else [
+        int.from_bytes(raw[k:k + width], sys.byteorder)
+        for k in range(0, len(raw), width)]
+    return [w - half for w in words]
 
 
 def u_pow(k, coefficient=1):
@@ -303,28 +360,30 @@ def cyclotomic_coeffs(n):
     return cyclotomic(n).q_run()[1]
 
 
+def cyclotomic_product(ds, bound):
+    """prod_(d in ds) Phi_d(q), its coefficients at most bound in absolute
+    value: packed at a width that bound and the factors' heights prove, and
+    multiplied in pairs up a balanced tree, never a long int by a short."""
+    runs = [cyclotomic_coeffs(d) for d in ds]
+    width = _width(max([bound] + [max(map(abs, run)) for run in runs]))
+    mags = [encode_run(run, width) for run in runs]
+    while len(mags) > 1:
+        mags = [prod(mags[k:k + 2]) for k in range(0, len(mags), 2)]
+    return LaurentU(0, decode_run(mags[0] if mags else 1, width), 4)
+
+
 # -- q-combinatorics ------------------------------------------------------
 #
 # One family, built on the q-integers {i}_q = q^i - 1.  The balanced
 # integers {i} = v^i - v^(-i) = v^(-i) {i}_q differ from them by a
 # v-monomial, so each balanced product is the q-product times one power
-# of v, and [i] = {i}/{1} = v^(1-i)(1 + q + ... + q^(i-1)).  Only the
-# falling product is multiplied out, one factor per new length, cached;
-# binomials are exact divisions, and a failure there is an internal
-# fault, not a caller error.
+# of v, and [i] = {i}/{1} = v^(1-i)(1 + q + ... + q^(i-1)).  Falling
+# products are multiplied out and binomials are cyclotomic products.
 
 @lru_cache(maxsize=None)
-def _falling_row(i):
-    return [ONE]          # [{i}_{q,0}, {i}_{q,1}, ...], grown by falling_q
-
-
 def falling_q(i, n):
-    """{i}_{q,n} = {i}_q {i-1}_q ... {i-n+1}_q (1 for n <= 0); each new
-    length is one product with the longest kept for this i."""
-    row = _falling_row(i)
-    while len(row) <= n:
-        row.append(row[-1] * (q_pow(i - len(row) + 1) - 1))
-    return row[max(n, 0)]
+    """{i}_{q,n} = {i}_q {i-1}_q ... {i-n+1}_q (1 for n <= 0), cached."""
+    return prod((q_pow(i - k) - 1 for k in range(n)), start=ONE)
 
 
 def qint_bal(i):
@@ -354,8 +413,14 @@ def pochhammer(n):
 
 @lru_cache(maxsize=None)
 def qbinom_q(i, n):
-    """[i choose n]_q = {i}_{q,n} / {n}_q!, cached."""
-    return falling_q(i, n).exact_div(qfact_q(n))
+    """[i choose n]_q = {i}_{q,n} / {n}_q!, cached; for 0 <= n <= i, the
+    product of the Phi_d(q), d >= 2, with floor(i/d) - floor(n/d) -
+    floor((i-n)/d) = 1, at the width its coefficient sum C(i, n) proves."""
+    if not 0 <= n <= i:
+        return falling_q(i, n).exact_div(qfact_q(n))
+    return cyclotomic_product(
+        [d for d in range(2, i + 1) if i // d - n // d - (i - n) // d],
+        comb(i, n))
 
 
 def qbinom_bal(i, n):

@@ -25,8 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InputError
-from .laurent import (ONE, ZERO, q_pow, qbinom_bal, qbinom_q, qfact_bal,
-                      qnum, v_pow)
+from .laurent import (ONE, ZERO, falling_bal, q_pow, qbinom_bal, qbinom_q,
+                      qfact_bal, qnum, v_pow)
 
 BASES = ("V", "P", "P'")
 
@@ -178,15 +178,10 @@ def omega_truncated(p, N):
 @lru_cache(maxsize=None)
 def pprime_mul_unit(m, n):
     """P'_m P'_n in the P'-basis: {l: c_l}, with the Laurent
-    coefficients c_{m+n-i} = {m+n}! / ({i}! {m-i}! {n-i}!)."""
-    out = {}
-    for i in range(min(m, n) + 1):
-        c = qfact_bal(m + n)
-        c = c.exact_div(qfact_bal(i))
-        c = c.exact_div(qfact_bal(m - i))
-        c = c.exact_div(qfact_bal(n - i))
-        out[m + n - i] = c
-    return out
+    coefficients c_{m+n-i} = {m+n}! / ({i}! {m-i}! {n-i}!), as the falling
+    product {m+n}_i times two binomials."""
+    return {m + n - i: falling_bal(m + n, i) * qbinom_bal(m + n - i, i)
+            * qbinom_bal(m + n - 2 * i, m - i) for i in range(min(m, n) + 1)}
 
 
 def pprime_mul(x, y):

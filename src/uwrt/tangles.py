@@ -84,8 +84,6 @@ _padd still raises DomainError if a residue ever mixed.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from collections.abc import Sequence
 from functools import lru_cache, reduce
 from itertools import combinations, product
@@ -95,17 +93,14 @@ from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, NonExactDivision,
                      NotAdmissible, OpenDiagram, UnknownName,
                      UnsupportedCrossing)
-from .laurent import ZERO, LaurentU
+from .laurent import ZERO, LaurentU, decode_run, encode_run
 from .repring import p_in_v
 from .reps import braiding_terms, twist_eigen
 
 # -- packed Laurent coefficients ------------------------------------------
 #
-# A packed value is a pair (offset, mag) with one balanced base-2^64 digit
-# of mag per q-step: digit k is the coefficient of u^(offset + 4k).
-# Packing is a ring map, so decoding is exact whenever the decoded
-# coefficients fit in a digit, however large the intermediate digits
-# grow; unpack raises DomainError near the digit boundary.
+# Digit k of mag in a packed pair (offset, mag), in laurent's codec at 8
+# bytes, is the coefficient of u^(offset + 4k) (module docstring).
 
 _BITS = 64
 _HALF = 1 << (_BITS - 1)
@@ -116,28 +111,16 @@ PACKED_ZERO = (0, 0)
 PACKED_ONE = (0, 1)
 
 
-def _bias(n):
-    """HALF in each of n digits, HALF (2^(64n) - 1)/(2^64 - 1): adding it
-    turns n balanced digits into the 8-byte words of one bytes string
-    (so _BITS is 64 here)."""
-    return _HALF * ((1 << (_BITS * n)) - 1) // _MASK
-
-
 def pack(x):
     lo, run = x.q_run()
     if run and max(max(run), -min(run)) > _HALF - _GUARD:
         raise DomainError("coefficient too large for a packed digit")
-    words = array("Q", [c + _HALF for c in run])
-    return (lo, int.from_bytes(words, sys.byteorder) - _bias(len(run)))
+    return (lo, encode_run(run, _BITS // 8))
 
 
 def unpack(value):
-    """The LaurentU of a packed value, its balanced digits read off one
-    to_bytes of the magnitude plus _bias."""
-    n = value[1].bit_length() // _BITS + 2
-    biased = value[1] + _bias(n)
-    raw = memoryview(biased.to_bytes(8 * n, sys.byteorder)).cast("Q")
-    digits = [d - _HALF for d in raw]
+    """The LaurentU of a packed value, its balanced digits decoded."""
+    digits = decode_run(value[1], _BITS // 8)
     if max(digits) > _HALF - _GUARD or min(digits) < _GUARD - _HALF:
         raise DomainError("packed coefficient near digit boundary")
     return LaurentU(value[0], digits, 4)

@@ -16,6 +16,8 @@ import a leading-underscore name from another uwrt module.  The storage
 of a LaurentU stays inside laurent: no other module reads its slots or
 slices a run out of its coeffs view.  The packed format stays inside
 tangles: no other module imports its codec or its packed constants.
+There is one Kronecker codec, laurent's encode_run, decode_run and
+_bias: no other code calls array() or reads int.from_bytes or .to_bytes.
 Every memo is an lru_cache, so none is a module-level container named
 for a cache, and a count or order below 1 is refused in one place,
 errors.require_positive: no other raise builds a "must be >= 1" message.
@@ -179,6 +181,64 @@ def test_packed_import_detector(tmp_path):
         "from .tangles import PACKED_ZERO, pack\n", encoding="utf-8")
     assert packed_imports(tmp_path) == [
         "a: PACKED_ONE", "a: unpack", "b: PACKED_ZERO", "b: pack"]
+
+
+_CODEC = {"encode_run", "decode_run", "_bias"}
+_BYTE_CALLS = {"from_bytes", "to_bytes"}
+
+
+def byte_codecs(src=SRC):
+    """Sorted "module:line name" of every array() call and every
+    from_bytes or to_bytes attribute under src outside laurent's codec
+    functions."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        codec = {id(sub) for node in tree.body
+                 if path.stem == "laurent" and isinstance(node, _DEFS)
+                 and node.name in _CODEC for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in codec:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in _BYTE_CALLS:
+                found.append(f"{path.stem}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Call) and "array" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                found.append(f"{path.stem}:{node.lineno} array")
+    return sorted(found)
+
+
+def test_one_kronecker_codec():
+    # L1 and L2 write and read every packed digit through one encoder
+    # and one decoder, so a digit's layout changes in one place
+    assert byte_codecs() == []
+
+
+def test_byte_codec_detector(tmp_path):
+    # a second packer kept in tangles, as it was before the codec moved
+    (tmp_path / "tangles.py").write_text(
+        "import array as arr\n"
+        "from array import array\n\n\n"
+        "def pack(run):\n"
+        "    return int.from_bytes(array('Q', run), 'little')\n\n\n"
+        "def unpack(mag, n):\n"
+        "    raw = mag.to_bytes(8 * n, 'little')\n"
+        "    words = arr.array('B', raw)\n"
+        "    return list(map(int.from_bytes, [words], ['little']))\n",
+        encoding="utf-8")
+    (tmp_path / "laurent.py").write_text(
+        "def encode_run(run, width):\n"
+        "    return int.from_bytes(array('B', run), 'little')\n\n\n"
+        "def decode_run(mag, width):\n"
+        "    return mag.to_bytes(width, 'little')\n\n\n"
+        "def other(mag):\n"
+        "    return mag.to_bytes(1, 'little')\n",
+        encoding="utf-8")
+    # an import of array is no call, and only laurent's codec is exempt
+    assert byte_codecs(tmp_path) == [
+        "laurent:10 to_bytes", "tangles:10 to_bytes", "tangles:11 array",
+        "tangles:12 from_bytes", "tangles:6 array", "tangles:6 from_bytes"]
 
 
 def test_detector_flags_a_test_only_function(tmp_path):

@@ -84,3 +84,18 @@ def test_wrt_values_are_the_recorded_ones():
             value = type(exc).__name__
         digest.update(repr((key, r, value)).encode())
     assert digest.hexdigest() == WRT_VALUES
+
+
+# sha256 of the stdout below, recorded when _borromean_factor was an exact
+# division of falling products
+FAMILY_ROOT_40 = \
+    "814aaeef9852bce08eb20f534d62e3711a25f836c00b255091319ebb3450d2f0"
+
+
+def test_family_form_at_root_40_is_the_recorded_one():
+    # the closed formula at depth 40, past every depth of the catalogue
+    argv = ["eval", "--surgery", '{"family":"borromean","params":[1,1,1]}',
+            "root", "40"]
+    rc, text = _load_workloads().run_cli(cli, argv)
+    assert rc == 0
+    assert sha256(text.encode()).hexdigest() == FAMILY_ROOT_40

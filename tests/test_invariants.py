@@ -217,10 +217,29 @@ def test_mirror_and_connected_sum():
     assert lams[0] == 1 and lams[1] == 0    # Casson invariant cancels
 
 
+def test_borromean_factor_equals_the_division_form():
+    # the cyclotomic product against (-1)^l {2l+1}_{l+1} / ({1} (q)_l)
+    for l in range(40):
+        f = falling_bal(2 * l + 1, l + 1).exact_div(
+            qint_bal(1) * pochhammer(l))
+        assert uwrt.invariants._borromean_factor(l) == \
+            (-f if l % 2 else f), l
+
+
 def test_poincare_series_slots():
     x = poincare_series(3)
     assert x.terms[0] == ONE
     assert x.terms[1] == q_pow(4) + 2 * q_pow(3) + 2 * q_pow(2) + q_pow(1)
+    # against the series as first written: one product of the factors
+    # 1 - q^i, then two exact divisions
+    want = []
+    for n in range(12):
+        c = ONE
+        for i in range(n + 1, 2 * n + 2):
+            c = c * (1 - q_pow(i))
+        c = (q_pow(n) * c).exact_div(ONE - q_pow(1))
+        want.append(c.exact_div(pochhammer(n)))
+    assert list(poincare_series(12).terms) == want
 
 
 def test_ohtsuki_golden():

@@ -122,6 +122,15 @@ def test_falling_and_multinomial():
         qfact_q(4).exact_div(qfact_q(1) * qfact_q(2) * qfact_q(1))
 
 
+def test_binomial_products_equal_the_division_form():
+    # qbinom_q is a product of cyclotomic polynomials for 0 <= n <= i and
+    # the quotient outside that range: both against {i}_{q,n} / {n}_q!
+    for i in range(41):
+        for n in range(-1, i + 3):
+            assert qbinom_q(i, n) == falling_q(i, n).exact_div(qfact_q(n)), \
+                (i, n)
+
+
 def test_pochhammer():
     assert pochhammer(0) == ONE
     acc = ONE
@@ -356,3 +365,34 @@ def test_cancellation_coarsens_the_step():
     z = (1 + u_pow(1)) * (1 - u_pow(1))
     assert z == 1 - v_pow(1) and z.is_in_v() and z.to_str() == "-v + 1"
     assert (v_pow(1) - q_pow(1)).exact_div(1 - u_pow(2)) == v_pow(1)
+
+
+@st.composite
+def factors(draw):
+    """(LaurentU, reference dict) of a run of 1 to 80 entries in steps of
+    u, v or q at an offset of either sign, its entries of up to 1 to 200
+    bits; a run of one entry is a monomial, often +-1."""
+    lo = draw(st.integers(min_value=-60, max_value=60))
+    step = draw(st.sampled_from([1, 2, 4]))
+    bits = st.sampled_from([1, 2, 16, 31]) | st.integers(1, 200)
+    top = (1 << draw(bits)) - 1
+    n = draw(st.sampled_from([1, 2, 15, 16, 17]) | st.integers(1, 80))
+    entry = st.sampled_from([top, -top]) | st.integers(-top, top)
+    if n == 1:
+        entry = st.sampled_from([1, -1]) | entry.filter(bool)
+    run = draw(st.lists(entry, min_size=n, max_size=n))
+    return (LaurentU(lo, run, step),
+            {lo + step * i: c for i, c in enumerate(run) if c})
+
+
+@settings(deadline=None, max_examples=150)
+@given(factors(), factors())
+def test_products_match_dict_convolution(fa, fb):
+    # every path of __mul__ (a monomial factor, the schoolbook loop, the
+    # packed product past the crossover) against a dict convolution, and
+    # each product canonical, so == and hash still mean equal values
+    (a, ra), (b, rb) = fa, fb
+    x = a * b
+    assert _matches(x, _ref_mul(ra, rb))
+    same = LaurentU(x.min, x.coeffs, 1)
+    assert same == x and hash(same) == hash(x)
