@@ -30,7 +30,7 @@ from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       qfact_bal, qint_bal, qnum, reduce_mod, remainder,
                       v_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
-from .repring import check_omega_work, omega_coeff
+from .repring import omega_coeff, omega_row
 from .reps import twist_eigen
 from .tangles import (BUILTIN_NAMES, Diagram, builtin, colour_sum,
                       parse_diagram, pprime_table)
@@ -201,11 +201,11 @@ def jm_from_surgery(pres, N=DEFAULT_DEPTH):
 
 
 def _omega_products(params, N):
-    """[prod_p omega_coeff(p, l) for l < N]; the largest |p| is checked
-    against the work bound at each l first, so a refusal computes no slot."""
-    for l in range(1, N):
-        check_omega_work(max(params, key=abs), l)
-    return [math.prod(omega_coeff(p, l) for p in params) for l in range(N)]
+    """[prod_p omega^p_l for l < N], from one omega_row per distinct p; the
+    largest |p| comes first, so its work bound refuses before any row."""
+    rows = {p: omega_row(p, N) for p in sorted(dict.fromkeys(params),
+                                               key=abs, reverse=True)}
+    return [math.prod(rows[p][l] for p in params) for l in range(N)]
 
 
 def jm_borromean(i, j, k, N=DEFAULT_DEPTH):

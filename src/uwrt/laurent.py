@@ -423,6 +423,14 @@ def qbinom_q(i, n):
         comb(i, n))
 
 
+def packed_q_values(build):
+    """The q-polynomials that build(bits) forms at q = 2^bits.  None may
+    have a negative coefficient: then each coefficient is at most the
+    value at q = 1, and the largest of build(0) proves the digit width."""
+    width = _width(max(build(0), default=0))
+    return [LaurentU(0, decode_run(mag, width), 4) for mag in build(8 * width)]
+
+
 def qbinom_bal(i, n):
     """{i}_n / {n}! = v^(n(n-i)) qbinom_q(i, n)."""
     return v_pow(n * (n - i)) * qbinom_q(i, n)

@@ -61,8 +61,10 @@ class HabiroElem(RingElem):
         return HabiroElem(self.depth, [-c for c in self.terms])
 
     def __mul__(self, other):
-        if isinstance(other, LaurentU) and not other.is_in_q():
-            raise NotInQ(other.to_str())    # for the zero element too
+        # the constructor refuses a nonzero term outside Z[q], not a zero one
+        if (isinstance(other, LaurentU) and not other.is_in_q()
+                and all(c.is_zero() for c in self.terms)):
+            raise NotInQ(other.to_str())
         if isinstance(other, (int, LaurentU)):
             return HabiroElem(self.depth, [c * other for c in self.terms])
         d = min(self.depth, other.depth)

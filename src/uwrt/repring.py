@@ -17,16 +17,22 @@ component; a +-1 surgery framing f is the case p = -f.  omega^p_n sums,
 over the partial sums 0 = s_0 <= s_1 <= ... <= s_|p| = n, the
 q-multinomial prod_l [s_l choose s_(l-1)]_q times a power of q with one
 term per step: +-(s_l^2 + s_l) at each interior s_l, with the sign of
-p, and for p < 0 also -(s_l - s_(l-1)) s_(l-1) at every step.
+p, and for p < 0 also -(s_l - s_(l-1)) s_(l-1) at every step: the sum
+for |p| at 1/q, as [t choose s]_(1/q) = q^(s(s-t)) [t choose s]_q.
+omega_row takes the steps once for every n < N, packed: at each s_l = t,
+the sum over s <= t of [t choose s]_q times the last sum at s, by the
+q-Pascal rule with additions and shifts only, then shifted by q^(t^2 +
+t); no coefficient is negative, so the same pass at q = 1 proves the
+digit width (laurent.packed_q_values).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import InputError
-from .laurent import (ONE, ZERO, falling_bal, q_pow, qbinom_bal, qbinom_q,
-                      qfact_bal, qnum, v_pow)
+from .laurent import (ONE, ZERO, LaurentU, falling_bal, packed_q_values,
+                      qbinom_bal, qfact_bal, qnum, v_pow)
 
 BASES = ("V", "P", "P'")
 
@@ -128,9 +134,11 @@ def pairing(x, y):
 # -- the twist element and its powers ---------------------------------------
 
 
-# omega_coeff(p, n) takes time ~ p^2 (n^4 + 8); timed at |p| <= 4000 and
-# n <= 16, a call at this bound takes 25-60 s on one shared Intel Xeon
-# core (CPython 3.11).  Past it, the call is refused before any work.
+# The work p^2 (n^4 + 8) modelled a pass per n; on the bound, the packed
+# row through P'_n takes 0.07-0.25 s (timed at (|p|, n) = (4000, 1), (1000,
+# 3), (300, 6), (120, 10), (40, 17), (20, 24), (6, 45), (3, 63), (2, 78),
+# on one shared Intel Xeon core, CPython 3.11).  Past the bound, a row is
+# refused before any work.
 _OMEGA_WORK = 150_000_000
 
 
@@ -141,38 +149,57 @@ def check_omega_work(p, n):
                          f"{_OMEGA_WORK:,}")
 
 
+def _pascal_sums(row, bits):
+    """[sum_(s <= t) [t choose s]_q row[s] for t < len(row)] at q = 2^bits,
+    by the q-Pascal rule [t, s] = [t-1, s-1] + q^s [t-1, s]: the sum at t
+    is the sum at t - 1 of the row whose entry s is row[s+1] + q^s row[s]."""
+    sums = []
+    for _ in row:
+        sums.append(row[0])
+        row = [b + (a << bits * s)
+               for s, (a, b) in enumerate(zip(row, row[1:]))]
+    return sums
+
+
+def _omega_sums(k, N, bits):
+    """The q-multinomial sums of omega^k_n, k >= 2, for n < N at q = 2^bits:
+    the l-th row holds the sums over s_1..s_(l-1) at each s_l < N."""
+    shifts = [bits * (t * t + t) for t in range(N)]
+    sums = [1 << shift for shift in shifts]
+    for _ in range(k - 2):
+        sums = [c << shift
+                for c, shift in zip(_pascal_sums(sums, bits), shifts)]
+    return _pascal_sums(sums, bits)
+
+
+def omega_row(p, N):
+    """[omega^p_n for n < N], refused before any work if some n passes the
+    work bound: v^(n(n+3)/2) times the sum for p > 0, (-1)^n v^(-n(n+3)/2)
+    times it for p < 0, the sums from one packed pass (module docstring)."""
+    for n in range(1, N):
+        check_omega_work(p, n)
+    if p == 0:
+        return [ONE if n == 0 else ZERO for n in range(N)]
+    sign = 1 if p > 0 else -1
+    # for |p| = 1, or for n = 0 alone, every sum is 1
+    sums = ([ONE] * N if abs(p) == 1 or N < 2 else
+            packed_q_values(partial(_omega_sums, abs(p), N)))
+    if p < 0:       # the sums at 1/q; each has constant term 1
+        sums = [LaurentU(4 - 4 * len(run), run[::-1], 4)
+                for _, run in map(LaurentU.q_run, sums)]
+    return [v_pow(sign * n * (n + 3) // 2, sign ** n) * c
+            for n, c in enumerate(sums)]
+
+
 @lru_cache(maxsize=None)
 def omega_coeff(p, n):
-    """Coefficient of P'_n in omega^p, by one pass over l = 1..|p|.
-
-    A dict keyed by the partial sum s_l holds the sum over s_1..s_(l-1);
-    the step s_(l-1) -> s_l multiplies by [s_l choose s_(l-1)]_q, by
-    q^(+-(s_l^2 + s_l)) at an interior s_l (l < |p|, the sign of p) and,
-    for p < 0, by q^(-(s_l - s_(l-1)) s_(l-1)).  The prefactor is
-    v^(n(n+3)/2) for p > 0 and (-1)^n v^(-n(n+3)/2) for p < 0.
-    """
-    if p == 0 or n == 0:
-        return ONE if n == 0 else ZERO
-    check_omega_work(p, n)
-    sign = 1 if p > 0 else -1
-
-    def step(c, s, t):
-        """c [t choose s]_q, times q^(-(t - s) s) for p < 0."""
-        c = c * qbinom_q(t, s)
-        return c if p > 0 else c * q_pow((s - t) * s)
-
-    row = {0: ONE}
-    for _ in range(abs(p) - 1):
-        row = {t: q_pow(sign * (t * t + t))
-               * sum((step(c, s, t) for s, c in row.items() if s <= t), ZERO)
-               for t in range(n + 1)}
-    acc = sum((step(c, s, n) for s, c in row.items()), ZERO)
-    return v_pow(sign * n * (n + 3) // 2, sign ** n) * acc
+    """Coefficient of P'_n in omega^p: the last entry of its row."""
+    return omega_row(p, n + 1)[n]
 
 
 def omega_truncated(p, N):
     """omega^p in the P'-basis, keeping indices < N."""
-    return BasisCombo("P'", {n: omega_coeff(p, n) for n in range(N)})
+    return BasisCombo("P'", enumerate(omega_row(p, N)))
 
 
 @lru_cache(maxsize=None)

@@ -46,8 +46,9 @@ Laurent polynomial in q, so every value packed must lie in one residue
 class of u-exponents mod 4.  Decoding is exact whenever the decoded
 coefficients fit in a digit; the decoder raises DomainError otherwise.
 A crossing block is built packed from the terms s u^e [b choose t]_q
-{a}_{q,t} of reps.braiding_terms and the cached packed factors pbinom and
-pfall: u^e times a q-polynomial with constant term +-1, one residue, offset e.
+{a}_{q,t} of reps.braiding_terms and the cached packed factors pbinom (by
+the q-Pascal rule) and pfall: u^e times a q-polynomial with constant
+term +-1, one residue, offset e.
 
 The engine's values have one residue by construction.  Let mu_s be the
 color of strand s mod 2 and alpha_s its weight index mod 2, and put
@@ -90,9 +91,8 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
-                     InputError, InterfaceMismatch, NonExactDivision,
-                     NotAdmissible, OpenDiagram, UnknownName,
-                     UnsupportedCrossing)
+                     InputError, InterfaceMismatch, NotAdmissible,
+                     OpenDiagram, UnknownName, UnsupportedCrossing)
 from .laurent import ZERO, LaurentU, decode_run, encode_run
 from .repring import p_in_v
 from .reps import braiding_terms, twist_eigen
@@ -378,11 +378,11 @@ def pfall(a, t):
 
 @lru_cache(maxsize=None)
 def pbinom(b, t):
-    """[b choose t]_q = {b}_{q,t} / {t}_{q,t} packed, exact (a ring map)."""
-    quo, rem = divmod(pfall(b, t), pfall(t, t))
-    if rem:
-        raise NonExactDivision(f"[{b} choose {t}]_q is not a packed quotient")
-    return quo
+    """[b choose t]_q packed, 0 <= t <= b, by the q-Pascal rule [b, t] =
+    [b-1, t-1] + q^t [b-1, t]."""
+    if t in (0, b):
+        return 1
+    return pbinom(b - 1, t - 1) + (pbinom(b - 1, t) << _BITS * t)
 
 
 @lru_cache(maxsize=None)

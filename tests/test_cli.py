@@ -183,12 +183,12 @@ def test_kashaev_large_twist_parameter(capsys):
 
 
 def test_large_twist_refused_at_once(capsys, monkeypatch):
-    # omega^100000 at P'_1 would run for hours; it is refused before any
-    # q-binomial is formed
+    # omega^100000 at P'_1 would run for hours; it is refused before the
+    # packed pass of its row starts
     def fail(*args):
         raise AssertionError("omega^p work started")
 
-    monkeypatch.setattr(repring, "qbinom_q", fail)
+    monkeypatch.setattr(repring, "_omega_sums", fail)
     for argv in (["kashaev", "100000", "1"],
                  ["jm", "--surgery",
                   '{"family": "borromean", "params": [100000, 1, 1]}']):
@@ -205,7 +205,7 @@ def test_closed_form_past_the_omega_bound_refused_before_any_slot(
     def fail(*args):
         raise AssertionError("slot work started")
 
-    monkeypatch.setattr(repring, "qbinom_q", fail)
+    monkeypatch.setattr(repring, "_omega_sums", fail)
     monkeypatch.setattr(invariants, "_borromean_factor", fail)
     for argv, refused in (
             (["eval", "--surgery",

@@ -11,6 +11,7 @@ from pathlib import Path
 from uwrt import cli
 from uwrt.errors import UwrtError
 from uwrt.invariants import SurgeryPresentation, s3_presentations, wrt
+from uwrt.repring import omega_truncated
 from uwrt.tangles import BUILTIN_NAMES, _closed, builtin, closure_of_braid
 
 WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,6 +85,20 @@ def test_wrt_values_are_the_recorded_ones():
             value = type(exc).__name__
         digest.update(repr((key, r, value)).encode())
     assert digest.hexdigest() == WRT_VALUES
+
+
+# sha256 of the omega elements below, recorded when omega_coeff built
+# each coefficient by its own LaurentU pass
+OMEGA_ROWS = \
+    "2fee474990abeb7c0d954abb2dffceebecbfdd058994db235f8b2661946b0c20"
+
+
+def test_omega_rows_are_the_recorded_ones():
+    # omega^p through P'_11 for every |p| <= 7, both signs
+    digest = sha256()
+    for p in range(-7, 8):
+        digest.update(repr((p, omega_truncated(p, 12).terms)).encode())
+    assert digest.hexdigest() == OMEGA_ROWS
 
 
 # sha256 of the stdout below, recorded when _borromean_factor was an exact

@@ -10,9 +10,9 @@ from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotAUnit,
                          NotInQ, ShapeMismatch)
 from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           cyclotomic_coeffs, falling_bal, falling_q, is_unit,
-                          pochhammer, q_pow, qbinom_bal, qbinom_q, qfact_bal,
-                          qfact_q, qint_bal, qnum, reduce_mod, u_pow,
-                          v_pow)
+                          packed_q_values, pochhammer, q_pow, qbinom_bal,
+                          qbinom_q, qfact_bal, qfact_q, qint_bal, qnum,
+                          reduce_mod, u_pow, v_pow)
 
 from mirror import bar
 from terms import from_dict
@@ -129,6 +129,17 @@ def test_binomial_products_equal_the_division_form():
         for n in range(-1, i + 3):
             assert qbinom_q(i, n) == falling_q(i, n).exact_div(qfact_q(n)), \
                 (i, n)
+
+
+@pytest.mark.parametrize("top", [1, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64,
+                                 2 ** 71 - 1, 2 ** 71, 2 ** 200 - 1])
+def test_packed_values_fit_when_q_1_attains_the_bound(top):
+    # a monomial's value at q = 1 is its coefficient, so the width proved
+    # from it has no slack: a digit one byte narrower cannot hold it
+    def build(bits):
+        return [top << bits * 3, 1 + (top << bits), 0]
+
+    assert packed_q_values(build) == [q_pow(3, top), 1 + q_pow(1, top), ZERO]
 
 
 def test_pochhammer():

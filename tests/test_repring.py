@@ -1,17 +1,20 @@
 """Representation ring bases, the Hopf pairing and the omega elements."""
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwrt.repring
 from uwrt.errors import InputError, NonExactDivision
 from uwrt.invariants import jm_borromean
-from uwrt.laurent import (ONE, ZERO, falling_bal, q_pow, qfact_bal, qfact_q,
-                          qnum, v_pow)
+from uwrt.laurent import (ONE, ZERO, falling_bal, q_pow, qbinom_q, qfact_bal,
+                          qfact_q, qnum, v_pow)
 from uwrt.qhat import eval_root
-from uwrt.repring import (BasisCombo, omega_coeff, omega_truncated, pairing,
-                          pprime_mul, pprime_mul_unit, to_P, to_V)
+from uwrt.repring import (BasisCombo, omega_coeff, omega_row, omega_truncated,
+                          pairing, pprime_mul, pprime_mul_unit, to_P, to_V)
 
 
 def _v_product(x, y):
@@ -151,21 +154,62 @@ def test_values_trivial_at_r_dividing_2k_for_large_k():
                     assert eval_root(x, r) == 1, (i, j, k, r)
 
 
+@lru_cache(maxsize=None)
+def _omega_by_steps(p, n):
+    """omega^p_n by one LaurentU pass over l = 1..|p| for this n alone,
+    as omega_coeff computed it before rows were packed: a dict keyed by
+    the partial sum s_l holds the sum over s_1..s_(l-1); the step
+    s_(l-1) -> s_l multiplies by [s_l choose s_(l-1)]_q, by
+    q^(+-(s_l^2 + s_l)) at an interior s_l (the sign of p) and, for
+    p < 0, by q^(-(s_l - s_(l-1)) s_(l-1))."""
+    if p == 0 or n == 0:
+        return ONE if n == 0 else ZERO
+    sign = 1 if p > 0 else -1
+
+    def step(c, s, t):
+        c = c * qbinom_q(t, s)
+        return c if p > 0 else c * q_pow((s - t) * s)
+
+    row = {0: ONE}
+    for _ in range(abs(p) - 1):
+        row = {t: q_pow(sign * (t * t + t))
+               * sum((step(c, s, t) for s, c in row.items() if s <= t), ZERO)
+               for t in range(n + 1)}
+    acc = sum((step(c, s, n) for s, c in row.items()), ZERO)
+    return v_pow(sign * n * (n + 3) // 2, sign ** n) * acc
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(-8, 8), st.integers(0, 10))
+def test_omega_row_matches_the_steps_for_each_n(p, N):
+    assert omega_row(p, N) == [_omega_by_steps(p, n) for n in range(N)]
+
+
+@pytest.mark.parametrize("p, N", [(300, 3), (-300, 3), (120, 4), (-120, 5),
+                                  (40, 6), (-40, 7)])
+def test_omega_row_matches_the_steps_at_large_twists(p, N):
+    assert omega_row(p, N) == [_omega_by_steps(p, n) for n in range(N)]
+
+
 def test_omega_work_bound_refuses_before_any_work(monkeypatch):
     # the work p^2 (n^4 + 8) of omega^37 at P'_2 is 32,856: at a bound one
-    # below it, the call is refused before any q-binomial is formed
+    # below it, every row through P'_2 is refused before the packed pass
+    # starts, which it does at the bound itself
     def fail(*args):
         raise AssertionError("omega^p work started")
 
-    uncached = omega_coeff.__wrapped__
-    want = uncached(37, 2)
+    want = omega_row(37, 3)
     monkeypatch.setattr(uwrt.repring, "_OMEGA_WORK", 37 ** 2 * 24)
-    assert uncached(37, 2) == want
+    assert omega_row(37, 3) == want
+    monkeypatch.setattr(uwrt.repring, "_omega_sums", fail)
+    with pytest.raises(AssertionError, match="work started"):
+        omega_row(37, 3)
     monkeypatch.setattr(uwrt.repring, "_OMEGA_WORK", 37 ** 2 * 24 - 1)
-    monkeypatch.setattr(uwrt.repring, "qbinom_q", fail)
-    with pytest.raises(InputError, match="omega\\^37 at P'_2"):
-        uncached(37, 2)
-    with pytest.raises(InputError, match="omega\\^-37 at P'_2"):
-        uncached(-37, 2)
-    assert uncached(10 ** 9, 0) == ONE      # P'_0 costs nothing
-
+    for p in (37, -37):
+        for N in (3, 4, 10):
+            with pytest.raises(InputError, match=f"omega\\^{p} at P'_2"):
+                omega_row(p, N)
+        with pytest.raises(InputError, match=f"omega\\^{p} at P'_2"):
+            omega_coeff.__wrapped__(p, 2)
+    assert omega_row(10 ** 9, 1) == [ONE]      # P'_0 costs nothing
+    assert omega_coeff.__wrapped__(10 ** 9, 0) == ONE

@@ -617,6 +617,14 @@ def test_packed_blocks_match_the_laurent_blocks():
         assert uwrt.tangles._packed_block(m, n, s) == want, (m, n, s)
 
 
+def test_packed_binomials_are_the_q_binomials():
+    # the q-Pascal rule against pack of the cyclotomic product, for every
+    # binomial of a block under the colour cap, past the blocks above
+    for b in range(42):
+        for t in range(b + 1):
+            assert uwrt.tangles.pbinom(b, t) == pack(qbinom_q(b, t))[1]
+
+
 def test_block_bound_refuses_a_block_before_building_it(monkeypatch):
     tangles = uwrt.tangles
     # C(b, t) 2^t bounds every coefficient of every term to colour 8
