@@ -28,8 +28,10 @@ cup, a cup as a cap); the two vectors meet in one dot product, the same
 matrix product associated differently.  _closed cuts the link open at
 the outer cup of one component; only an arc on the outer face can be
 cut, so a braid closure is also drawn with each component outermost.
-The cut's up strand crosses nothing and keeps index 0, so its cap, read
-backward, inserts (0, 0) alone.
+The cut's up strand crosses nothing and keeps one index e, so its cap,
+read backward, inserts (e, e) alone.  The cut tangle T is a scalar on
+V_a, so <e|T|e> is the same for every e, and only the cap's weight
+u^(s(a - 2e)) tells e = a from e = 0: _cut_plan picks the cheaper end.
 
 Strands of colour 0 cost nothing either.  V_0 has the one index 0, and
 in reps.braiding_terms with m or n zero only t = 0 is left, whose
@@ -76,8 +78,8 @@ pprime_table, theta_a^(-w) = u^(-w a(a+2)) leaves 2a, and p_in_v(k)[a]
 lies in u^(2(a+k)) Z[q, 1/q]: the term for V_a and P_k has residue 2k.
 In colour_sum, wrt's weight [a+1] theta_a^(f-w) adds -2a + (f - w)
 a(a+2), for f a(a+2) in all: 0 mod 4 for even a, -f for odd a, so each
-lane a mod 2 lies in one residue, and the lanes are added as LaurentU
-after unpacking.  Both sums are _table_sum, one packed product per axis;
+lane a mod 2 lies in one residue; the lanes are added packed, one sum
+per residue.  Both sums are _table_sum, one packed product per axis;
 check_split refuses a nonzero linking number before any packing, and
 _padd still raises DomainError if a residue ever mixed.
 """
@@ -418,31 +420,30 @@ def _split(steps):
 
 
 @lru_cache(maxsize=None)
-def _cup_cap(n, s, pinned):
+def _cup_cap(n, s, pin):
     """(insert, close) blocks of a cup or cap on colour n with shift s."""
-    ids = range(1 if pinned else n + 1)
+    ids = range(n + 1) if pin is None else (pin,)
     return ({(): tuple(((i, i), s * (n - 2 * i), 1) for i in ids)},
             {(i, i): (((), s * (n - 2 * i), 1),) for i in ids})
 
 
-def _block(step, colors, back, pinned):
+def _block(step, colors, back, pin):
     """(p, q, block) of a step, the block mapping key[p:q] to its terms;
-    transposed if back.  A pinned cap has the one pair (0, 0)."""
+    transposed if back.  A pinned cap has the one pair (pin, pin)."""
     p, kind, *rest = step
     if kind == "x":
         block = _transposed if back else _packed_block
         return p, p + 2, block(colors[rest[1]], colors[rest[2]], rest[0])
     close = (kind == "cup") == back
-    return p, p + 2 * close, _cup_cap(colors[rest[0]], rest[1], pinned)[close]
+    return p, p + 2 * close, _cup_cap(colors[rest[0]], rest[1], pin)[close]
 
 
 @lru_cache(maxsize=None)
 def _weighted(steps, pin, blank, cut):
-    """(steps, pin, start key) with the strands of the components in
-    blank taken out (module docstring); comps holds the component of each
-    interface strand, from the cut's pair if there is a cut."""
+    """(steps, pin) with the strands of the components in blank taken
+    out (module docstring); comps holds the component of each interface
+    strand, from the cut's pair if there is a cut."""
     comps = [] if cut is None else [cut, cut]
-    start = tuple(0 for c in comps if c not in blank)
     kept, kept_pin = [], None
     for k, (p, kind, *rest) in enumerate(steps):
         shift = sum(c in blank for c in comps[:p])
@@ -456,7 +457,7 @@ def _weighted(steps, pin, blank, cut):
         if blank.isdisjoint(touched):
             kept_pin = len(kept) if k == pin else kept_pin
             kept.append((p - shift, kind, *rest))
-    return tuple(kept), kept_pin, start
+    return tuple(kept), kept_pin
 
 
 def _contract(d, colors, cut=None):
@@ -469,26 +470,42 @@ def _contract(d, colors, cut=None):
     a merge runs _padd and deletes a sum that cancels to 0 on the spot.
     The steps before the middle crossing (_split) run forward from the
     initial key to a ket, the rest backward from the empty key, each
-    transposed, to a bra on the same interface.  sum_K ket[K] bra[K],
-    over the smaller half, is the same product of step matrices
+    transposed, to a bra on the same interface (_halves).  sum_K ket[K]
+    bra[K], over the smaller half, is the same product of step matrices
     associated at the middle: exact.  Its products are summed as plain
     ints per offset, and _padd folds the few offsets.
 
-    With cut=c the steps are d.cuts[c][1:] from the key (0, 0): the (0,0)
-    element of the link cut open at the outer cup of c (see _closed),
-    whose up strand keeps index 0: its cap d.pins[c] has (0, 0) alone.
+    With cut=c the steps are d.cuts[c][1:] from the key (e, e), e = 0
+    or the colour of c as _cut_plan(d, c) says, times u^(2se), s the shift
+    of the cap d.pins[c] on the cut's up strand: the (0, 0) element of
+    the link cut open at the outer cup of c (module docstring, _closed).
     _weighted first takes out the strands of colour 0, a cut's pair too.
     """
     blank = frozenset(c for c, n in enumerate(colors) if not n)
-    steps, pin, start = _weighted(d.steps if cut is None else d.cuts[cut][1:],
-                                  d.pins.get(cut), blank, cut)
+    steps, pin = _weighted(d.steps if cut is None else d.cuts[cut][1:],
+                           d.pins.get(cut), blank, cut)
+    end = None if pin is None else colors[cut] * _cut_plan(d, cut)[1]
+    ket, bra = sorted(_halves(steps, colors, pin, end)[:2], key=len)
+    sums = {}
+    for key, (o, mag) in ket.items():
+        if (b := bra.get(key)) is not None:
+            sums[o + b[0]] = sums.get(o + b[0], 0) + mag * b[1]
+    return reduce(_padd, sums.items(), PACKED_ZERO)
+
+
+def _halves(steps, colors, pin, end):
+    """(ket, bra, entries) of _contract from the key (end, end), or () if
+    end is None, and the number of state entries made on the way."""
     h = _split(steps)
-    halves = []
+    halves, entries = [], 0
+    start = {(): PACKED_ONE} if end is None else \
+        {(end, end): (2 * steps[pin][3] * end, 1)}
     for back, order, state in (
-            (False, range(h), {start: PACKED_ONE}),
+            (False, range(h), start),
             (True, range(len(steps) - 1, h - 1, -1), {(): PACKED_ONE})):
         for k in order:
-            p, q, block = _block(steps[k], colors, back, k == pin)
+            p, q, block = _block(steps[k], colors, back,
+                                 end if k == pin else None)
             new = {}
             for key, (o, mag) in state.items():
                 terms = block.get(key[p:q])
@@ -504,20 +521,25 @@ def _contract(d, colors, cut=None):
                         if not v[1]:
                             del new[nk]
             state = new
+            entries += len(new)
         halves.append(state)
-    ket, bra = sorted(halves, key=len)
-    sums = {}
-    for key, (o, mag) in ket.items():
-        if (b := bra.get(key)) is not None:
-            sums[o + b[0]] = sums.get(o + b[0], 0) + mag * b[1]
-    return reduce(_padd, sums.items(), PACKED_ZERO)
+    return (*halves, entries)
+
+
+@lru_cache(maxsize=None)
+def _cut_plan(d, c):
+    """(entries, e): the fewer state entries of _halves at colour 1, a
+    count (not a timing), from the ends e = 0, 1 of the cut at c.  Keyed
+    by c, as a Diagram of a braid closure's slices has its first cut only."""
+    return min((_halves(d.cuts[c][1:], (1,) * d.component_count, d.pins[c],
+                        e)[2], e) for e in (0, 1))
 
 
 @lru_cache(maxsize=None)
 def _closed(d, colors):
     """Packed value of the closed diagram with V-weights, cached (the one
     V-value cache; a Diagram hashes by its slices).  Cut open at the
-    outer cup of the component in d.cuts of largest colour a (the lowest
+    outer cup of a component in d.cuts of largest colour a (_cut_plan's
     on a tie), for 1/(a+1) of the work: the cut tangle is a scalar on
     V_a, so one matrix element times v^a [a+1] = 1 + q + ... + q^a, one
     product with the all-ones digit number, is the closed value (v^a
@@ -525,7 +547,8 @@ def _closed(d, colors):
     keeps them when sums cancel) are stripped: the pair is pack of the
     value.  An odd offset on an even-framed diagram raises DomainError:
     it left Z[v, 1/v]."""
-    cut = max(d.cuts, key=lambda c: (colors[c], -c), default=None)
+    cut = min(d.cuts, key=lambda c: (-colors[c], _cut_plan(d, c), c),
+              default=None)
     o, mag = _contract(d, colors, cut)
     if cut is not None:
         mag *= ((1 << (_BITS * (colors[cut] + 1))) - 1) // _MASK
@@ -556,12 +579,12 @@ def _packed_weight(w):
 
 
 def _table_sum(d, maps):
-    """{(k_1, ..., k_m): LaurentU} summing, over the V-colours a that maps
-    covers, the value of _closed(d, a) times w_1 ... w_m, where (k_i, w_i)
-    runs over the pairs of maps[i][a_i]: one packed mode-n product per
-    axis, each weight packed once (_packed_weight), each sum decoded
-    once.  check_split runs first, as the residues of the module docstring
-    need zero linking numbers; then maps needs one list per component."""
+    """{(k_1, ..., k_m): packed value} summing, over the V-colours a that
+    maps covers, the value of _closed(d, a) times w_1 ... w_m, where
+    (k_i, w_i) runs over the pairs of maps[i][a_i]: one packed mode-n
+    product per axis, each weight packed once (_packed_weight).
+    check_split runs first, as the residues of the module docstring need
+    zero linking numbers; then maps needs one list per component."""
     check_split(d)
     if len(maps) != d.component_count:
         raise ColorCountMismatch(
@@ -575,7 +598,7 @@ def _table_sum(d, maps):
                 nk = key[:axis] + (k,) + key[axis + 1:]
                 new[nk] = _padd(new.get(nk, PACKED_ZERO), _pmul(c, val))
         table = new
-    return {key: unpack(val) for key, val in table.items()}
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -584,19 +607,21 @@ def pprime_table(d, N):
     LaurentU, keyed by (k_1, ..., k_m) in range(N)^m, cached: the values
     of _closed changed to the P basis (_table_sum), with each V_a
     coefficient of P_k times theta_a^(-w), w its component's writhe."""
-    return _table_sum(d, [[[(k, p_in_v(k)[a] * twist_eigen(a, -w))
-                             for k in range(N) if a in p_in_v(k)]
-                            for a in range(N)] for w in d.writhes])
+    return {key: unpack(val) for key, val in _table_sum(d, [
+        [[(k, p_in_v(k)[a] * twist_eigen(a, -w)) for k in range(N)
+          if a in p_in_v(k)] for a in range(N)] for w in d.writhes]).items()}
 
 
 def colour_sum(d, weights):
     """sum over colours c of prod_i weights[i][c_i] times the V-coloured
     value of d as drawn, weights[i] one LaurentU per colour 0, 1, ... of
-    component i: _table_sum into the lanes c mod 2, each lane in one
-    residue mod 4, and the lanes added after unpacking.  Split diagrams,
-    weights like wrt's (module docstring)."""
-    return sum(_table_sum(d, [[[(a % 2, w)] for a, w in enumerate(ws)]
-                              for ws in weights]).values(), ZERO)
+    component i: the 2^m lanes c mod 2 of _table_sum, added packed per
+    residue mod 4 (module docstring); split diagrams, weights like wrt's."""
+    sums = {}
+    for o, mag in _table_sum(d, [[[(a % 2, w)] for a, w in enumerate(ws)]
+                                 for ws in weights]).values():
+        sums[o % 4] = _padd(sums.get(o % 4, PACKED_ZERO), (o, mag))
+    return sum(map(unpack, sums.values()), ZERO)
 
 
 # -- builtin diagrams -------------------------------------------------------

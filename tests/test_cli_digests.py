@@ -114,3 +114,18 @@ def test_family_form_at_root_40_is_the_recorded_one():
     rc, text = _load_workloads().run_cli(cli, argv)
     assert rc == 0
     assert sha256(text.encode()).hexdigest() == FAMILY_ROOT_40
+
+
+# sha256 of the stdout below, recorded when _closed cut every value at
+# the lowest component of largest colour and at weight index 0
+BORROMEAN_JM_8 = \
+    "33e711e4a98a175eacda4ca1f93e8f505b325762a0475faba96077b6d2e37f6f"
+
+
+def test_borromean_surgery_at_depth_8_is_the_recorded_one():
+    # the V-colour sweep up to colour 7, past every depth of the catalogue
+    argv = ["jm", "--surgery",
+            '{"diagram":"borromean","framings":[-1,-1,-1]}', "--depth", "8"]
+    rc, text = _load_workloads().run_cli(cli, argv)
+    assert rc == 0
+    assert sha256(text.encode()).hexdigest() == BORROMEAN_JM_8

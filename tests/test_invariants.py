@@ -94,6 +94,23 @@ def test_knot_surgery_matches_closed_form():
             assert wrt(pres, r) == eval_root_q(jm_borromean(*ijk, r), r), r
 
 
+# the Borromean rings with component 1 replaced by two 0-framed parallel
+# copies (components 1 and 2), as a 4-strand braid closure
+W4 = [(2, 1), (1, 1), (3, -1), (2, -1), (1, 1), (2, -1), (3, -1), (1, 1),
+      (2, 1), (3, -1)]
+
+
+def test_four_component_sum_matches_the_rolfsen_twist():
+    # -1 surgery on both copies is -1/2 surgery on the component they
+    # double (Rolfsen twist), +1 on both is +1/2: framings (-s, -s, f2, f3)
+    # give jm_borromean(2s, -f2, -f3), a non-split four-component oracle
+    d = closure_of_braid(4, W4)
+    for fr in ((-1, -1, -1, -1), (-1, -1, 1, -1), (1, 1, -1, 1)):
+        x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=fr), 5)
+        want = jm_borromean(-2 * fr[0], -fr[2], -fr[3], 5)
+        assert equals_at_depth(x, want, 5), fr
+
+
 def test_stabilised_borromean_matches_builtin():
     # a Markov stabilisation draws a kink of writhe +-1 on component 3
     for sign, fr in ((1, (1, -1, 1)), (-1, (-1, -1, -1))):

@@ -11,7 +11,7 @@ PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 CACHES = ("uwrt.tangles._packed_block", "uwrt.tangles._transposed",
           "uwrt.tangles.pfall", "uwrt.tangles.pbinom",
           "uwrt.tangles._packed_weight", "uwrt.tangles._closed",
-          "uwrt.tangles._weighted")
+          "uwrt.tangles._weighted", "uwrt.tangles._cut_plan")
 
 
 def _load_probes():

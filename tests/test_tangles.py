@@ -391,6 +391,8 @@ def test_text_diagram_cut_only_at_a_lone_first_cup():
 
 
 def test_largest_colour_is_cut(monkeypatch):
+    # a component of largest colour, ties by _cut_plan: on the Borromean
+    # word it ranks the cut at 1 first, then 0, then 2
     calls = []
 
     def recording(d, colors, cut=None):
@@ -401,11 +403,25 @@ def test_largest_colour_is_cut(monkeypatch):
     monkeypatch.setattr(uwrt.tangles, "_contract", recording)
     uwrt.tangles._closed.cache_clear()
     d = builtin("borromean")
+    assert sorted(d.cuts, key=lambda c: uwrt.tangles._cut_plan(d, c)) == \
+        [1, 0, 2]
     for colors, cut in (((1, 4, 1), 1), ((4, 1, 1), 0), ((1, 1, 4), 2),
-                        ((1, 1, 1), 0), ((1, 4, 4), 1), ((2, 1, 2), 0)):
+                        ((1, 1, 1), 1), ((1, 4, 4), 1), ((2, 1, 2), 0)):
         calls.clear()
         assert colored_jones(d, colors) == unpack(contract(d, colors))
         assert calls == [cut], colors
+
+
+def test_a_twin_with_one_cut_reads_no_other_cut():
+    # Diagram(slices) equals the braid closure of those slices, so the
+    # two share every cache, but it has only the cut at its first cup:
+    # after the closure was cut at 1, the twin's value is cut at 0
+    d = builtin("borromean")
+    twin = uwrt.tangles.Diagram(d.slices)
+    assert twin == d and set(twin.cuts) == {0}
+    want = colored_jones(d, (1, 1, 1))
+    uwrt.tangles._closed.cache_clear()
+    assert colored_jones(twin, (1, 1, 1)) == want
 
 
 @settings(deadline=None, max_examples=40)
@@ -423,6 +439,26 @@ def test_every_cut_drawing_gives_the_closed_value(braid, colors):
         a = cs[c]
         assert unpack(uwrt.tangles._contract(d, cs, c)) * v_pow(a) \
             * qnum(a + 1) == closed, c
+
+
+@settings(deadline=None, max_examples=40)
+@given(braids(4, min_strands=1, max_letters=6),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=4,
+                max_size=4))
+def test_either_end_of_every_cut_gives_the_closed_value(braid, colors):
+    # the cut tangle is a scalar on V_a, so the element from (a, a), its
+    # offset shifted by the pinned cap's weight, is the one from (0, 0):
+    # each end forced on every cut, against the uncut contraction
+    d = closure_of_braid(*braid)
+    cs = tuple(colors[:d.component_count])
+    closed = unpack(uwrt.tangles._contract(d, cs))
+    for e in (0, 1):
+        with mock.patch.object(uwrt.tangles, "_cut_plan",
+                               lambda d, c: (0, e)):
+            for c in d.cuts:
+                a = cs[c]
+                assert unpack(uwrt.tangles._contract(d, cs, c)) \
+                    * v_pow(a) * qnum(a + 1) == closed, (c, e)
 
 
 def test_closure_of_braid_checks_its_letters():
