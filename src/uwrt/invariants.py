@@ -27,11 +27,9 @@ from .errors import (DepthExceeded, DomainError, InputError,
                      UnknownName, require_positive)
 from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
                       cyclotomic_product, falling_bal, pochhammer, q_pow,
-                      qfact_bal, qint_bal, qnum, reduce_mod, remainder,
-                      v_pow)
+                      qfact_bal, qint_bal, reduce_mod, remainder, v_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import omega_coeff, omega_row
-from .reps import twist_eigen
 from .tangles import (BUILTIN_NAMES, Diagram, builtin, colour_sum,
                       parse_diagram, pprime_table)
 
@@ -341,9 +339,7 @@ def wrt(pres, r):
         return 1
     d, fr = _diagram_form(pres)
     _check_admissible(d, fr)
-    total = ONE if d is None else colour_sum(d, [
-        [qnum(c + 1) * twist_eigen(c, f - w) for c in range(r - 1)]
-        for f, w in zip(fr, d.writhes)])
+    total = ONE if d is None else colour_sum(d, fr, r)
     value = reduce_mod(total, cyclotomic_coeffs(4 * r), "u")
     for f in fr:
         value = value * _unknot_inverse(r, f)

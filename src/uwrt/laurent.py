@@ -68,9 +68,6 @@ class LaurentU(RingElem):
     """
 
     __slots__ = ("_lo", "_step", "_run")
-    # __getitem__ reads 0 past the run, so the sequence protocol would
-    # iterate forever (say, a LaurentU passed where coefficients belong)
-    __iter__ = None
 
     def __init__(self, min_exponent=0, coeffs=(), step=1):
         """sum_i coeffs[i] u^(min_exponent + step*i), step 1, 2 or 4, in
@@ -113,10 +110,6 @@ class LaurentU(RingElem):
     def coeffs(self):
         """The coefficients of u^min, u^(min+1), ..., up to the top term."""
         return tuple(_spread(self._run, self._step))
-
-    def __getitem__(self, exponent):
-        i, r = divmod(exponent - self._lo, self._step)
-        return self._run[i] if not r and 0 <= i < len(self._run) else 0
 
     def is_in_q(self):
         return self._step == 4 and not self._lo % 4
@@ -413,11 +406,11 @@ def pochhammer(n):
 
 @lru_cache(maxsize=None)
 def qbinom_q(i, n):
-    """[i choose n]_q = {i}_{q,n} / {n}_q!, cached; for 0 <= n <= i, the
+    """[i choose n]_q = {i}_{q,n} / {n}_q!, 0 <= n <= i, cached: the
     product of the Phi_d(q), d >= 2, with floor(i/d) - floor(n/d) -
     floor((i-n)/d) = 1, at the width its coefficient sum C(i, n) proves."""
     if not 0 <= n <= i:
-        return falling_q(i, n).exact_div(qfact_q(n))
+        raise ValueError(f"q-binomial needs 0 <= n <= i, got i = {i}, n = {n}")
     return cyclotomic_product(
         [d for d in range(2, i + 1) if i // d - n // d - (i - n) // d],
         comb(i, n))

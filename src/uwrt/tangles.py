@@ -95,7 +95,7 @@ from math import comb
 from .errors import (ColorCountMismatch, DiagramSyntaxError, DomainError,
                      InputError, InterfaceMismatch, NotAdmissible,
                      OpenDiagram, UnknownName, UnsupportedCrossing)
-from .laurent import ZERO, LaurentU, decode_run, encode_run
+from .laurent import ZERO, LaurentU, decode_run, encode_run, qnum
 from .repring import p_in_v
 from .reps import braiding_terms, twist_eigen
 
@@ -159,33 +159,33 @@ class Diagram:
     crossing_sums[a][b] is twice the linking number of components a != b
     (0 if a = b), writhes[a] the self-writhe (blackboard framing) of a.
     steps lists the non-identity events in contraction order, each at
-    its interface position (see _validate).  cuts[c] lists the steps of
-    a drawing whose first step is an outer plain cup of component c:
-    steps itself if the first slice is one plain cup, and the drawings
-    given as (steps, pin) pairs (see closure_of_braid).  pins[c] is the
-    index in cuts[c][1:] of the cap that closes that cup's up strand.
+    its interface position (see _validate).  cuts[c] = (steps, pin), the
+    cut record of component c, holds the steps after the outer plain cup
+    of c that opens a drawing, and the index in them of the cap closing
+    that cup's up strand: for a lone plain cup in the first slice, and for
+    the drawings given (see closure_of_braid).  A Diagram equals and
+    hashes as its slices, their hash computed once.
     """
 
     __slots__ = ("slices", "component_count", "crossing_sums", "writhes",
-                 "steps", "cuts", "pins", "name")
+                 "steps", "cuts", "name", "_hash")
 
     def __init__(self, slices, name=None, cuts=()):
         self.slices = tuple(tuple(s) for s in slices)
+        self._hash = hash(self.slices)
         self.name = name
         (self.component_count, self.crossing_sums, self.writhes,
-         self.steps, pin) = _validate(self.slices)
-        cuts = dict(cuts)
+         self.steps, cut) = _validate(self.slices)
+        self.cuts = dict(cuts)
         first = self.slices[0]
         if len(first) == 1 and first[0][0] == "cup" and not first[0][2]:
-            cuts[first[0][1]] = self.steps, pin
-        self.cuts = {c: steps for c, (steps, _) in cuts.items()}
-        self.pins = {c: pin for c, (_, pin) in cuts.items()}
+            self.cuts[first[0][1]] = cut
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
 
     def __hash__(self):
-        return hash(self.slices)
+        return self._hash
 
     def __repr__(self):
         tag = self.name or f"{self.component_count} components"
@@ -193,8 +193,8 @@ class Diagram:
 
 
 def _validate(slices):
-    """(components, crossing sums, writhes, steps, pin) of a closed slice
-    word; pin indexes in steps[1:] the cap closing the first cup's up strand.
+    """(components, crossing sums, writhes, steps, cut) of a closed slice
+    word; cut = (steps[1:], pin) is the first cup's record (Diagram.cuts).
 
     Each non-identity event becomes one step (p, kind, ...), p its
     position in the interface of that moment: the strands that the
@@ -299,7 +299,8 @@ def _validate(slices):
     writhes = tuple(signed.pop((c, c), 0) for c in range(m))
     sums = tuple(tuple(signed.get((a, b), 0) for b in range(m))
                  for a in range(m))
-    return m, sums, writhes, tuple(steps), pin
+    steps = tuple(steps)
+    return m, sums, writhes, steps, (steps[1:], pin)
 
 
 # -- parser -----------------------------------------------------------------
@@ -439,10 +440,12 @@ def _block(step, colors, back, pin):
 
 
 @lru_cache(maxsize=None)
-def _weighted(steps, pin, blank, cut):
-    """(steps, pin) with the strands of the components in blank taken
-    out (module docstring); comps holds the component of each interface
-    strand, from the cut's pair if there is a cut."""
+def _weighted(d, cut, blank):
+    """(steps, pin) of d uncut (pin None) or of its cut record d.cuts[cut],
+    with the strands of the components in blank taken out (module
+    docstring); comps holds the component of each interface strand, from
+    the cut's pair if there is a cut."""
+    steps, pin = (d.steps, None) if cut is None else d.cuts[cut]
     comps = [] if cut is None else [cut, cut]
     kept, kept_pin = [], None
     for k, (p, kind, *rest) in enumerate(steps):
@@ -475,15 +478,14 @@ def _contract(d, colors, cut=None):
     associated at the middle: exact.  Its products are summed as plain
     ints per offset, and _padd folds the few offsets.
 
-    With cut=c the steps are d.cuts[c][1:] from the key (e, e), e = 0
+    With cut=c the steps of d.cuts[c] run from the key (e, e), e = 0
     or the colour of c as _cut_plan(d, c) says, times u^(2se), s the shift
-    of the cap d.pins[c] on the cut's up strand: the (0, 0) element of
+    of its pinned cap on the cut's up strand: the (0, 0) element of
     the link cut open at the outer cup of c (module docstring, _closed).
     _weighted first takes out the strands of colour 0, a cut's pair too.
     """
     blank = frozenset(c for c, n in enumerate(colors) if not n)
-    steps, pin = _weighted(d.steps if cut is None else d.cuts[cut][1:],
-                           d.pins.get(cut), blank, cut)
+    steps, pin = _weighted(d, cut, blank)
     end = None if pin is None else colors[cut] * _cut_plan(d, cut)[1]
     ket, bra = sorted(_halves(steps, colors, pin, end)[:2], key=len)
     sums = {}
@@ -531,8 +533,9 @@ def _cut_plan(d, c):
     """(entries, e): the fewer state entries of _halves at colour 1, a
     count (not a timing), from the ends e = 0, 1 of the cut at c.  Keyed
     by c, as a Diagram of a braid closure's slices has its first cut only."""
-    return min((_halves(d.cuts[c][1:], (1,) * d.component_count, d.pins[c],
-                        e)[2], e) for e in (0, 1))
+    steps, pin = d.cuts[c]
+    return min((_halves(steps, (1,) * d.component_count, pin, e)[2], e)
+               for e in (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -584,11 +587,8 @@ def _table_sum(d, maps):
     (k_i, w_i) runs over the pairs of maps[i][a_i]: one packed mode-n
     product per axis, each weight packed once (_packed_weight).
     check_split runs first, as the residues of the module docstring need
-    zero linking numbers; then maps needs one list per component."""
+    zero linking numbers."""
     check_split(d)
-    if len(maps) != d.component_count:
-        raise ColorCountMismatch(
-            f"{d.component_count} components, {len(maps)} weight lists")
     table = {a: _closed(d, a) for a in product(*map(range, map(len, maps)))}
     for axis, to in enumerate(maps):
         to = [[(k, _packed_weight(w)) for k, w in pairs] for pairs in to]
@@ -612,14 +612,20 @@ def pprime_table(d, N):
           if a in p_in_v(k)] for a in range(N)] for w in d.writhes]).items()}
 
 
-def colour_sum(d, weights):
-    """sum over colours c of prod_i weights[i][c_i] times the V-coloured
-    value of d as drawn, weights[i] one LaurentU per colour 0, 1, ... of
-    component i: the 2^m lanes c mod 2 of _table_sum, added packed per
-    residue mod 4 (module docstring); split diagrams, weights like wrt's."""
+def colour_sum(d, framings, r):
+    """wrt's colour sum: over the colours c < r - 1, the value of d as
+    drawn at V-colours c times prod_i [c_i+1] theta_(c_i)^(f_i-w_i), f_i
+    the framing and w_i the writhe of component i.  These weights put
+    each of the 2^m lanes c mod 2 of _table_sum in one residue mod 4
+    (module docstring), so the lanes are added packed per residue."""
+    if len(framings) != d.component_count:
+        raise ColorCountMismatch(
+            f"{d.component_count} components, {len(framings)} framings")
     sums = {}
-    for o, mag in _table_sum(d, [[[(a % 2, w)] for a, w in enumerate(ws)]
-                                 for ws in weights]).values():
+    for o, mag in _table_sum(d, [
+            [[(c % 2, qnum(c + 1) * twist_eigen(c, f - w))]
+             for c in range(r - 1)]
+            for f, w in zip(framings, d.writhes)]).values():
         sums[o % 4] = _padd(sums.get(o % 4, PACKED_ZERO), (o, mag))
     return sum(map(unpack, sums.values()), ZERO)
 
@@ -691,7 +697,7 @@ def closure_of_braid(strands, word, name=None):
                    + ids("d", current[k + 1:t]) for k in range(t)]
         return slices
 
-    cuts = {c: _validate(drawing(comp_of.index(c)))[3:] for c in range(1, m)}
+    cuts = {c: _validate(drawing(comp_of.index(c)))[4] for c in range(1, m)}
     return Diagram(drawing(0), name=name, cuts=cuts)
 
 

@@ -1,5 +1,6 @@
 """A LaurentU from a {u-exponent: coefficient} dict, the form of the
-tests' reference arithmetic and reference decoders."""
+tests' reference arithmetic and reference decoders, and one coefficient
+read back from a LaurentU."""
 
 from math import gcd
 
@@ -15,3 +16,10 @@ def from_dict(d):
     for e, c in d.items():
         out[(e - lo) // step] = c
     return LaurentU(lo, out, step)
+
+
+def coeff(x, e):
+    """The coefficient of u^e in x, 0 outside its run, read from the view
+    of x as a run in u from u^min."""
+    i = e - x.min
+    return x.coeffs[i] if 0 <= i < len(x.coeffs) else 0

@@ -15,7 +15,7 @@ from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           reduce_mod, u_pow, v_pow)
 
 from mirror import bar
-from terms import from_dict
+from terms import coeff, from_dict
 
 laurents = st.builds(LaurentU,
                      st.integers(min_value=-8, max_value=8),
@@ -68,8 +68,8 @@ def test_variable_membership():
     assert q_pow(-2).is_in_q()
     assert v_pow(3).is_in_v() and not v_pow(3).is_in_q()
     assert not u_pow(1).is_in_v()
-    assert (q_pow(2) + 5)[4 * 2] == 1
-    assert (q_pow(2) + 5)[4 * 0] == 5
+    assert coeff(q_pow(2) + 5, 4 * 2) == 1
+    assert coeff(q_pow(2) + 5, 4 * 0) == 5
 
 
 def test_qint_conventions():
@@ -123,12 +123,19 @@ def test_falling_and_multinomial():
 
 
 def test_binomial_products_equal_the_division_form():
-    # qbinom_q is a product of cyclotomic polynomials for 0 <= n <= i and
-    # the quotient outside that range: both against {i}_{q,n} / {n}_q!
+    # qbinom_q is a product of cyclotomic polynomials for 0 <= n <= i,
+    # against {i}_{q,n} / {n}_q!
     for i in range(41):
-        for n in range(-1, i + 3):
+        for n in range(i + 1):
             assert qbinom_q(i, n) == falling_q(i, n).exact_div(qfact_q(n)), \
                 (i, n)
+    # outside that range it is refused, as a negative power is, and so is
+    # the balanced binomial built on it
+    for i, n in ((5, -1), (0, -2), (3, 4), (-1, 0)):
+        with pytest.raises(ValueError):
+            qbinom_q(i, n)
+    with pytest.raises(ValueError):
+        qbinom_bal(4, -1)
 
 
 @pytest.mark.parametrize("top", [1, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64,
@@ -346,7 +353,7 @@ def _matches(x, ref):
             and hash(x) == hash(same) == hash(LaurentU(lo, run))
             and x.is_in_q() == all(e % 4 == 0 for e in ref)
             and x.is_in_v() == all(e % 2 == 0 for e in ref)
-            and all(x[e] == c for e, c in ref.items()))
+            and all(coeff(x, e) == c for e, c in ref.items()))
 
 
 @settings(deadline=None, max_examples=300)

@@ -155,8 +155,12 @@ def test_linking_data():
 def test_color_count_mismatch():
     with pytest.raises(ColorCountMismatch):
         colored_jones(builtin("hopf"), (1,))
+    # a framing per component: neither fewer nor more
+    for framings in ((1, -1), ()):
+        with pytest.raises(ColorCountMismatch):
+            colour_sum(builtin("unknot"), framings, 3)
     with pytest.raises(ColorCountMismatch):
-        colour_sum(builtin("unknot"), [[qnum(1)], [qnum(1)]])
+        colour_sum(builtin("borromean"), (1, -1), 3)
 
 
 def test_integrality_check_survives_optimize(monkeypatch):
@@ -378,10 +382,11 @@ def test_closure_keeps_the_nested_slices():
         (("id", 0, "d"), ("cap", 1), ("id", 0, "u")),
         (("cap", 0),))
     # component 2 outermost: strand 1 closes on the left, from a flipped
-    # cup to a cap over (up, down), with no crossing added
+    # cup to a cap over (up, down), with no crossing added; the cut record
+    # holds the steps after the outer cup U(2) and pins the cap A(2)
     assert builtin("hopf").cuts[1] == (
-        (0, "cup", 1, 0), (0, "cup", 0, 2), (1, "x", -1, 0, 1),
-        (1, "x", -1, 1, 0), (2, "cap", 1, -2), (0, "cap", 0, 0))
+        ((0, "cup", 0, 2), (1, "x", -1, 0, 1), (1, "x", -1, 1, 0),
+         (2, "cap", 1, -2), (0, "cap", 0, 0)), 3)
 
 
 def test_text_diagram_cut_only_at_a_lone_first_cup():
@@ -512,7 +517,7 @@ def test_contraction_is_the_same_at_every_split(braid, colors):
     cs = tuple(colors[:d.component_count])
     want = colored_jones(d, cs)
     for cut in (None, *d.cuts):
-        steps = d.steps if cut is None else d.cuts[cut][1:]
+        steps = d.steps if cut is None else d.cuts[cut][0]
         scale = 1 if cut is None else v_pow(cs[cut]) * qnum(cs[cut] + 1)
         for h in range(len(steps) + 1):
             with mock.patch.object(uwrt.tangles, "_split",
@@ -523,12 +528,15 @@ def test_contraction_is_the_same_at_every_split(braid, colors):
 
 def test_pins_find_the_cap_of_the_cut_up_strand():
     # the cap closing the cut's up strand: for the outermost drawing of
-    # strand t, the last right cap, followed by t left caps
+    # strand t, the last right cap, followed by t left caps; the cut
+    # record holds the steps after the cup, so none of them is that cup
     d = builtin("borromean")
-    for c, steps in d.cuts.items():
-        assert steps[1:][d.pins[c]][1] == "cap"
-        assert len(steps) - 2 - d.pins[c] == c
-    assert parse_diagram(BUILTIN_TEXT["hopf"]).pins == {0: 4}
+    for c, (steps, pin) in d.cuts.items():
+        assert steps[pin][1] == "cap"
+        assert len(steps) - 1 - pin == c
+        assert len(steps) == len(d.steps) - 1
+    text = parse_diagram(BUILTIN_TEXT["hopf"])
+    assert text.cuts == {0: (text.steps[1:], 4)}
 
 
 def _strip(strands, word, gone):
@@ -590,9 +598,8 @@ def test_sums_refuse_a_linked_diagram_before_packing(monkeypatch):
     monkeypatch.setattr(uwrt.tangles, "_contract", fail)
     uwrt.tangles._closed.cache_clear()
     hopf = closure_of_braid(2, [(1, 1), (1, 1)])
-    weights = [[qnum(c + 1) for c in range(3)]] * 2
     for call in (lambda: pprime_table(hopf, 2),
-                 lambda: colour_sum(hopf, weights)):
+                 lambda: colour_sum(hopf, (1, -1), 4)):
         with pytest.raises(NotAdmissible, match="components 1 and 2"):
             call()
 
@@ -638,9 +645,7 @@ def test_colour_sum_matches_the_laurent_sum(braid, r):
             for ci, f, w in zip(c, fr, d.writhes):
                 term = term * qnum(ci + 1) * twist_eigen(ci, f - w)
             want = want + term
-        weights = [[qnum(c + 1) * twist_eigen(c, f - w) for c in range(r - 1)]
-                   for f, w in zip(fr, d.writhes)]
-        assert colour_sum(d, weights) == want, fr
+        assert colour_sum(d, fr, r) == want, fr
 
 
 def test_packed_blocks_match_the_laurent_blocks():
@@ -702,7 +707,7 @@ def test_closed_pairs_are_canonical():
     # raw pairs differ) at colours <= 3
     d = closure_of_braid(3, [(1, 1), (1, 1), (2, -1), (1, 1), (2, -1),
                              (1, 1), (2, -1), (1, -1)])
-    steps = max(len(s) for s in d.cuts.values())
+    steps = max(len(s) for s, _ in d.cuts.values())
     for cs in product(range(4), repeat=3):
         pairs = set()
         for h in range(steps + 1):
