@@ -207,7 +207,7 @@ def common(surgery=False, diagram=False):
     args = (_args("--depth", type=int, default=DEFAULT_DEPTH,
                   help="truncation depth (default %(default)s); caps eval "
                        "rational and padic, unused by eval root, modp, "
-                       "modp-scan, ohtsuki and taylor")
+                       "modp-scan, jones, wrt, ohtsuki and taylor")
             + _args("--format", choices=("human", "json"), default="human"))
     if surgery:
         args += _args("--surgery",

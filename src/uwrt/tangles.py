@@ -28,10 +28,13 @@ cup, a cup as a cap); the two vectors meet in one dot product, the same
 matrix product associated differently.  _closed cuts the link open at
 the outer cup of one component; only an arc on the outer face can be
 cut, so a braid closure is also drawn with each component outermost.
-The cut's up strand crosses nothing and keeps one index e, so its cap,
-read backward, inserts (e, e) alone.  The cut tangle T is a scalar on
-V_a, so <e|T|e> is the same for every e, and only the cap's weight
-u^(s(a - 2e)) tells e = a from e = 0: _cut_plan picks the cheaper end.
+The cut's up strand crosses nothing and is closed by the last step, a
+cap over (down, up); the cut keeps the steps strictly between, and both
+halves start from the key (e, e).  The cut tangle T is a scalar on V_a,
+so <e|T|e> is the same for every e.  The cup weighs 1 and the cap
+u^(-2a) q^e, so the closed value is u^(-2a) <e|T|e> (1 + q + ... + q^a):
+_contract adds the u^(-2a), _closed the sum, and _cut_plan picks the
+cheaper end e = 0 or a.
 
 Strands of colour 0 cost nothing either.  V_0 has the one index 0, and
 in reps.braiding_terms with m or n zero only t = 0 is left, whose
@@ -159,12 +162,12 @@ class Diagram:
     crossing_sums[a][b] is twice the linking number of components a != b
     (0 if a = b), writhes[a] the self-writhe (blackboard framing) of a.
     steps lists the non-identity events in contraction order, each at
-    its interface position (see _validate).  cuts[c] = (steps, pin), the
-    cut record of component c, holds the steps after the outer plain cup
-    of c that opens a drawing, and the index in them of the cap closing
-    that cup's up strand: for a lone plain cup in the first slice, and for
-    the drawings given (see closure_of_braid).  A Diagram equals and
-    hashes as its slices, their hash computed once.
+    its interface position (see _validate).  cuts[c], the cut record of
+    component c, holds the steps of a drawing strictly between the outer
+    plain cup of c that opens it and the cap that closes the cup's up
+    strand last: for the slices (see _validate), and for the drawings
+    given (see closure_of_braid).  A Diagram equals and hashes as its
+    slices, their hash computed once.
     """
 
     __slots__ = ("slices", "component_count", "crossing_sums", "writhes",
@@ -177,9 +180,8 @@ class Diagram:
         (self.component_count, self.crossing_sums, self.writhes,
          self.steps, cut) = _validate(self.slices)
         self.cuts = dict(cuts)
-        first = self.slices[0]
-        if len(first) == 1 and first[0][0] == "cup" and not first[0][2]:
-            self.cuts[first[0][1]] = cut
+        if cut is not None:
+            self.cuts[self.steps[0][2]] = cut
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.slices == other.slices
@@ -194,7 +196,8 @@ class Diagram:
 
 def _validate(slices):
     """(components, crossing sums, writhes, steps, cut) of a closed slice
-    word; cut = (steps[1:], pin) is the first cup's record (Diagram.cuts).
+    word; cut = steps[1:-1], the record (Diagram.cuts) of a lone plain
+    cup in the first slice whose up strand the final step caps, else None.
 
     Each non-identity event becomes one step (p, kind, ...), p its
     position in the interface of that moment: the strands that the
@@ -216,7 +219,7 @@ def _validate(slices):
     comps = set()
     loops = {}
     signed = {}
-    steps, pin = [], None
+    steps, closes = [], False
     for row, events in enumerate(slices):
         pos = 0
         out = []
@@ -255,8 +258,7 @@ def _validate(slices):
                 if {o1, o2} != {"d", "u"}:
                     raise InterfaceMismatch(
                         f"slice {row + 1}: cap needs opposite orientations")
-                if (c, "u", 0) in below:
-                    pin = len(steps) - 1
+                closes = (c, "u", 0) in below
                 r1, r2 = find(sg1), find(sg2)
                 if r1 == r2:
                     loops[c] = loops.get(c, 0) + 1
@@ -300,7 +302,8 @@ def _validate(slices):
     sums = tuple(tuple(signed.get((a, b), 0) for b in range(m))
                  for a in range(m))
     steps = tuple(steps)
-    return m, sums, writhes, steps, (steps[1:], pin)
+    lone = len(slices[0]) == 1 and not steps[0][3]
+    return m, sums, writhes, steps, steps[1:-1] if closes and lone else None
 
 
 # -- parser -----------------------------------------------------------------
@@ -390,28 +393,21 @@ def pbinom(b, t):
 
 @lru_cache(maxsize=None)
 def _packed_block(m, n, sign):
-    """reps.braiding(m, n, sign) packed (module docstring).  C(b, t) 2^t
-    bounds a term's coefficients (the binomial's are nonnegative and sum
-    to C(b, t); the t factors q^k - 1 have L1 norm 2), so DomainError
-    before any factor is formed if a block's largest bound passes a digit."""
+    """(forward, backward): reps.braiding(m, n, sign) packed (module
+    docstring), input pair -> terms, and read backward, output pair ->
+    terms over the inputs.  C(b, t) 2^t bounds a term's coefficients (the
+    binomial's are nonnegative and sum to C(b, t); the t factors q^k - 1
+    have L1 norm 2), so DomainError before any factor is formed if a
+    block's largest bound passes a digit."""
     terms = tuple(braiding_terms(m, n, sign))
     if max(comb(b, t) << t for *_, b, _, t in terms) > _HALF - _GUARD:
         raise DomainError(f"braiding block on colours {m}, {n} passes a digit")
-    block = {}
+    block, back = {}, {}
     for pair, out, e, s, b, a, t in terms:
-        term = (out, e, s * pbinom(b, t) * pfall(a, t))
-        block[pair] = block.get(pair, ()) + (term,)
-    return block
-
-
-@lru_cache(maxsize=None)
-def _transposed(m, n, sign):
-    """_packed_block(m, n, sign) read backward: output pair -> inputs."""
-    block = {}
-    for pair, terms in _packed_block(m, n, sign).items():
-        for out, off, mag in terms:
-            block[out] = block.get(out, ()) + ((pair, off, mag),)
-    return block
+        mag = s * pbinom(b, t) * pfall(a, t)
+        block[pair] = block.get(pair, ()) + ((out, e, mag),)
+        back[out] = back.get(out, ()) + ((pair, e, mag),)
+    return block, back
 
 
 def _split(steps):
@@ -421,34 +417,33 @@ def _split(steps):
 
 
 @lru_cache(maxsize=None)
-def _cup_cap(n, s, pin):
+def _cup_cap(n, s):
     """(insert, close) blocks of a cup or cap on colour n with shift s."""
-    ids = range(n + 1) if pin is None else (pin,)
-    return ({(): tuple(((i, i), s * (n - 2 * i), 1) for i in ids)},
-            {(i, i): (((), s * (n - 2 * i), 1),) for i in ids})
+    return ({(): tuple(((i, i), s * (n - 2 * i), 1) for i in range(n + 1))},
+            {(i, i): (((), s * (n - 2 * i), 1),) for i in range(n + 1)})
 
 
-def _block(step, colors, back, pin):
+def _block(step, colors, back):
     """(p, q, block) of a step, the block mapping key[p:q] to its terms;
-    transposed if back.  A pinned cap has the one pair (pin, pin)."""
+    transposed if back."""
     p, kind, *rest = step
     if kind == "x":
-        block = _transposed if back else _packed_block
-        return p, p + 2, block(colors[rest[1]], colors[rest[2]], rest[0])
+        return p, p + 2, _packed_block(colors[rest[1]], colors[rest[2]],
+                                       rest[0])[back]
     close = (kind == "cup") == back
-    return p, p + 2 * close, _cup_cap(colors[rest[0]], rest[1], pin)[close]
+    return p, p + 2 * close, _cup_cap(colors[rest[0]], rest[1])[close]
 
 
 @lru_cache(maxsize=None)
 def _weighted(d, cut, blank):
-    """(steps, pin) of d uncut (pin None) or of its cut record d.cuts[cut],
-    with the strands of the components in blank taken out (module
-    docstring); comps holds the component of each interface strand, from
-    the cut's pair if there is a cut."""
-    steps, pin = (d.steps, None) if cut is None else d.cuts[cut]
+    """The steps of d uncut or of its cut record d.cuts[cut], with the
+    strands of the components in blank taken out (module docstring);
+    comps holds the component of each interface strand, from the cut's
+    pair if there is a cut."""
+    steps = d.steps if cut is None else d.cuts[cut]
     comps = [] if cut is None else [cut, cut]
-    kept, kept_pin = [], None
-    for k, (p, kind, *rest) in enumerate(steps):
+    kept = []
+    for p, kind, *rest in steps:
         shift = sum(c in blank for c in comps[:p])
         touched = rest[1:] if kind == "x" else rest[:1]
         if kind == "x":
@@ -458,9 +453,8 @@ def _weighted(d, cut, blank):
         else:
             del comps[p:p + 2]
         if blank.isdisjoint(touched):
-            kept_pin = len(kept) if k == pin else kept_pin
             kept.append((p - shift, kind, *rest))
-    return tuple(kept), kept_pin
+    return tuple(kept)
 
 
 def _contract(d, colors, cut=None):
@@ -478,36 +472,36 @@ def _contract(d, colors, cut=None):
     associated at the middle: exact.  Its products are summed as plain
     ints per offset, and _padd folds the few offsets.
 
-    With cut=c the steps of d.cuts[c] run from the key (e, e), e = 0
-    or the colour of c as _cut_plan(d, c) says, times u^(2se), s the shift
-    of its pinned cap on the cut's up strand: the (0, 0) element of
-    the link cut open at the outer cup of c (module docstring, _closed).
+    With cut=c, of colour a, both halves of the record d.cuts[c] run
+    from the key (e, e), e = 0 or a as _cut_plan(d, c) says, and the
+    products take the cut's weight u^(-2a): the (e, e) element of the
+    link cut open at the outer cup of c (module docstring, _closed).
     _weighted first takes out the strands of colour 0, a cut's pair too.
     """
     blank = frozenset(c for c, n in enumerate(colors) if not n)
-    steps, pin = _weighted(d, cut, blank)
-    end = None if pin is None else colors[cut] * _cut_plan(d, cut)[1]
-    ket, bra = sorted(_halves(steps, colors, pin, end)[:2], key=len)
+    steps = _weighted(d, cut, blank)
+    a = 0 if cut is None else colors[cut]
+    end = a * _cut_plan(d, cut)[1] if a else None
+    ket, bra = sorted(_halves(steps, colors, end)[:2], key=len)
     sums = {}
     for key, (o, mag) in ket.items():
         if (b := bra.get(key)) is not None:
-            sums[o + b[0]] = sums.get(o + b[0], 0) + mag * b[1]
+            o += b[0] - 2 * a
+            sums[o] = sums.get(o, 0) + mag * b[1]
     return reduce(_padd, sums.items(), PACKED_ZERO)
 
 
-def _halves(steps, colors, pin, end):
-    """(ket, bra, entries) of _contract from the key (end, end), or () if
-    end is None, and the number of state entries made on the way."""
+def _halves(steps, colors, end):
+    """(ket, bra, entries) of _contract, both halves from the key
+    (end, end), or () if end is None, and the number of state entries
+    made on the way."""
     h = _split(steps)
     halves, entries = [], 0
-    start = {(): PACKED_ONE} if end is None else \
-        {(end, end): (2 * steps[pin][3] * end, 1)}
-    for back, order, state in (
-            (False, range(h), start),
-            (True, range(len(steps) - 1, h - 1, -1), {(): PACKED_ONE})):
-        for k in order:
-            p, q, block = _block(steps[k], colors, back,
-                                 end if k == pin else None)
+    start = {() if end is None else (end, end): PACKED_ONE}
+    for back, run in ((False, steps[:h]), (True, reversed(steps[h:]))):
+        state = start
+        for step in run:
+            p, q, block = _block(step, colors, back)
             new = {}
             for key, (o, mag) in state.items():
                 terms = block.get(key[p:q])
@@ -533,8 +527,7 @@ def _cut_plan(d, c):
     """(entries, e): the fewer state entries of _halves at colour 1, a
     count (not a timing), from the ends e = 0, 1 of the cut at c.  Keyed
     by c, as a Diagram of a braid closure's slices has its first cut only."""
-    steps, pin = d.cuts[c]
-    return min((_halves(steps, (1,) * d.component_count, pin, e)[2], e)
+    return min((_halves(d.cuts[c], (1,) * d.component_count, e)[2], e)
                for e in (0, 1))
 
 
@@ -643,7 +636,8 @@ def closure_of_braid(strands, word, name=None):
     face can be cut, so Diagram.cuts also keeps, for each other
     component, the steps of the link drawn with its first strand t
     outermost: strands left of t close on the left (a flipped cup at
-    the top, a cap over (up, down) at the bottom), with no crossing added.
+    the top, a cap over (up, down) at the bottom), with no crossing added,
+    and before the strands right of t, so that t's cap is the last step.
     A word that is not a sequence, a letter that is not a list or tuple
     of two ints, a strand count that is not an int, or a letter off
     1 <= position < strands or sign +-1, is an InputError.
@@ -690,11 +684,11 @@ def closure_of_braid(strands, word, name=None):
                           + [("x", sign, comp_of[a], comp_of[b])]
                           + ids("d", current[p + 1:]) + right)
             current[p - 1], current[p] = b, a
-        slices += [left + ids("d", current[:k])
-                   + [("cap", comp_of[current[k]])] + right[strands - k:]
-                   for k in range(strands - 1, t - 1, -1)]
         slices += [left[:t - 1 - k] + [("cap", comp_of[current[k]])]
-                   + ids("d", current[k + 1:t]) for k in range(t)]
+                   + ids("d", current[k + 1:]) + right for k in range(t)]
+        slices += [ids("d", current[t:k]) + [("cap", comp_of[current[k]])]
+                   + right[strands - k:]
+                   for k in range(strands - 1, t - 1, -1)]
         return slices
 
     cuts = {c: _validate(drawing(comp_of.index(c)))[4] for c in range(1, m)}

@@ -593,8 +593,8 @@ _CHOICES = ("(choose from 'jones', 'jm', 'eval', 'ohtsuki', 'taylor', "
 _DEPTH_HELP = ("  --depth DEPTH         truncation depth (default 10); caps "
                "eval rational and\n"
                "                        padic, unused by eval root, modp, "
-               "modp-scan, ohtsuki\n"
-               "                        and taylor\n")
+               "modp-scan, jones,\n"
+               "                        wrt, ohtsuki and taylor\n")
 _RECORDED = {
     "": ("", _USAGE + "uwrt: error: the following arguments are required: "
          "command\n", 2),

@@ -26,6 +26,7 @@ from uwrt.repring import omega_coeff
 from uwrt.reps import twist_eigen
 from uwrt.tangles import builtin, closure_of_braid
 
+from doubling import double
 from mirror import bar
 
 BORROMEAN_WORD = [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, -1)]
@@ -109,6 +110,25 @@ def test_four_component_sum_matches_the_rolfsen_twist():
         x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=fr), 5)
         want = jm_borromean(-2 * fr[0], -fr[2], -fr[3], 5)
         assert equals_at_depth(x, want, 5), fr
+
+
+def test_w4_doubles_the_first_borromean_strand():
+    assert double(3, BORROMEAN_WORD, 0) == (4, W4)
+
+
+@pytest.mark.parametrize("c", range(3))
+def test_each_doubled_borromean_component_is_a_rolfsen_twist(c):
+    # both copies of component c framed -s are -1/(2s) surgery on it, so
+    # slot c of the closed form is 2s; the other two keep -f.  Each
+    # doubling draws its own cut drawings, closed on the left first
+    d = closure_of_braid(*double(3, BORROMEAN_WORD, c))
+    assert d.writhes == (0,) * 4
+    for s, *other in product((1, -1), repeat=3):
+        fr = (*other[:c], -s, -s, *other[c:])
+        want = [-f for f in other]
+        want.insert(c, 2 * s)
+        x = jm_from_surgery(SurgeryPresentation(diagram=d, framings=fr), 4)
+        assert equals_at_depth(x, jm_borromean(*want, 4), 4), fr
 
 
 def test_stabilised_borromean_matches_builtin():
@@ -426,6 +446,25 @@ def test_reduced_jones():
     assert reduced_jones(stabilised, 6) == knot_borromean(1, 1, 6)
     with pytest.raises(NotAKnot):
         reduced_jones(builtin("hopf"), 4)
+
+
+@pytest.mark.parametrize("d, ij, depth", [
+    (closure_of_braid(3, [(1, 1)] * 3 + [(2, 1), (1, -1), (2, 1)]),
+     (-2, -1), 10),                                             # 5_2
+    (closure_of_braid(4, [(1, 1), (1, 1), (2, 1), (1, -1), (3, -1), (2, 1),
+                          (3, -1)]), (-2, 1), 8),               # 6_1
+    (FIGURE_EIGHT, (1, -1), 10)], ids=("5_2", "6_1", "4_1"))
+def test_twist_knots_match_the_closed_form(d, ij, depth):
+    # knot_borromean(i, j) is the cyclotomic expansion of the twist knot
+    # K_(i,j) (Masbaum), an oracle the engine does not compute
+    assert reduced_jones(d, depth) == knot_borromean(*ij, depth)
+
+
+def test_a_torus_knot_is_no_twist_knot():
+    # 5_1 = T(2, 5) is not K_(i,j) for any 0 < |i|, |j| <= 3
+    r = reduced_jones(closure_of_braid(2, [(1, 1)] * 5), 4)
+    assert not [ij for ij in product((-3, -2, -1, 1, 2, 3), repeat=2)
+                if knot_borromean(*ij, 4) == r]
 
 
 def test_theta():

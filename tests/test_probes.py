@@ -11,7 +11,7 @@ from uwrt.invariants import borromean_presentation, jm_borromean, wrt
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PROBES = PERFBENCH / "probes.py"
 
-CACHES = ("uwrt.tangles._packed_block", "uwrt.tangles._transposed",
+CACHES = ("uwrt.tangles._packed_block",
           "uwrt.tangles.pfall", "uwrt.tangles.pbinom",
           "uwrt.tangles._packed_weight", "uwrt.tangles._closed",
           "uwrt.tangles._weighted", "uwrt.tangles._cut_plan")

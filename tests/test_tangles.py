@@ -382,22 +382,31 @@ def test_closure_keeps_the_nested_slices():
         (("id", 0, "d"), ("cap", 1), ("id", 0, "u")),
         (("cap", 0),))
     # component 2 outermost: strand 1 closes on the left, from a flipped
-    # cup to a cap over (up, down), with no crossing added; the cut record
-    # holds the steps after the outer cup U(2) and pins the cap A(2)
+    # cup to a cap over (up, down), with no crossing added, and before
+    # the cap A(2) that ends the drawing; the cut record holds the steps
+    # strictly between the outer cup U(2) and that cap
     assert builtin("hopf").cuts[1] == (
-        ((0, "cup", 0, 2), (1, "x", -1, 0, 1), (1, "x", -1, 1, 0),
-         (2, "cap", 1, -2), (0, "cap", 0, 0)), 3)
+        (0, "cup", 0, 2), (1, "x", -1, 0, 1), (1, "x", -1, 1, 0),
+        (0, "cap", 0, 0))
 
 
 def test_text_diagram_cut_only_at_a_lone_first_cup():
+    # and only where the final step caps that cup's up strand: the lone
+    # first cup of the distant unlink is capped by the second of three
+    # steps, so its value is contracted uncut, [m+1][n+1]
     assert set(parse_diagram(BUILTIN_TEXT["hopf"]).cuts) == {0}
     for text in ("U'(1)\nA(1)\n", "U(1) U(2)\nA(1) A(2)\n"):
         assert parse_diagram(text).cuts == {}
+    unlink = parse_diagram("U(1)\nA(1) U(2)\nA(2)\n")
+    assert unlink.cuts == {}
+    for m, n in product(range(4), repeat=2):
+        assert colored_jones(unlink, (m, n)) == qnum(m + 1) * qnum(n + 1)
 
 
 def test_largest_colour_is_cut(monkeypatch):
-    # a component of largest colour, ties by _cut_plan: on the Borromean
-    # word it ranks the cut at 1 first, then 0, then 2
+    # a component of largest colour, ties by _cut_plan and then by the
+    # component: on the Borromean word it ranks the cut at 1 first, then
+    # 0 and 2, whose plans are equal
     calls = []
 
     def recording(d, colors, cut=None):
@@ -408,8 +417,9 @@ def test_largest_colour_is_cut(monkeypatch):
     monkeypatch.setattr(uwrt.tangles, "_contract", recording)
     uwrt.tangles._closed.cache_clear()
     d = builtin("borromean")
-    assert sorted(d.cuts, key=lambda c: uwrt.tangles._cut_plan(d, c)) == \
-        [1, 0, 2]
+    plan = uwrt.tangles._cut_plan
+    assert plan(d, 0) == plan(d, 2)
+    assert sorted(d.cuts, key=lambda c: (plan(d, c), c)) == [1, 0, 2]
     for colors, cut in (((1, 4, 1), 1), ((4, 1, 1), 0), ((1, 1, 4), 2),
                         ((1, 1, 1), 1), ((1, 4, 4), 1), ((2, 1, 2), 0)):
         calls.clear()
@@ -451,9 +461,9 @@ def test_every_cut_drawing_gives_the_closed_value(braid, colors):
        st.lists(st.integers(min_value=0, max_value=3), min_size=4,
                 max_size=4))
 def test_either_end_of_every_cut_gives_the_closed_value(braid, colors):
-    # the cut tangle is a scalar on V_a, so the element from (a, a), its
-    # offset shifted by the pinned cap's weight, is the one from (0, 0):
-    # each end forced on every cut, against the uncut contraction
+    # the cut tangle is a scalar on V_a, so the element from (a, a) is
+    # the one from (0, 0), both under the cut's weight u^(-2a): each end
+    # forced on every cut, against the uncut contraction
     d = closure_of_braid(*braid)
     cs = tuple(colors[:d.component_count])
     closed = unpack(uwrt.tangles._contract(d, cs))
@@ -517,7 +527,7 @@ def test_contraction_is_the_same_at_every_split(braid, colors):
     cs = tuple(colors[:d.component_count])
     want = colored_jones(d, cs)
     for cut in (None, *d.cuts):
-        steps = d.steps if cut is None else d.cuts[cut][0]
+        steps = d.steps if cut is None else d.cuts[cut]
         scale = 1 if cut is None else v_pow(cs[cut]) * qnum(cs[cut] + 1)
         for h in range(len(steps) + 1):
             with mock.patch.object(uwrt.tangles, "_split",
@@ -526,17 +536,43 @@ def test_contraction_is_the_same_at_every_split(braid, colors):
             assert value * scale == want, (cut, h)
 
 
-def test_pins_find_the_cap_of_the_cut_up_strand():
-    # the cap closing the cut's up strand: for the outermost drawing of
-    # strand t, the last right cap, followed by t left caps; the cut
-    # record holds the steps after the cup, so none of them is that cup
-    d = builtin("borromean")
-    for c, (steps, pin) in d.cuts.items():
-        assert steps[pin][1] == "cap"
-        assert len(steps) - 1 - pin == c
-        assert len(steps) == len(d.steps) - 1
+def _step_slices(steps):
+    """Slices drawing a step sequence, one non-identity event a slice."""
+    interface, slices = [], []
+    for p, kind, *rest in steps:
+        left, right = interface[:p], interface[p + 2 * (kind != "cup"):]
+        if kind == "cup":
+            c, s = rest
+            pair = [(c, "u"), (c, "d")] if s else [(c, "d"), (c, "u")]
+            event = ("cup", c, bool(s))
+        elif kind == "cap":
+            pair, event = [], ("cap", rest[0])
+        else:
+            pair, event = [(rest[2], "d"), (rest[1], "d")], ("x", *rest)
+        slices.append([("id", c, o) for c, o in left] + [event]
+                      + [("id", c, o) for c, o in right])
+        interface = left + pair + right
+    return slices
+
+
+@settings(deadline=None, max_examples=60)
+@given(braids(5, min_strands=1, max_letters=8))
+def test_a_cut_record_lies_between_the_first_cup_and_the_last_cap(braid):
+    # each cut record of a braid closure, between a plain cup of its
+    # component and a final cap of that component over (down, up), is a
+    # closed drawing of the same link whose own cut is that record: the
+    # cap closes the cup's up strand, and it is the last step
+    d = closure_of_braid(*braid)
+    assert d.cuts[0] == d.steps[1:-1]
+    for c, record in d.cuts.items():
+        steps = ((0, "cup", c, 0), *record, (0, "cap", c, -2))
+        drawn = uwrt.tangles.Diagram(_step_slices(steps))
+        assert drawn.steps == steps
+        assert drawn.cuts == {c: record}
+        assert (drawn.writhes, drawn.crossing_sums) == \
+            (d.writhes, d.crossing_sums)
     text = parse_diagram(BUILTIN_TEXT["hopf"])
-    assert text.cuts == {0: (text.steps[1:], 4)}
+    assert text.cuts == {0: text.steps[1:-1]}
 
 
 def _strip(strands, word, gone):
@@ -655,7 +691,15 @@ def test_packed_blocks_match_the_laurent_blocks():
     for m, n, s in product(range(9), range(9), (1, -1)):
         want = {pair: tuple(((j2, i2),) + pack(c) for j2, i2, c in terms)
                 for pair, terms in braiding(m, n, s).items()}
-        assert uwrt.tangles._packed_block(m, n, s) == want, (m, n, s)
+        block, back = uwrt.tangles._packed_block(m, n, s)
+        assert block == want, (m, n, s)
+        # the backward block reads each term from its output pair
+        transposed = {}
+        for pair, terms in want.items():
+            for out, off, mag in terms:
+                transposed.setdefault(out, set()).add((pair, off, mag))
+        assert {out: set(terms) for out, terms in back.items()} == \
+            transposed, (m, n, s)
 
 
 def test_packed_binomials_are_the_q_binomials():
@@ -707,7 +751,7 @@ def test_closed_pairs_are_canonical():
     # raw pairs differ) at colours <= 3
     d = closure_of_braid(3, [(1, 1), (1, 1), (2, -1), (1, 1), (2, -1),
                              (1, 1), (2, -1), (1, -1)])
-    steps = max(len(s) for s, _ in d.cuts.values())
+    steps = max(map(len, d.cuts.values()))
     for cs in product(range(4), repeat=3):
         pairs = set()
         for h in range(steps + 1):
