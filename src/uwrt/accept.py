@@ -209,7 +209,7 @@ def criterion_10():
             return False, f"theta at i = {i}"
     kash = theta0(rj)
     for r in range(1, 7):
-        want = reduce_mod(theta(rj, r), cyclotomic_coeffs(r))
+        want = reduce_mod(theta(rj, r), cyclotomic_coeffs(r), n=r)
         got = eval_root(kash, r)
         if r == 1:
             want = want.as_integer()

@@ -300,7 +300,7 @@ def _unknot_I(r, sign):
         for k in range(-c, c + 1):
             acc[(sign * c * (c + 2) + 4 * k) % (4 * r)] += c + 1 - abs(k)
     f = cyclotomic_coeffs(4 * r)
-    return ModPoly(f, remainder(0, acc, f))
+    return ModPoly(f, remainder(0, acc, f, 4 * r))
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +309,7 @@ def _unknot_inverse(r, f):
     identity U_f (-U_(-f) {1}^2) = 2r (Kirby-Melvin), 2r times the
     inverse of U_f.  The product is checked: DomainError if it is not 2r."""
     mod4 = cyclotomic_coeffs(4 * r)
-    inv = -_unknot_I(r, -f) * reduce_mod(qint_bal(1) ** 2, mod4, "u")
+    inv = -_unknot_I(r, -f) * reduce_mod(qint_bal(1) ** 2, mod4, "u", 4 * r)
     if _unknot_I(r, f) * inv != 2 * r:
         raise DomainError(f"U_{f:+d} (-U_{-f:+d} {{1}}^2) is not {2 * r} "
                           f"mod Phi_{4 * r}")
@@ -322,8 +322,9 @@ def wrt(pres, r):
 
     With x = q^(1/4), the colour sum T (tangles.colour_sum, colour c of
     a component of framing f and writhe w weighted by [c+1]
-    theta_c^(f-w)) is reduced mod Phi_4r over Z and divided by the
-    framed unknot values U_f, one per framing.  As U_f (-U_(-f) {1}^2)
+    theta_c^(f-w)) is folded mod x^(4r) - 1, which Phi_4r divides, then
+    reduced mod Phi_4r over Z and divided by the framed unknot values
+    U_f, one per framing.  As U_f (-U_(-f) {1}^2)
     = 2r (_unknot_inverse), the value is T prod_f (-U_(-f) {1}^2)
     / (2r)^b, b the number of framings: one exact division of the
     coordinates in the integral basis 1, x, x^2, ... of Z[x]/(Phi_4r).
@@ -340,7 +341,7 @@ def wrt(pres, r):
     d, fr = _diagram_form(pres)
     _check_admissible(d, fr)
     total = ONE if d is None else colour_sum(d, fr, r)
-    value = reduce_mod(total, cyclotomic_coeffs(4 * r), "u")
+    value = reduce_mod(total, cyclotomic_coeffs(4 * r), "u", 4 * r)
     for f in fr:
         value = value * _unknot_inverse(r, f)
     scale = (2 * r) ** len(fr)

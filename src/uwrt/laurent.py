@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 from operator import add, neg
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
@@ -338,13 +338,18 @@ ONE = u_pow(0)
 
 @lru_cache(maxsize=None)
 def cyclotomic(n):
-    """n-th cyclotomic polynomial in q, by the divisor recursion."""
+    """Phi_n(q) = prod_(d | n) (1 - q^d)^mu(n/d), negated at n = 1: exact as
+    a power series to degree phi(n) = deg Phi_n, one strided pass a factor."""
     require_positive("n", n)
-    acc = q_pow(n) - 1
-    for d in range(1, n):
-        if n % d == 0:
-            acc = acc.exact_div(cyclotomic(d))
-    return acc
+    factors = [(n, 1)]                    # (d, mu(n/d)), n/d squarefree
+    for p in range(2, n + 1):
+        if not n % p and all(p % k for k in range(2, isqrt(p) + 1)):
+            factors += [(d // p, -s) for d, s in factors]
+    run = [-1 if n == 1 else 1] + [0] * sum(s * d for d, s in factors)
+    for d, s in factors:
+        for k in range(d, len(run))[::-s]:     # a factor top down, else up
+            run[k] -= s * run[k - d]
+    return LaurentU.from_q_coeffs(0, run)
 
 
 def cyclotomic_coeffs(n):
@@ -565,16 +570,25 @@ def is_unit(a, f, p):
     return len(g) == 1
 
 
-def remainder(lo, run, f):
+def fold(lo, run, n):
+    """The n coefficients of x^lo * sum_i run[i] x^i mod x^n - 1, any lo."""
+    run = [0] * (lo % n) + list(run)
+    return [sum(run[k::n]) for k in range(n)]
+
+
+def remainder(lo, run, f, n=None):
     """Remainder over Z of x^lo * sum_i run[i] x^i modulo f.
 
     f is a coefficient sequence, constant term first, with leading
     coefficient +-1 (else NotAUnit), so one long division over Z gives
     the remainder of the polynomial part.  A negative lo then takes
     |lo| exact divisions by x, r <- (r - r(0) f(0) f) / x, each O(deg f);
-    they need f(0) = +-1 (else NonInvertibleVariable).  Returns the
-    deg f coefficients of the remainder, constant term first.
+    they need f(0) = +-1 (else NonInvertibleVariable).  An order n with
+    f | x^n - 1, as Phi_n has, first folds the value mod x^n - 1 (fold).
+    Returns the deg f coefficients of the remainder, constant term first.
     """
+    if n:
+        lo, run = 0, fold(lo, run, n)
     f = tuple(f)
     deg = len(f) - 1
     lead = f[-1] if f else 0
@@ -602,7 +616,7 @@ def remainder(lo, run, f):
     return r
 
 
-def reduce_mod(a, f, var="q"):
+def reduce_mod(a, f, var="q", n=None):
     """Reduce a LaurentU modulo a polynomial f in q (var "q") or in u
     (var "u"), over Z.
 
@@ -610,11 +624,11 @@ def reduce_mod(a, f, var="q"):
     (cyclotomic_coeffs gives it for Phi_n).  The remainder is taken over
     Z in one pass (remainder), so f must have leading coefficient +-1,
     and also f(0) = +-1 when a has negative exponents; cyclotomic moduli
-    have both.  Z -> F_p is a ring map, so ModPoly(f, coeffs, p) of the
-    result is the reduction over F_p.
+    have both; an order n with f | var^n - 1 folds a first.  Z -> F_p is
+    a ring map, so ModPoly(f, coeffs, p) of the result is over F_p.
     """
     if var == "u":
-        return ModPoly(f, remainder(a._lo, _spread(a._run, a._step), f))
+        return ModPoly(f, remainder(a._lo, _spread(a._run, a._step), f, n))
     if not a.is_in_q():
         raise NotInQ("value is not a polynomial in q")
-    return ModPoly(f, remainder(a._lo // 4, a._run, f))
+    return ModPoly(f, remainder(a._lo // 4, a._run, f, n))

@@ -25,7 +25,7 @@ from math import comb
 
 from .errors import DepthExceeded, NotInQ, require_positive
 from .laurent import (LaurentU, ZERO, ModPoly, RingElem, cyclotomic,
-                      cyclotomic_coeffs, pochhammer, remainder)
+                      cyclotomic_coeffs, fold, pochhammer, remainder)
 
 DEFAULT_DEPTH = 10
 
@@ -84,16 +84,21 @@ class HabiroElem(RingElem):
 
     __rmul__ = __mul__
 
-    def expand(self, d):
-        """The q-run (lo, run) of sum_{n<d} c_n (q)_n, the polynomial
-        q^lo * sum_i run[i] q^i, by Horner: P <- c_n + (1 - q^(n+1)) P."""
-        lo, run = 0, []
+    def expand(self, d, period=None):
+        """The q-run (lo, run) of sum_{n<d} c_n (q)_n, q^lo * sum_i run[i]
+        q^i, by Horner: P <- c_n + (1 - q^(n+1)) P; with a period, lo = 0
+        and run mod q^period - 1 (fold), exact mod Phi_r for r | period."""
+        lo, run = 0, [0] * (period or 0)
         for n in range(d - 1, -1, -1):
-            if run:
+            clo, crun = self.terms[n].q_run()
+            if period:
+                s = (n + 1) % period
+                run = [a - b + c for a, b, c in zip(
+                    run, run[-s:] + run[:-s], fold(clo // 4, crun, period))]
+            elif run:
                 pad = [0] * (n + 1)
                 run = [a - b for a, b in zip(run + pad, pad + run)]
-            clo, crun = self.terms[n].q_run()
-            if crun:
+            if crun and not period:
                 clo //= 4
                 if clo < lo:
                     run = [0] * (lo - clo) + run
@@ -142,13 +147,13 @@ def equals_at_depth(x, y, d):
 
 
 def eval_root(x, r):
-    """s_zeta at a primitive r-th root of unity, as an element of
-    Z[q]/(Phi_r); returns a plain integer when r = 1."""
+    """s_zeta at a primitive r-th root of unity in Z[q]/(Phi_r), through
+    Z[q]/(q^r - 1), where (q)_n = 0 for n >= r; an integer when r = 1."""
     require_positive("r", r)
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
     f = cyclotomic_coeffs(r)
-    val = ModPoly(f, remainder(*x.expand(r), f))
+    val = ModPoly(f, remainder(*x.expand(r, r), f, r))
     return val.as_integer() if r == 1 else val
 
 

@@ -21,6 +21,8 @@ _bias: no other code calls array() or reads int.from_bytes or .to_bytes.
 Every memo is an lru_cache, so none is a module-level container named
 for a cache, and a count or order below 1 is refused in one place,
 errors.require_positive: no other raise builds a "must be >= 1" message.
+A remainder or reduce_mod by cyclotomic_coeffs(n) passes the order, so
+the value is folded mod x^n - 1 before the division.
 """
 
 import ast
@@ -429,3 +431,82 @@ def test_storage_read_detector(tmp_path):
         encoding="utf-8")
     assert storage_reads(tmp_path) == [
         "a:2 .coeffs[::k]", "a:3 .coeffs[::k]", f"a:7 .{slot}"]
+
+
+_ORDER_AFTER = {"remainder": 1, "reduce_mod": 2}   # n's offset past f
+
+
+def _called(node):
+    """The name of a call's function, bare or an attribute."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _is_phi(arg, phis):
+    """Whether arg is a cyclotomic_coeffs(...) call or a name in phis."""
+    if isinstance(arg, ast.Call):
+        return _called(arg) == "cyclotomic_coeffs"
+    return isinstance(arg, ast.Name) and arg.id in phis
+
+
+def unfolded_cyclotomic_reductions(src=SRC):
+    """Sorted "module:line name" of every remainder or reduce_mod call
+    under src whose modulus is cyclotomic_coeffs(...), or a name that the
+    same function assigns from it, and that passes no order n."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [node for node in ast.walk(tree) if isinstance(node, _DEFS)]
+        scopes.append(ast.Module(body=[
+            node for node in tree.body
+            if not isinstance(node, _DEFS + (ast.ClassDef,))],
+            type_ignores=[]))
+        for scope in scopes:
+            phis = {target.id for node in ast.walk(scope)
+                    if isinstance(node, ast.Assign)
+                    and _is_phi(node.value, ())
+                    for target in node.targets
+                    if isinstance(target, ast.Name)}
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call)
+                        and _called(node) in _ORDER_AFTER):
+                    continue
+                name = _called(node)
+                keywords = {k.arg: k.value for k in node.keywords}
+                at = next((i for i, arg in enumerate(node.args)
+                           if _is_phi(arg, phis)), None)
+                if at is None and not _is_phi(keywords.get("f"), phis):
+                    continue
+                if "n" not in keywords and (
+                        at is None
+                        or len(node.args) <= at + _ORDER_AFTER[name]):
+                    found.add(f"{path.stem}:{node.lineno} {name}")
+    return sorted(found)
+
+
+def test_every_cyclotomic_reduction_folds():
+    # Phi_n divides x^n - 1, so a value is folded to n coefficients
+    # before its division by Phi_n; the order is what turns the fold on
+    assert unfolded_cyclotomic_reductions() == []
+
+
+def test_unfolded_reduction_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .laurent import cyclotomic_coeffs, reduce_mod, remainder\n\n\n"
+        "def wrt(total, r):\n"
+        "    f = cyclotomic_coeffs(4 * r)\n"
+        "    a = remainder(0, total, f)\n"
+        "    b = reduce_mod(total, cyclotomic_coeffs(r), 'u')\n"
+        "    c = remainder(*total, f, 4 * r)\n"
+        "    d = reduce_mod(total, cyclotomic_coeffs(r), 'u', n=r)\n"
+        "    return a, b, c, d, reduce_mod(total, f=f)\n\n\n"
+        "def reduce(x, d, f):\n"
+        "    g = pochhammer(d).q_run()[1]\n"
+        "    return remainder(*x, g), remainder(0, x, f), laurent.remainder(\n"
+        "        0, x, cyclotomic_coeffs(d))\n\n\n"
+        "TOP = reduce_mod(1, cyclotomic_coeffs(3))\n",
+        encoding="utf-8")
+    # f is Phi_4r in wrt, not in reduce, where it is a parameter; 'u' is
+    # reduce_mod's variable, not its order
+    assert unfolded_cyclotomic_reductions(tmp_path) == [
+        "a:10 reduce_mod", "a:15 remainder", "a:19 reduce_mod",
+        "a:6 remainder", "a:7 reduce_mod"]

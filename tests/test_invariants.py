@@ -336,7 +336,9 @@ def test_unknot_inverse_is_the_gauss_sum_identity():
     # U_f (-U_(-f) {1}^2) = 2r mod Phi_4r for both signs
     u = uwrt.invariants._unknot_I
     for r, f in product(range(2, 61), (1, -1)):
-        brace2 = reduce_mod(qint_bal(1) ** 2, cyclotomic_coeffs(4 * r), "u")
+        mod4 = cyclotomic_coeffs(4 * r)
+        brace2 = reduce_mod(qint_bal(1) ** 2, mod4, "u")
+        assert reduce_mod(qint_bal(1) ** 2, mod4, "u", 4 * r) == brace2
         inv = -u(r, -f) * brace2
         assert uwrt.invariants._unknot_inverse(r, f) == inv
         assert u(r, f) * inv == 2 * r, (r, f)
@@ -348,8 +350,11 @@ def test_unknot_sum_matches_the_product_form():
     for r, sign in product(range(1, 41), (1, -1)):
         terms = [qnum(c + 1) * qnum(c + 1) * twist_eigen(c, sign)
                  for c in range(r - 1)]
-        want = reduce_mod(sum(terms, ZERO), cyclotomic_coeffs(4 * r), "u")
+        mod4 = cyclotomic_coeffs(4 * r)
+        want = reduce_mod(sum(terms, ZERO), mod4, "u")
         assert uwrt.invariants._unknot_I(r, sign) == want, (r, sign)
+        # the u-run folded mod u^(4r) - 1 first, as wrt reduces its sum
+        assert reduce_mod(sum(terms, ZERO), mod4, "u", 4 * r) == want
 
 
 def test_unknot_inverse_checks_the_identity(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact Laurent arithmetic, q-combinatorics and quotient rings."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -170,6 +171,29 @@ def test_cyclotomic():
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    """The reference: Phi_n = (q^n - 1) / prod Phi_d over the proper
+    divisors d of n, one exact division each."""
+    acc = q_pow(n) - 1
+    for d in range(1, n):
+        if n % d == 0:
+            acc = acc.exact_div(_cyclotomic_by_division(d))
+    return acc
+
+
+def test_cyclotomic_matches_the_divisor_recursion():
+    # the Moebius product of strided passes against the division that
+    # defines Phi_n, and the product of Phi_d over d | n is q^n - 1
+    for n in range(1, 301):
+        assert cyclotomic(n) == _cyclotomic_by_division(n), n
+        acc = ONE
+        for d in range(1, n + 1):
+            if n % d == 0:
+                acc = acc * cyclotomic(d)
+        assert acc == q_pow(n) - 1, n
+
+
 def test_modpoly_arithmetic():
     mod = [1, 1, 1]          # q^2 + q + 1
     x = ModPoly(mod, [0, 1])
@@ -253,6 +277,9 @@ def test_reduce_mod_matches_definition(p, var, n, terms):
     step = _STEPS[var]
     a = from_dict({step * k: c for k, c in terms.items()})
     assert ModPoly(f, reduce_mod(a, f, var).coeffs, p) == want
+    # and folded mod x^m - 1 first, for multiples m of n
+    for m in (n, 3 * n):
+        assert ModPoly(f, reduce_mod(a, f, var, m).coeffs, p) == want
     if var != "u":
         with pytest.raises(NotInQ):
             reduce_mod(a + u_pow(step * min(terms, default=0) + 1), f, var)

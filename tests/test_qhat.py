@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwrt.errors import DepthExceeded, InputError, NotInQ
+from uwrt.evaluate import modp_value
 from uwrt.invariants import jm_borromean
 from uwrt.laurent import (ONE, ZERO, LaurentU, ModPoly, cyclotomic_coeffs,
-                          pochhammer, q_pow, qnum, u_pow, v_pow)
+                          pochhammer, q_pow, qnum, remainder, u_pow, v_pow)
 from uwrt.qhat import (DEFAULT_DEPTH, HabiroElem, equals_at_depth, eval_root,
                        phi_order, reduce, taylor)
 
@@ -201,6 +202,27 @@ def test_expand_matches_definition(x, d, barred):
     want = sum((x.terms[n] * pochhammer(n) for n in range(d)), ZERO)
     lo, run = x.expand(d)
     assert LaurentU.from_q_coeffs(lo, run) == want
+
+
+slots = st.dictionaries(st.integers(min_value=-60, max_value=60),
+                        st.integers(min_value=-10**6, max_value=10**6),
+                        max_size=4).map(
+    lambda terms: sum((q_pow(k, c) for k, c in terms.items()), ZERO))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_eval_root_folds_as_the_whole_expansion(r, data):
+    # the Horner pass mod q^r - 1 against the remainder of the whole
+    # expansion by Phi_r, on slots with negative q-exponents and depth
+    # past r; modp_value reads the same value mod p
+    depth = data.draw(st.integers(min_value=r, max_value=r + 4))
+    x = HabiroElem(depth, data.draw(st.lists(slots, max_size=depth)))
+    f = cyclotomic_coeffs(r)
+    want = ModPoly(f, remainder(*x.expand(r), f))
+    got = eval_root(x, r)
+    assert (ModPoly(f, [got]) if r == 1 else got) == want
+    assert modp_value(x, 101, r).value == ModPoly(f, want.coeffs, 101)
 
 
 def test_to_json_literal_of_each_grading():
