@@ -18,9 +18,8 @@ from .invariants import (borromean_presentation, jm_borromean,
                          poincare_series, reduced_jones, s3_presentations,
                          theta, theta0, tilde_tau8_check, congruence_report,
                          wrt, SurgeryPresentation)
-from .laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic_coeffs,
-                      falling_bal, q_pow, qbinom_q, qfact_bal, qint_bal,
-                      qnum, reduce_mod)
+from .laurent import (LaurentU, ModPoly, ONE, ZERO, falling_bal, q_pow,
+                      qbinom_q, qfact_bal, qint_bal, qnum, reduce_mod)
 from .qhat import HabiroElem, equals_at_depth, eval_root, phi_order, taylor
 from .repring import (BasisCombo, omega_truncated, pairing, pprime_mul,
                       to_P, to_V)
@@ -209,7 +208,7 @@ def criterion_10():
             return False, f"theta at i = {i}"
     kash = theta0(rj)
     for r in range(1, 7):
-        want = reduce_mod(theta(rj, r), cyclotomic_coeffs(r), n=r)
+        want = reduce_mod(theta(rj, r), r)
         got = eval_root(kash, r)
         if r == 1:
             want = want.as_integer()
@@ -301,7 +300,7 @@ def criterion_11():
     x = jm_borromean(1, 1, -1, 10)
     for p, r in ((3, 5), (5, 4), (7, 3)):
         e = eval_root(x, r)
-        red = ModPoly(e.modulus, e.coeffs, p)
+        red = ModPoly(r, e.coeffs, p)
         if red != modp_value(x, p, r).value:
             return False, f"pi-compatibility at (p,r)=({p},{r})"
     deeper = jm_borromean(1, 1, -1, 12)

@@ -14,7 +14,7 @@ import math
 
 from .errors import (DepthExceeded, InputError, NotAUnit, NotCoprime,
                      require_positive)
-from .laurent import ModPoly, cyclotomic_coeffs, is_unit
+from .laurent import ModPoly, is_unit
 from .qhat import eval_root
 
 
@@ -127,8 +127,8 @@ def modp_value(x, p, r):
     value at every primitive r-th root of unity simultaneously."""
     check_modp(p, r)
     val = eval_root(x, r)          # over Z; reducing mod p is a ring map
-    return ResidueValue("modp-poly", (p, r), ModPoly(
-        cyclotomic_coeffs(r), [val] if r == 1 else val.coeffs, p))
+    return ResidueValue("modp-poly", (p, r),
+                        ModPoly(r, [val] if r == 1 else val.coeffs, p))
 
 
 def modp_nonvanishing(value):

@@ -25,9 +25,9 @@ from functools import lru_cache
 from .errors import (DepthExceeded, DomainError, InputError,
                      NonExactDivision, NotAdmissible, NotAKnot, NotInQSubring,
                      UnknownName, require_positive)
-from .laurent import (ModPoly, ONE, ZERO, cyclotomic_coeffs,
-                      cyclotomic_product, falling_bal, pochhammer, q_pow,
-                      qfact_bal, qint_bal, reduce_mod, remainder, v_pow)
+from .laurent import (ModPoly, ONE, ZERO, cyclotomic_product, falling_bal,
+                      pochhammer, q_pow, qfact_bal, qint_bal, reduce_mod,
+                      v_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import omega_coeff, omega_row
 from .tangles import (BUILTIN_NAMES, Diagram, builtin, colour_sum,
@@ -299,8 +299,7 @@ def _unknot_I(r, sign):
     for c in range(r - 1):
         for k in range(-c, c + 1):
             acc[(sign * c * (c + 2) + 4 * k) % (4 * r)] += c + 1 - abs(k)
-    f = cyclotomic_coeffs(4 * r)
-    return ModPoly(f, remainder(0, acc, f, 4 * r))
+    return ModPoly(4 * r, acc)
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +307,7 @@ def _unknot_inverse(r, f):
     """-U_(-f) {1}^2 mod Phi_4r, U_f = _unknot_I(r, f): by the Gauss-sum
     identity U_f (-U_(-f) {1}^2) = 2r (Kirby-Melvin), 2r times the
     inverse of U_f.  The product is checked: DomainError if it is not 2r."""
-    mod4 = cyclotomic_coeffs(4 * r)
-    inv = -_unknot_I(r, -f) * reduce_mod(qint_bal(1) ** 2, mod4, "u", 4 * r)
+    inv = -_unknot_I(r, -f) * reduce_mod(qint_bal(1) ** 2, 4 * r, "u")
     if _unknot_I(r, f) * inv != 2 * r:
         raise DomainError(f"U_{f:+d} (-U_{-f:+d} {{1}}^2) is not {2 * r} "
                           f"mod Phi_{4 * r}")
@@ -341,7 +339,7 @@ def wrt(pres, r):
     d, fr = _diagram_form(pres)
     _check_admissible(d, fr)
     total = ONE if d is None else colour_sum(d, fr, r)
-    value = reduce_mod(total, cyclotomic_coeffs(4 * r), "u", 4 * r)
+    value = reduce_mod(total, 4 * r, "u")
     for f in fr:
         value = value * _unknot_inverse(r, f)
     scale = (2 * r) ** len(fr)
@@ -357,7 +355,7 @@ def wrt(pres, r):
         for j, c in enumerate(ys):
             a[j * h % r] += -c if j % 2 else c
         ys = a
-    return ModPoly(cyclotomic_coeffs(r), ys)
+    return ModPoly(r, ys)
 
 
 # eval_root already lies in the ring wrt returns; the benchmark's wrt

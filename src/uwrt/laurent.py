@@ -1,21 +1,22 @@
-"""Exact Laurent-polynomial arithmetic in u = q^(1/4) over Z, and
-quotient rings Z[x]/(f) and F_p[x]/(f).
+"""Exact Laurent-polynomial arithmetic in u = q^(1/4) over Z, and the
+cyclotomic quotient rings Z[x]/(Phi_n) and F_p[x]/(Phi_n), named by n.
 
 Everything downstream is expressed in the single variable u; v = u^2 and
 q = u^4 are its subrings, and each value is stored as a run in steps of
 q, v or u, the coarsest its terms allow.  Coefficients are Python ints,
 so they are arbitrary precision by construction.  All values are
 immutable.
-A product by a monomial scales and shifts the other run; one whose
-shorter run has fewer than _PACK_MIN entries takes the schoolbook loop;
-any other packs both runs (encode_run, the one codec) at a digit width
-that max|a| max|b| min(len a, len b) proves and multiplies them as ints.
+A product by a monomial scales and shifts the other run; any other, and
+every ModPoly product, is _product: the schoolbook loop when the shorter
+run has fewer than _PACK_MIN entries, else both runs packed (encode_run,
+the one codec) at a digit width that max|a| max|b| min(len a, len b)
+proves and multiplied as ints.
 Packing is a ring map, so only the final digits must fit: a q-binomial is
 one packed product of cyclotomic polynomials, at the width that its
 coefficient sum proves, since no coefficient is negative.
-Every quotient is by a modulus with unit leading coefficient, so
-remainders are taken over Z and reduced mod p afterwards; no fraction
-is ever formed.
+A residue mod Phi_n is folded mod x^n - 1, which Phi_n divides, then
+divided by the monic Phi_n over Z and reduced mod p; no fraction is ever
+formed.  Other modules name the ring by n, never by Phi_n's coefficients.
 """
 
 from __future__ import annotations
@@ -168,20 +169,8 @@ class LaurentU(RingElem):
             return _canonical(lo, self._step, a if b[0] == 1 else tuple(
                 [b[0] * c for c in a]))
         step = min(self._step, other._step)
-        ka, kb = self._step // step, other._step // step
-        if len(b) >= _PACK_MIN:
-            width = _width(max(map(abs, a)) * max(map(abs, b)) * len(b))
-            mag = (encode_run(_spread(a, ka), width)
-                   * encode_run(_spread(b, kb), width))
-            return LaurentU(lo, decode_run(mag, width), step)
-        out = [0] * (ka * (len(a) - 1) + kb * (len(b) - 1) + 1)
-        a = [(ka * i, ca) for i, ca in enumerate(a) if ca]
-        for j, cb in enumerate(b):
-            if cb:
-                j *= kb
-                for i, ca in a:
-                    out[i + j] += ca * cb
-        return LaurentU(lo, out, step)
+        return LaurentU(lo, _product(
+            a, b, self._step // step, other._step // step), step)
 
     __rmul__ = __mul__
 
@@ -316,6 +305,25 @@ def decode_run(mag, width):
     return [w - half for w in words]
 
 
+def _product(a, b, ka=1, kb=1):
+    """The run of sum_i a[i] x^(ka i) times sum_j b[j] x^(kb j), b nonempty
+    and no longer than a: schoolbook below _PACK_MIN entries of b, else one
+    packed product as wide as max|a| max|b| len(b), max|a| and max|b|."""
+    if len(b) >= _PACK_MIN:
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+        width = _width(max(ma * mb * len(b), ma, mb))
+        return decode_run(encode_run(_spread(a, ka), width)
+                          * encode_run(_spread(b, kb), width), width)
+    out = [0] * (ka * (len(a) - 1) + kb * (len(b) - 1) + 1)
+    a = [(ka * i, ca) for i, ca in enumerate(a) if ca]
+    for j, cb in enumerate(b):
+        if cb:
+            j *= kb
+            for i, ca in a:
+                out[i + j] += ca * cb
+    return out
+
+
 def u_pow(k, coefficient=1):
     """The monomial coefficient * u^k, the one monomial constructor."""
     return LaurentU(k, (coefficient,), 4)
@@ -445,46 +453,34 @@ def qnum(i):
 
 
 class ModPoly(RingElem):
-    """Element of Z[x]/(f) (p = 0) or F_p[x]/(f) (p > 0).
-
-    The modulus f is a coefficient tuple, constant term first.  Over Z
-    its leading coefficient must be +-1 (else NotAUnit); over F_p it is
-    reduced mod p and scaled to be monic, which leaves the ideal
-    unchanged.  Representatives are reduced to degree < deg f, and mod p
-    when p > 0; callers check that p is prime (evaluate.is_prime).
+    """Element of Z[x]/(Phi_n) (p = 0) or F_p[x]/(Phi_n) (p > 0), named by
+    its order n (x is q, or u in wrt): ModPoly(n, coeffs, p) is the residue
+    of sum_i coeffs[i] x^i by remainder, then mod p; callers check that p
+    is prime (evaluate.is_prime).  modulus views Phi_n, mod p when p > 0.
     """
 
-    __slots__ = ("modulus", "coeffs", "p")
+    __slots__ = ("n", "coeffs", "p")
 
-    def __init__(self, modulus, coeffs, p=0):
-        modulus = tuple(modulus)
-        if len(modulus) < 2:
-            raise ValueError("modulus must have degree >= 1")
-        if p:
-            inv = pow(modulus[-1], -1, p)     # ValueError if not a unit
-            modulus = tuple(c * inv % p for c in modulus)
-        self.modulus = modulus
+    def __init__(self, n, coeffs, p=0):
+        self.n = n
         self.p = p
-        self.coeffs = self._reduced(coeffs)
+        rem = remainder(0, coeffs, cyclotomic_coeffs(n), n)
+        self.coeffs = tuple(c % p for c in rem) if p else tuple(rem)
 
-    def _reduced(self, coeffs):
-        rem = remainder(0, coeffs, self.modulus)
-        return tuple(c % self.p for c in rem) if self.p else tuple(rem)
+    @property
+    def modulus(self):
+        phi = cyclotomic_coeffs(self.n)
+        return tuple(c % self.p for c in phi) if self.p else phi
 
     def _like(self, coeffs):
-        """Result with this modulus and p; the modulus is not checked
-        again."""
-        out = object.__new__(ModPoly)
-        out.modulus = self.modulus
-        out.p = self.p
-        out.coeffs = self._reduced(coeffs)
-        return out
+        """The residue of coeffs in this ring."""
+        return ModPoly(self.n, coeffs, self.p)
 
     def _check(self, other):
         if isinstance(other, int):
             return self._like([other])
         if (not isinstance(other, ModPoly) or other.p != self.p
-                or other.modulus != self.modulus):
+                or other.n != self.n):
             raise ShapeMismatch("incompatible ModPoly operands")
         return other
 
@@ -500,13 +496,7 @@ class ModPoly(RingElem):
     def __mul__(self, other):
         if isinstance(other, int):
             return self._like([a * other for a in self.coeffs])
-        b = self._check(other).coeffs
-        out = [0] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, c in enumerate(b):
-                    out[i + j] += a * c
-        return self._like(out)
+        return self._like(_product(self.coeffs, self._check(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -521,15 +511,15 @@ class ModPoly(RingElem):
             other = self._like([other])
         if not isinstance(other, ModPoly):
             return NotImplemented
-        return (self.p, self.modulus, self.coeffs) == \
-            (other.p, other.modulus, other.coeffs)
+        return (self.p, self.n, self.coeffs) == (other.p, other.n,
+                                                 other.coeffs)
 
     def __hash__(self):
-        return hash((self.p, self.modulus, self.coeffs))
+        return hash((self.p, self.n, self.coeffs))
 
     def as_integer(self):
-        """Value for a degree-1 modulus x - a: the residue f(a)."""
-        if len(self.modulus) != 2:
+        """The residue at x = 1 or -1, for n = 1 or 2: Phi_n is linear."""
+        if self.n > 2:
             raise ShapeMismatch("modulus is not linear")
         return self.coeffs[0]
 
@@ -542,7 +532,7 @@ class ModPoly(RingElem):
                 "coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self):
-        return (f"ModPoly({self._base()}, deg {len(self.modulus) - 1} "
+        return (f"ModPoly({self._base()}, deg {len(self.coeffs)} "
                 f"modulus, {list(self.coeffs)})")
 
 
@@ -584,10 +574,10 @@ def remainder(lo, run, f, n=None):
     the remainder of the polynomial part.  A negative lo then takes
     |lo| exact divisions by x, r <- (r - r(0) f(0) f) / x, each O(deg f);
     they need f(0) = +-1 (else NonInvertibleVariable).  An order n with
-    f | x^n - 1, as Phi_n has, first folds the value mod x^n - 1 (fold).
+    f | x^n - 1, as Phi_n has, first folds a longer value mod x^n - 1.
     Returns the deg f coefficients of the remainder, constant term first.
     """
-    if n:
+    if n and (lo < 0 or lo + len(run) > n):
         lo, run = 0, fold(lo, run, n)
     f = tuple(f)
     deg = len(f) - 1
@@ -616,19 +606,13 @@ def remainder(lo, run, f, n=None):
     return r
 
 
-def reduce_mod(a, f, var="q", n=None):
-    """Reduce a LaurentU modulo a polynomial f in q (var "q") or in u
-    (var "u"), over Z.
-
-    f is the coefficient sequence of the modulus, constant term first
-    (cyclotomic_coeffs gives it for Phi_n).  The remainder is taken over
-    Z in one pass (remainder), so f must have leading coefficient +-1,
-    and also f(0) = +-1 when a has negative exponents; cyclotomic moduli
-    have both; an order n with f | var^n - 1 folds a first.  Z -> F_p is
-    a ring map, so ModPoly(f, coeffs, p) of the result is over F_p.
-    """
+def reduce_mod(a, n, var="q"):
+    """The residue in Z[x]/(Phi_n) of a LaurentU in x = q (var "q", else
+    NotInQ) or x = u (var "u"): its run folded mod x^n - 1, which Phi_n
+    divides, so a negative exponent costs no division.  Z -> F_p is a
+    ring map, so ModPoly(n, coeffs, p) of the result is over F_p."""
     if var == "u":
-        return ModPoly(f, remainder(a._lo, _spread(a._run, a._step), f, n))
+        return ModPoly(n, fold(a._lo, _spread(a._run, a._step), n))
     if not a.is_in_q():
         raise NotInQ("value is not a polynomial in q")
-    return ModPoly(f, remainder(a._lo // 4, a._run, f, n))
+    return ModPoly(n, fold(a._lo // 4, a._run, n))

@@ -24,8 +24,8 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DepthExceeded, NotInQ, require_positive
-from .laurent import (LaurentU, ZERO, ModPoly, RingElem, cyclotomic,
-                      cyclotomic_coeffs, fold, pochhammer, remainder)
+from .laurent import (LaurentU, ZERO, ModPoly, RingElem, cyclotomic, fold,
+                      pochhammer, remainder)
 
 DEFAULT_DEPTH = 10
 
@@ -152,8 +152,7 @@ def eval_root(x, r):
     require_positive("r", r)
     if x.depth < r:
         raise DepthExceeded(f"depth {x.depth} < r = {r}")
-    f = cyclotomic_coeffs(r)
-    val = ModPoly(f, remainder(*x.expand(r, r), f, r))
+    val = ModPoly(r, x.expand(r, r)[1])
     return val.as_integer() if r == 1 else val
 
 
@@ -175,8 +174,7 @@ def taylor(x, r, d):
     if x.depth < r * d:
         raise DepthExceeded(f"depth {x.depth} < r*d = {r * d}")
     rem = remainder(*x.expand(r * d), (cyclotomic(r) ** d).q_run()[1])
-    mod = cyclotomic_coeffs(r)
-    return [ModPoly(mod, [comb(j, k) * rem[j] for j in range(k, len(rem))])
+    return [ModPoly(r, [comb(j, k) * rem[j] for j in range(k, len(rem))])
             for k in range(d)]
 
 

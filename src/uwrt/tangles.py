@@ -580,9 +580,11 @@ def _table_sum(d, maps):
     (k_i, w_i) runs over the pairs of maps[i][a_i]: one packed mode-n
     product per axis, each weight packed once (_packed_weight).
     check_split runs first, as the residues of the module docstring need
-    zero linking numbers."""
+    zero linking numbers.  The colours run from the top, so the first
+    contraction meets any block past the digit cap."""
     check_split(d)
-    table = {a: _closed(d, a) for a in product(*map(range, map(len, maps)))}
+    table = {a: _closed(d, a) for a in product(
+        *(range(len(m) - 1, -1, -1) for m in maps))}
     for axis, to in enumerate(maps):
         to = [[(k, _packed_weight(w)) for k, w in pairs] for pairs in to]
         new = {}

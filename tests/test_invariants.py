@@ -20,7 +20,8 @@ from uwrt.invariants import (SurgeryPresentation, borromean_presentation,
                              theta, theta0, tilde_tau8_check, unlink_diagram,
                              wrt)
 from uwrt.laurent import (ONE, ZERO, cyclotomic_coeffs, falling_bal,
-                          pochhammer, q_pow, qint_bal, qnum, reduce_mod)
+                          pochhammer, q_pow, qint_bal, qnum, reduce_mod,
+                          remainder)
 from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.repring import omega_coeff
 from uwrt.reps import twist_eigen
@@ -332,13 +333,18 @@ def test_wrt_is_checked_integral(monkeypatch):
     assert wrt(s3_presentations()[0], 3) == 1      # no framing, no U
 
 
+def _unfolded(a, n):
+    """The remainder of a's u-run by Phi_n(u), with no fold."""
+    return tuple(remainder(a.min, a.coeffs, cyclotomic_coeffs(n)))
+
+
 def test_unknot_inverse_is_the_gauss_sum_identity():
     # U_f (-U_(-f) {1}^2) = 2r mod Phi_4r for both signs
     u = uwrt.invariants._unknot_I
     for r, f in product(range(2, 61), (1, -1)):
-        mod4 = cyclotomic_coeffs(4 * r)
-        brace2 = reduce_mod(qint_bal(1) ** 2, mod4, "u")
-        assert reduce_mod(qint_bal(1) ** 2, mod4, "u", 4 * r) == brace2
+        brace2 = reduce_mod(qint_bal(1) ** 2, 4 * r, "u")
+        # the u-run folded mod u^(4r) - 1 against the unfolded remainder
+        assert brace2.coeffs == _unfolded(qint_bal(1) ** 2, 4 * r)
         inv = -u(r, -f) * brace2
         assert uwrt.invariants._unknot_inverse(r, f) == inv
         assert u(r, f) * inv == 2 * r, (r, f)
@@ -350,11 +356,10 @@ def test_unknot_sum_matches_the_product_form():
     for r, sign in product(range(1, 41), (1, -1)):
         terms = [qnum(c + 1) * qnum(c + 1) * twist_eigen(c, sign)
                  for c in range(r - 1)]
-        mod4 = cyclotomic_coeffs(4 * r)
-        want = reduce_mod(sum(terms, ZERO), mod4, "u")
-        assert uwrt.invariants._unknot_I(r, sign) == want, (r, sign)
+        want = _unfolded(sum(terms, ZERO), 4 * r)
+        assert uwrt.invariants._unknot_I(r, sign).coeffs == want, (r, sign)
         # the u-run folded mod u^(4r) - 1 first, as wrt reduces its sum
-        assert reduce_mod(sum(terms, ZERO), mod4, "u", 4 * r) == want
+        assert reduce_mod(sum(terms, ZERO), 4 * r, "u").coeffs == want
 
 
 def test_unknot_inverse_checks_the_identity(monkeypatch):

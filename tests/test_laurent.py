@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwrt.errors import (NonExactDivision, NonInvertibleVariable, NotAUnit,
-                         NotInQ, ShapeMismatch)
-from uwrt.laurent import (LaurentU, ModPoly, ONE, ZERO, cyclotomic,
+from uwrt.errors import (InputError, NonExactDivision, NonInvertibleVariable,
+                         NotAUnit, NotInQ, ShapeMismatch)
+from uwrt.laurent import (_PACK_MIN, LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           cyclotomic_coeffs, falling_bal, falling_q, is_unit,
                           packed_q_values, pochhammer, q_pow, qbinom_bal,
                           qbinom_q, qfact_bal, qfact_q, qint_bal, qnum,
-                          reduce_mod, u_pow, v_pow)
+                          reduce_mod, remainder, u_pow, v_pow)
 
 from mirror import bar
 from terms import coeff, from_dict
@@ -46,8 +46,8 @@ def test_negative_power_of_unit():
     with pytest.raises(ValueError):
         u_pow(3) ** -2
     with pytest.raises(ValueError):
-        ModPoly([1, 1, 1], [0, 1]) ** -1
-    assert u_pow(1, -1) ** 0 == ONE and ModPoly([1, 1], [5]) ** 0 == 1
+        ModPoly(3, [0, 1]) ** -1
+    assert u_pow(1, -1) ** 0 == ONE and ModPoly(2, [5]) ** 0 == 1
 
 
 def test_exact_div():
@@ -195,47 +195,51 @@ def test_cyclotomic_matches_the_divisor_recursion():
 
 
 def test_modpoly_arithmetic():
-    mod = [1, 1, 1]          # q^2 + q + 1
-    x = ModPoly(mod, [0, 1])
+    x = ModPoly(3, [0, 1])   # q in Z[q]/(q^2 + q + 1)
+    assert x.modulus == (1, 1, 1)
     assert x * x * x == 1    # q^3 = 1 mod Phi_3
     assert (x + 1) * (-x) == 1           # -q - q^2 = 1 mod Phi_3
     assert x ** 0 == 1 and x - x == 0 and 2 * x - x == x
-    y = ModPoly(mod, [0, 1], 5)
+    y = ModPoly(3, [0, 1], 5)
     assert (y + 1) * (4 * y) == 1 and y * 6 == y
-    with pytest.raises(NotAUnit):        # not monic over Z
-        ModPoly([1, 1, 2], [0])
-    # over F_p a unit multiple of the modulus is the same ring
-    assert ModPoly([2, 2, 2], [3, 4, 5], 7) == ModPoly(mod, [3, 4, 5], 7)
-    with pytest.raises(ValueError):      # leading coefficient 0 mod 7
-        ModPoly([1, 1, 7], [0], 7)
+    # the modulus is Phi_n's run, mod p over F_p; q^6 = 1 folds first
+    assert ModPoly(6, [0, 0, 0, 0, 0, 0, 7], 5).modulus == (1, 4, 1)
+    assert ModPoly(6, [0, 0, 0, 0, 0, 0, 7], 5) == 2
+    # a packed product by zero still needs digits as wide as the other run
+    assert ModPoly(17, []) * ModPoly(17, [10 ** 30]) == 0
+    with pytest.raises(InputError):      # no ring of order 0
+        ModPoly(0, [1])
 
 
 def test_modpoly_shape_guard():
-    a = ModPoly([1, 0, 1], [0, 1])
-    b = ModPoly([1, 1, 1], [0, 1])
+    a = ModPoly(4, [0, 1])
+    b = ModPoly(3, [0, 1])
     with pytest.raises(ShapeMismatch):
         a + b
     with pytest.raises(ShapeMismatch):
-        b + ModPoly([1, 1, 1], [0, 1], 5)
+        b + ModPoly(3, [0, 1], 5)
     with pytest.raises(ShapeMismatch):
         a.as_integer()
+    assert ModPoly(1, [2, 3]).as_integer() == 5
+    assert ModPoly(2, [2, 3]).as_integer() == -1
 
 
-def _brute_force_unit(a, f, p):
-    """Whether some b of degree < deg f has a*b = 1 in F_p[x]/(f)."""
-    one = ModPoly(f, [1], p)
-    x = ModPoly(f, a, p)
-    return any(x * ModPoly(f, b, p) == one
-               for b in product(range(p), repeat=len(f) - 1))
+def _brute_force_unit(a, n, p):
+    """Whether some b of degree < deg Phi_n has a*b = 1 in
+    F_p[x]/(Phi_n)."""
+    one = ModPoly(n, [1], p)
+    x = ModPoly(n, a, p)
+    return any(x * ModPoly(n, b, p) == one
+               for b in product(range(p), repeat=len(x.coeffs)))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_is_unit_matches_brute_force(p):
-    moduli = [f for deg in (1, 2)
-              for f in product(range(p), repeat=deg + 1) if f[-1]]
-    for f in moduli:
+    # every residue of the rings of degree 1 and 2
+    for n in (1, 2, 3, 4, 6):
+        f = cyclotomic_coeffs(n)
         for a in product(range(p), repeat=len(f) - 1):
-            assert is_unit(a, f, p) == _brute_force_unit(a, f, p), (a, f)
+            assert is_unit(a, f, p) == _brute_force_unit(a, n, p), (a, n)
     phi3 = cyclotomic_coeffs(3)              # (x - 1)^2 mod 3
     assert not is_unit([-1, 1], phi3, 3)
     assert is_unit([1, 1], phi3, 3)
@@ -243,18 +247,20 @@ def test_is_unit_matches_brute_force(p):
 
 
 def test_reduce_mod():
-    val = reduce_mod(q_pow(5) + q_pow(-1), cyclotomic_coeffs(3))
-    x = ModPoly([1, 1, 1], [0, 1])
+    val = reduce_mod(q_pow(5) + q_pow(-1), 3)
+    x = ModPoly(3, [0, 1])
     assert val == x ** 5 + x ** 2        # q^-1 = q^2 mod Phi_3
     with pytest.raises(NotInQ):
-        reduce_mod(u_pow(1), cyclotomic_coeffs(3))
-    with pytest.raises(TypeError):      # not iterable, so it cannot hang
-        reduce_mod(q_pow(5), cyclotomic(3))
-    with pytest.raises(NotAUnit):       # the remainder is taken over Z
-        ModPoly([1, 1, 2], reduce_mod(q_pow(5), [1, 1, 2]).coeffs, 7)
+        reduce_mod(u_pow(1), 3)
+
+
+def test_remainder_needs_unit_ends():
+    # one division over Z needs a leading coefficient +-1, and a negative
+    # power of x needs f(0) = +-1
+    with pytest.raises(NotAUnit):
+        remainder(0, [0, 0, 0, 1], [1, 1, 2])
     with pytest.raises(NonInvertibleVariable):
-        reduce_mod(q_pow(-1), [2, 1, 1])
-    assert reduce_mod(q_pow(5), [2, 1, 1]) == ModPoly([2, 1, 1], [0, 1]) ** 5
+        remainder(-1, [1], [2, 1, 1])
 
 
 _STEPS = {"q": 4, "u": 1}
@@ -269,20 +275,57 @@ _STEPS = {"q": 4, "u": 1}
 def test_reduce_mod_matches_definition(p, var, n, terms):
     # sum c x^k, with x^k = x^(k mod n) a ModPoly power: Phi_n divides
     # q^n - 1
-    f = cyclotomic_coeffs(n)
-    x = ModPoly(f, [0, 1], p)
-    want = ModPoly(f, [0], p)
+    x = ModPoly(n, [0, 1], p)
+    want = ModPoly(n, [0], p)
     for k, c in terms.items():
         want = want + x ** (k % n) * c
     step = _STEPS[var]
     a = from_dict({step * k: c for k, c in terms.items()})
-    assert ModPoly(f, reduce_mod(a, f, var).coeffs, p) == want
-    # and folded mod x^m - 1 first, for multiples m of n
+    got = reduce_mod(a, n, var)
+    assert ModPoly(n, got.coeffs, p) == want
+    # and the unfolded remainder by Phi_n, over Z and mod p; folded mod
+    # x^m - 1 first, for multiples m of n, it is the same
+    f = cyclotomic_coeffs(n)
+    run = (a.min // step, a.coeffs[::step])
+    rem = remainder(*run, f)
+    assert got.coeffs == tuple(rem)
+    assert want.coeffs == (tuple(c % p for c in rem) if p else tuple(rem))
     for m in (n, 3 * n):
-        assert ModPoly(f, reduce_mod(a, f, var, m).coeffs, p) == want
+        assert remainder(*run, f, m) == rem
     if var != "u":
         with pytest.raises(NotInQ):
-            reduce_mod(a + u_pow(step * min(terms, default=0) + 1), f, var)
+            reduce_mod(a + u_pow(step * min(terms, default=0) + 1), n, var)
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=60), st.sampled_from([0, 7, 101]),
+       st.data())
+def test_modpoly_product_matches_schoolbook(n, p, data):
+    # residues of deg Phi_n coefficients on either side of _PACK_MIN, so
+    # both the schoolbook and the packed product, against the schoolbook
+    # product of the unreduced runs and the unfolded remainder by Phi_n
+    runs = st.lists(st.integers(min_value=-10**30, max_value=10**30),
+                    max_size=2 * n + 8)
+    a, b = data.draw(runs), data.draw(runs)
+    got = ModPoly(n, a, p) * ModPoly(n, b, p)
+    assert len(got.coeffs) == len(cyclotomic_coeffs(n)) - 1
+    want = remainder(0, _schoolbook(a, b), cyclotomic_coeffs(n))
+    assert got.coeffs == (tuple(c % p for c in want) if p else tuple(want))
+
+
+def test_modpoly_product_crosses_the_packing_threshold():
+    # a residue has deg Phi_n coefficients, and the orders the property
+    # draws reach both product paths
+    lengths = {len(ModPoly(n, []).coeffs) for n in range(1, 61)}
+    assert min(lengths) < _PACK_MIN <= max(lengths)
 
 
 @settings(deadline=None, max_examples=60)

@@ -744,6 +744,28 @@ def test_block_bound_refuses_a_block_before_building_it(monkeypatch):
             build(8, 8, s)
 
 
+def test_sums_refuse_the_block_cap_at_the_first_contraction(monkeypatch):
+    # the colours run from the top, so the first contraction asks for the
+    # largest braiding block, and one past the digit cap is refused
+    # before any other colour is contracted
+    calls = []
+
+    def recording(d, colors, cut=None):
+        calls.append(colors)
+        return contract(d, colors, cut)
+
+    contract = uwrt.tangles._contract
+    monkeypatch.setattr(uwrt.tangles, "_contract", recording)
+    d = builtin("trefoil")
+    with pytest.raises(DomainError, match="colours 42, 42"):
+        colour_sum(d, (-1,), 44)
+    assert calls == [(42,)]
+    calls.clear()
+    with pytest.raises(DomainError, match="colours 43, 43"):
+        pprime_table(d, 44)
+    assert calls == [(43,)]
+
+
 def test_closed_pairs_are_canonical():
     # cancelling low digits leave zeros that _padd keeps, and where they
     # appear depends on the split; _closed strips them, so every split
