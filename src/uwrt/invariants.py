@@ -25,8 +25,8 @@ from functools import lru_cache
 from .errors import (DepthExceeded, DomainError, InputError,
                      NonExactDivision, NotAdmissible, NotAKnot, NotInQSubring,
                      UnknownName, require_positive)
-from .laurent import (ModPoly, ONE, ZERO, cyclotomic_product, falling_bal,
-                      pochhammer, q_pow, qfact_bal, qint_bal, reduce_mod,
+from .laurent import (LaurentU, ModPoly, ONE, ZERO, falling_bal, pochhammer,
+                      q_pow, qfact_bal, qint_bal, reduce_mod, strided_pass,
                       v_pow)
 from .qhat import DEFAULT_DEPTH, HabiroElem, eval_root, taylor
 from .repring import omega_coeff, omega_row
@@ -215,15 +215,19 @@ def jm_borromean(i, j, k, N=DEFAULT_DEPTH):
 
 @lru_cache(maxsize=None)
 def _borromean_factor(l):
-    """(-1)^l {2l+1}_{l+1} / ({1} (q)_l) = v^(1 - (l+1)(3l+2)/2)
-    [2l+1 choose l+1]_q (1 + q + ... + q^l), with no division: one
-    cyclotomic product of the binomial's Phi_d (as in qbinom_q) and the
-    Phi_d, d > 1, dividing l + 1 (never the binomial's), its width proved by
-    its coefficient sum C(2l+1, l+1) (l+1)."""
-    i, n = 2 * l + 1, l + 1
-    return v_pow(1 - n * (3 * l + 2) // 2) * cyclotomic_product(
-        [d for d in range(2, i + 1) if i // d - n // d - l // d or n % d == 0],
-        math.comb(i, n) * n)
+    """(-1)^l {2l+1}_{l+1} / ({1} (q)_l) = v^(1 - (l+1)(3l+2)/2) B_l, where
+    B_l = (q)_(2l+1) / ((q)_l^2 (1-q)) = [2l+1 choose l+1]_q (1 + ... + q^l)
+    = B_(l-1) (1-q^(2l)) (1-q^(2l+1)) / (1-q^l)^2: one strided pass a factor
+    1 - q^i over the q-run, a power series cut at the product's length whose
+    top 2l entries vanish if the quotient is exact (else NonExactDivision)."""
+    if not l:
+        return ONE
+    run = list(_borromean_factor(l - 1).q_run()[1]) + [0] * (4 * l + 1)
+    for i, s in ((2 * l, 1), (2 * l + 1, 1), (l, -1), (l, -1)):
+        strided_pass(run, i, s)
+    if any(run[-2 * l:]):
+        raise NonExactDivision(f"(1 - q^{l})^2 does not divide B_{l}")
+    return LaurentU(2 - (l + 1) * (3 * l + 2), run[:-2 * l], 4)
 
 
 def poincare_series(N=DEFAULT_DEPTH):
@@ -279,13 +283,9 @@ def theta(x, i):
 def theta0(x):
     """The unified Kashaev invariant: t -> 1, with the k-th sigma value
     (-1)^k q^(-k(k+1)/2) (q)_k^2 contributing one (q)_k to slot k."""
-    out = []
-    for k, c in enumerate(x):
-        c = c * pochhammer(k) * q_pow(-k * (k + 1) // 2)
-        if k % 2:
-            c = -c
-        out.append(c)
-    return HabiroElem(len(x), out)
+    return HabiroElem(len(x), [
+        c * pochhammer(k) * q_pow(-k * (k + 1) // 2, (-1) ** k)
+        if not c.is_zero() else c for k, c in enumerate(x)])
 
 
 # -- WRT invariants at roots of unity -----------------------------------------

@@ -25,7 +25,7 @@ import sys
 from array import array
 from functools import lru_cache
 from math import comb, gcd, isqrt, prod
-from operator import add, neg
+from operator import add, neg, sub
 
 from .errors import (NonExactDivision, NonInvertibleVariable, NotAUnit, NotInQ,
                      ShapeMismatch, require_positive)
@@ -355,9 +355,18 @@ def cyclotomic(n):
             factors += [(d // p, -s) for d, s in factors]
     run = [-1 if n == 1 else 1] + [0] * sum(s * d for d, s in factors)
     for d, s in factors:
-        for k in range(d, len(run))[::-s]:     # a factor top down, else up
-            run[k] -= s * run[k - d]
+        strided_pass(run, d, s)
     return LaurentU.from_q_coeffs(0, run)
+
+
+def strided_pass(run, d, s):
+    """run times (1 - q^d)^s, s = +-1, in place as a power series cut at
+    len(run): c_k -= c_(k-d) from the top, or c_k += c_(k-d) from below."""
+    if s > 0:
+        run[d:] = map(sub, run[d:], run[:len(run) - d])
+    else:
+        for k in range(d, len(run), d):
+            run[k:k + d] = map(add, run[k:k + d], run[k - d:k])
 
 
 def cyclotomic_coeffs(n):

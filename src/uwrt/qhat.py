@@ -5,10 +5,10 @@ in q, standing for sum_n c_n (q)_n known modulo ((q)_N).  The
 representation is not unique; equality always goes through canonical
 reduction mod (q)_d.  The canonical representative of Z[q]/((q)_d) used
 here is the polynomial with nonnegative exponents and degree less than
-d(d+1)/2: the remainder of sum_n c_n (q)_n by (q)_d, taken in one pass by
-laurent.remainder (a long division for the polynomial part, then one
-exact division by q per negative power; (q)_d has leading coefficient
-and constant term +-1, so both stay in Z).
+d(d+1)/2: sum_n c_n (q)_n itself when it is one, else its remainder by
+(q)_d, taken in one pass by laurent.remainder (a long division for the
+polynomial part, then one exact division by q per negative power; (q)_d
+has leading coefficient and constant term +-1, so both stay in Z).
 
 The Taylor expansion at a primitive r-th root of unity x is taken in
 Z[q]/(Phi_r^d), which the jets h^0 .. h^(d-1) of q = x + h determine:
@@ -135,8 +135,10 @@ def reduce(x, d):
     """Canonical representative of x in Z[q]/((q)_d)."""
     if d > x.depth:
         raise DepthExceeded(f"requested depth {d} > element depth {x.depth}")
-    rem = remainder(*x.expand(d), pochhammer(d).q_run()[1])
-    return LaurentU.from_q_coeffs(0, rem)
+    lo, run = x.expand(d)
+    if lo < 0 or lo + len(run) > d * (d + 1) // 2:
+        lo, run = 0, remainder(lo, run, pochhammer(d).q_run()[1])
+    return LaurentU.from_q_coeffs(lo, run)
 
 
 def equals_at_depth(x, y, d):

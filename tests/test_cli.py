@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uwrt import accept, cli, evaluate, invariants, repring, tangles
+from uwrt import accept, cli, evaluate, invariants, qhat, repring, tangles
 from uwrt.invariants import jm_borromean
+from uwrt.laurent import ONE
 from uwrt.qhat import eval_root
 from uwrt.tangles import builtin, colored_jones
 
@@ -180,6 +181,28 @@ def test_kashaev_large_twist_parameter(capsys):
     code, out, err = run(capsys, ["kashaev", "--depth", "1", "2000", "1"])
     assert code == 0 and not err
     assert out.splitlines()[0] == "slot 0: 1"
+
+
+def test_trivial_element_at_large_depth_builds_no_pochhammer(
+        capsys, monkeypatch):
+    # the element 1 is canonical mod (q)_d as it stands, and theta0 skips
+    # its zero slots: (q)_d of degree d(d+1)/2 is never built (each of
+    # these ran past 30 s before)
+    def fail(n):
+        raise AssertionError(f"(q)_{n} built")
+
+    monkeypatch.setattr(qhat, "pochhammer", fail)
+    monkeypatch.setattr(invariants, "pochhammer",
+                        lambda n: fail(n) if n else ONE)
+    for argv, depth in (
+            (["jm", "--surgery",
+              '{"family": "borromean", "params": [0, 0, 0]}',
+              "--depth", "400"], 400),
+            (["kashaev", "0", "0", "--depth", "1000"], 1000)):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and not err
+        assert out.splitlines() == ["slot 0: 1",
+                                    f"reduced mod (q)_{depth}: 1"]
 
 
 def test_large_twist_refused_at_once(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from hashlib import sha256
 from itertools import product
 from pathlib import Path
 
-from uwrt import cli
+from uwrt import cli, invariants, laurent
 from uwrt.errors import UwrtError
 from uwrt.invariants import SurgeryPresentation, s3_presentations, wrt
 from uwrt.repring import omega_truncated
@@ -114,6 +114,27 @@ def test_family_form_at_root_40_is_the_recorded_one():
     rc, text = _load_workloads().run_cli(cli, argv)
     assert rc == 0
     assert sha256(text.encode()).hexdigest() == FAMILY_ROOT_40
+
+
+# sha256 of the stdout below, recorded when _borromean_factor was a
+# cyclotomic product
+FAMILY_ROOT_100 = \
+    "dace9b443b013ffac8e7f56e425078d781230e7f17c02ffcef1a641642354d4a"
+
+
+def test_family_form_at_root_100_is_the_recorded_one(monkeypatch):
+    # every slot factor through l = 99 by its recurrence, with no
+    # cyclotomic product tree to fall back on
+    def fail(*args):
+        raise AssertionError("cyclotomic product built")
+
+    monkeypatch.setattr(laurent, "cyclotomic_product", fail)
+    invariants._borromean_factor.cache_clear()
+    argv = ["eval", "--surgery", '{"family":"borromean","params":[1,1,1]}',
+            "root", "100"]
+    rc, text = _load_workloads().run_cli(cli, argv)
+    assert rc == 0
+    assert sha256(text.encode()).hexdigest() == FAMILY_ROOT_100
 
 
 # sha256 of the stdout below, recorded when _closed cut every value at

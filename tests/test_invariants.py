@@ -3,6 +3,7 @@ values."""
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +20,9 @@ from uwrt.invariants import (SurgeryPresentation, borromean_presentation,
                              poincare_series, reduced_jones, s3_presentations,
                              theta, theta0, tilde_tau8_check, unlink_diagram,
                              wrt)
-from uwrt.laurent import (ONE, ZERO, cyclotomic_coeffs, falling_bal,
-                          pochhammer, q_pow, qint_bal, qnum, reduce_mod,
-                          remainder)
+from uwrt.laurent import (ONE, ZERO, cyclotomic_coeffs, cyclotomic_product,
+                          falling_bal, pochhammer, q_pow, qint_bal, qnum,
+                          reduce_mod, remainder, v_pow)
 from uwrt.qhat import HabiroElem, equals_at_depth
 from uwrt.repring import omega_coeff
 from uwrt.reps import twist_eigen
@@ -280,8 +281,61 @@ def test_poincare_series_slots():
     assert list(poincare_series(12).terms) == want
 
 
+def _borromean_factor_by_cyclotomic_product(l):
+    # the factor as one cyclotomic product: the binomial's Phi_d (as in
+    # qbinom_q) and the Phi_d, d > 1, dividing l + 1
+    i, n = 2 * l + 1, l + 1
+    return v_pow(1 - n * (3 * l + 2) // 2) * cyclotomic_product(
+        [d for d in range(2, i + 1) if i // d - n // d - l // d or n % d == 0],
+        comb(i, n) * n)
+
+
+def test_borromean_factor_equals_the_cyclotomic_product():
+    for l in [*range(60), 99]:
+        assert uwrt.invariants._borromean_factor(l) == \
+            _borromean_factor_by_cyclotomic_product(l), l
+
+
+def test_borromean_factor_refuses_a_non_multiple(monkeypatch):
+    # B_(l-1) replaced by 2 + q: (2 + q)(1 - q^(2l))(1 - q^(2l+1)) is not
+    # divisible by (1 - q^l)^2 for l >= 2, as 1 - q^l does not divide
+    # 1 - q^(2l+1), so the strided quotient's top entries do not vanish
+    body = uwrt.invariants._borromean_factor.__wrapped__
+    for l in (2, 3, 7):
+        want = body(l)
+        monkeypatch.setattr(uwrt.invariants, "_borromean_factor",
+                            lambda k: 2 + q_pow(1))
+        with pytest.raises(NonExactDivision):
+            body(l)
+        monkeypatch.undo()
+        assert body(l) == want
+
+
+def test_borromean_factor_at_the_omega_bound_from_a_cold_cache():
+    # slot 110 is the last that omega^(+-1) admits; from a cold cache the
+    # recurrence runs through every lower slot, without RecursionError,
+    # and B_l(1) = C(2l+1, l+1) (l+1)
+    uwrt.invariants._borromean_factor.cache_clear()
+    lo, run = uwrt.invariants._borromean_factor(110).q_run()
+    assert lo == 2 - 111 * 332 and len(run) == 111 ** 2
+    assert sum(run) == comb(221, 111) * 111 and min(run) > 0
+
+
 def test_ohtsuki_golden():
     assert ohtsuki(M111, 6) == [1, -6, 45, -464, 6224, -102816]
+
+
+# the second Conway coefficient a_2, from the knot tables
+CONWAY_A2 = {"trefoil": 1, "figure8": -1}
+
+
+def test_casson_law_on_the_diagram_path():
+    # lambda_1 = 6 lambda(M) (Ohtsuki) and lambda(S^3_(+-1)(K)) = +-a_2(K)
+    for name, a2 in CONWAY_A2.items():
+        for f in (1, -1):
+            pres = SurgeryPresentation(diagram=builtin(name), framings=(f,))
+            assert ohtsuki(jm_from_surgery(pres, 3), 3)[1] == 6 * f * a2, \
+                (name, f)
 
 
 def test_congruence_report():

@@ -13,7 +13,7 @@ from uwrt.laurent import (_PACK_MIN, LaurentU, ModPoly, ONE, ZERO, cyclotomic,
                           cyclotomic_coeffs, falling_bal, falling_q, is_unit,
                           packed_q_values, pochhammer, q_pow, qbinom_bal,
                           qbinom_q, qfact_bal, qfact_q, qint_bal, qnum,
-                          reduce_mod, remainder, u_pow, v_pow)
+                          reduce_mod, remainder, strided_pass, u_pow, v_pow)
 
 from mirror import bar
 from terms import coeff, from_dict
@@ -192,6 +192,24 @@ def test_cyclotomic_matches_the_divisor_recursion():
             if n % d == 0:
                 acc = acc * cyclotomic(d)
         assert acc == q_pow(n) - 1, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-99, max_value=99), min_size=1,
+                max_size=12),
+       st.lists(st.integers(min_value=1, max_value=9), max_size=4))
+def test_strided_passes_multiply_and_divide_by_one_minus_q_powers(run, ds):
+    # a product pass per factor against LaurentU's product by 1 - q^d, and
+    # the quotient passes take the product back to run, zeros on top
+    padded = run + [0] * sum(ds)
+    got, want = list(padded), LaurentU.from_q_coeffs(0, run)
+    for d in ds:
+        strided_pass(got, d, 1)
+        want = want * (1 - q_pow(d))
+    assert LaurentU.from_q_coeffs(0, got) == want
+    for d in ds:
+        strided_pass(got, d, -1)
+    assert got == padded
 
 
 def test_modpoly_arithmetic():
